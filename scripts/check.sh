@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 suite in the default build, example smoke
-# tests (including run-artifact schema validation), the static
+# Full verification: the tier-1 suite in the default build, the end-to-end
+# benchmark's self-test, example smoke tests (including run-artifact schema
+# validation), the static
 # forwarding-state verifier (tools/mifo-verify, docs/VERIFICATION.md), the
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
@@ -19,6 +20,11 @@ echo "=== tier-1: build + ctest (${build_dir}) ==="
 cmake -B "$build_dir" -S .
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+echo "=== e2ebench: benchmark self-test (e2ebench/selftest.py) ==="
+# The benchmark compiles src/ as a package of its own and links its targets
+# by name, so a src/ build change can break it without failing tier-1.
+python3 e2ebench/selftest.py
 
 echo "=== examples: smoke tests + artifact validation ==="
 artifact_dir="$(mktemp -d)"

@@ -369,8 +369,16 @@ bool Engine::snapshot(Report& report, SimTime t) {
   return clean;
 }
 
+void Engine::nest_port_fault(RouterId r, PortId p, bool down) {
+  int& depth = down_depth_[port_key(r, p)];
+  if (down) {
+    if (depth++ == 0) em_->net->set_port_up(r, p, false);
+  } else if (depth > 0 && --depth == 0) {
+    em_->net->set_port_up(r, p, true);
+  }
+}
+
 void Engine::set_link_state(AsId a, AsId b, bool down, std::string& detail) {
-  dp::Network& net = *em_->net;
   const auto* eg_ab = em_->wirings[a.value()].egress_to(b);
   const auto* eg_ba = em_->wirings[b.value()].egress_to(a);
   if (eg_ab == nullptr || eg_ba == nullptr) {
@@ -378,15 +386,7 @@ void Engine::set_link_state(AsId a, AsId b, bool down, std::string& detail) {
     return;
   }
   for (const auto* eg : {eg_ab, eg_ba}) {
-    const std::uint64_t key = port_key(eg->router, eg->port);
-    int& depth = down_depth_[key];
-    if (down) {
-      if (depth++ == 0) net.set_port_up(eg->router, eg->port, false);
-    } else {
-      if (depth > 0 && --depth == 0) {
-        net.set_port_up(eg->router, eg->port, true);
-      }
-    }
+    nest_port_fault(eg->router, eg->port, down);
   }
   // The delta routing table models the BGP session, which is down while
   // *any* fault holds the adjacency down — so it sees only the undirected
@@ -435,26 +435,18 @@ void Engine::freeze_as(AsId as, bool freeze, std::string& detail) {
   // each eBGP link with it — a dead router kills the link both ways).
   // The down-depth map makes this compose with per-link faults.
   std::size_t ports = 0;
-  const auto flip = [&](RouterId r, PortId p) {
-    const std::uint64_t key = port_key(r, p);
-    int& depth = down_depth_[key];
-    if (freeze) {
-      if (depth++ == 0) net.set_port_up(r, p, false);
-    } else {
-      if (depth > 0 && --depth == 0) net.set_port_up(r, p, true);
-    }
-    ++ports;
-  };
   for (const RouterId r : wiring.routers) {
-    const dp::Router& router = net.router(r);
-    for (std::size_t pi = 0; pi < router.num_ports(); ++pi) {
-      flip(r, PortId(static_cast<std::uint32_t>(pi)));
+    const std::size_t n = net.router(r).num_ports();
+    for (std::size_t pi = 0; pi < n; ++pi) {
+      nest_port_fault(r, PortId(static_cast<std::uint32_t>(pi)), freeze);
     }
+    ports += n;
   }
   for (const auto& eg : wiring.egresses) {
     const auto* back = em_->wirings[eg.neighbor.value()].egress_to(as);
     MIFO_ASSERT(back != nullptr);
-    flip(back->router, back->port);
+    nest_port_fault(back->router, back->port, freeze);
+    ++ports;
   }
   em_->daemons[as.value()]->set_frozen(freeze);
   if (!freeze) {
@@ -515,59 +507,18 @@ void Engine::start_burst(const Event& ev, std::string& detail) {
 }
 
 bool Engine::plant_valley(std::string& detail) {
-  // Same planted violation as `mifo-verify --mutate-valley`: wire the alt
-  // ports of a peering triangle into a ring for one remotely-owned prefix
-  // and disable the Tag-Check — the exact state Eq. 3 exists to forbid.
-  dp::Network& net = *em_->net;
-  std::vector<AsId> ring;
-  for (std::size_t i = 0; i < g_->num_ases() && ring.empty(); ++i) {
-    const AsId a(static_cast<std::uint32_t>(i));
-    const auto nbs = g_->neighbors(a);
-    for (std::size_t x = 0; x < nbs.size() && ring.empty(); ++x) {
-      if (nbs[x].rel != topo::Rel::Peer || !(a < nbs[x].as)) continue;
-      for (std::size_t y = x + 1; y < nbs.size(); ++y) {
-        if (nbs[y].rel != topo::Rel::Peer || !(a < nbs[y].as)) continue;
-        if (g_->rel(nbs[x].as, nbs[y].as) == topo::Rel::Peer) {
-          ring = {a, nbs[x].as, nbs[y].as};
-          break;
-        }
-      }
-    }
-  }
-  if (ring.size() != 3) {
-    detail = "no peering triangle in topology";
+  // Same planted violation as `mifo-verify --mutate-valley`.
+  const testbed::ValleyRing planted = testbed::plant_valley_ring(*em_, *g_);
+  if (!planted.error.empty()) {
+    detail = planted.error;
     return false;
-  }
-  dp::Addr dst = dp::kInvalidAddr;
-  for (const auto& att : em_->hosts) {
-    if (att.as != ring[0] && att.as != ring[1] && att.as != ring[2]) {
-      dst = att.addr;
-      break;
-    }
-  }
-  if (dst == dp::kInvalidAddr) {
-    detail = "no prefix owned outside the ring";
-    return false;
-  }
-  for (int i = 0; i < 3; ++i) {
-    const auto* eg = em_->wirings[ring[i].value()].egress_to(ring[(i + 1) % 3]);
-    if (eg == nullptr || !net.router(eg->router).fib().contains(dst)) {
-      detail = "mutation target unreachable";
-      return false;
-    }
-  }
-  for (int i = 0; i < 3; ++i) {
-    const auto* eg = em_->wirings[ring[i].value()].egress_to(ring[(i + 1) % 3]);
-    net.router(eg->router).fib().set_alt(dst, eg->port);
-    net.router(eg->router).config().enforce_tag_check = false;
-    // The config write bypasses the hooked mutators, so record it by hand —
-    // otherwise incremental snapshots would keep serving the stale proof.
-    if (auto* log = net.change_log()) log->note_config(eg->router);
   }
   planted_violation_ = true;
+  const std::vector<AsId>& ring = planted.ring;
   detail = "ring AS" + std::to_string(ring[0].value()) + "-AS" +
            std::to_string(ring[1].value()) + "-AS" +
-           std::to_string(ring[2].value()) + " dst=" + std::to_string(dst);
+           std::to_string(ring[2].value()) +
+           " dst=" + std::to_string(planted.dst);
   return true;
 }
 
@@ -575,7 +526,7 @@ bool Engine::plant_stale_route(std::string& detail) {
   // Negative control for the route differential oracle — the routing-plane
   // sibling of plant_valley: withdraw a live origin but make the delta
   // table skip that destination's republish, leaving a stale CSR segment.
-  // The speakers and FIBs reconverge honestly, so the loop/valley/lint
+  // The FIBs and daemons are evicted honestly, so the loop/valley/lint
   // provers stay clean; only the Differential snapshot's from-scratch
   // Gao-Rexford rebuild can expose the divergence.
   if (cfg_.verify_mode != VerifyMode::Differential) {
@@ -583,8 +534,9 @@ bool Engine::plant_stale_route(std::string& detail) {
     return false;
   }
   for (const auto& [addr, as] : owners_) {
-    if (route_ctl_.withdrawn(as) || !route_ctl_.delta().tracks(as)) continue;
-    route_ctl_.delta().plant_stale(as);
+    bgp::DeltaRoutingTable& delta = route_ctl_.delta();
+    if (delta.withdrawn(as) || !delta.tracks(as)) continue;
+    delta.plant_stale(as);
     const bool ok = route_ctl_.withdraw(as);
     MIFO_ASSERT(ok);
     planted_violation_ = true;
@@ -597,11 +549,10 @@ bool Engine::plant_stale_route(std::string& detail) {
 }
 
 void Engine::note_route_delta(Report& report, Span& sp) {
-  const std::size_t total = route_ctl_.delta_events();
-  if (total == seen_route_events_) return;  // no routing-plane effect
-  seen_route_events_ = total;
+  const std::uint64_t epoch = route_ctl_.delta().epoch();
+  if (epoch == seen_route_epoch_) return;  // no routing-plane effect
+  seen_route_epoch_ = epoch;
   const bgp::DeltaStats& st = route_ctl_.last_delta_stats();
-  if (!st.applied) return;
   sp.route_recomputed = st.recomputed;
   sp.route_patched = st.patched;
   sp.route_unchanged = st.unchanged;

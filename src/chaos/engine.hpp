@@ -192,6 +192,9 @@ class Engine {
 
   /// Applies one event; returns {applied, detail}.
   std::pair<bool, std::string> apply(const Event& ev);
+  /// Nests one fault on a directed router port: the first of overlapping
+  /// faults takes it down, the last recovery brings it back up.
+  void nest_port_fault(RouterId r, PortId p, bool down);
   void set_link_state(AsId a, AsId b, bool down, std::string& detail);
   void scale_link_rate(AsId a, AsId b, double factor, std::string& detail);
   void freeze_as(AsId as, bool freeze, std::string& detail);
@@ -236,9 +239,9 @@ class Engine {
   /// session event only on the 0 <-> 1 transitions, so overlapping faults
   /// on one link compose the same way they do for ports.
   std::unordered_map<std::uint64_t, int> adj_down_depth_;
-  /// High-water mark of route_ctl_.delta_events() — how note_route_delta
+  /// High-water mark of the delta table's epoch — how note_route_delta
   /// tells whether the event just applied had any routing-plane effect.
-  std::size_t seen_route_events_ = 0;
+  std::uint64_t seen_route_epoch_ = 0;
   std::size_t last_event_index_ = 0;
   bool planted_violation_ = false;
 

@@ -1,129 +1,75 @@
 #include "chaos/route_control.hpp"
 
-#include <algorithm>
+#include <vector>
 
-#include "common/contracts.hpp"
+#include "testbed/wiring.hpp"
 
 namespace mifo::chaos {
 
-RouteController::RouteController(testbed::Emulation& em,
-                                 const topo::AsGraph& g)
-    : em_(&em), g_(&g) {
-  sessions_ = std::make_unique<bgpd::SessionNetwork>(g);
-  std::vector<AsId> dests;
-  for (const auto& att : em.hosts) {
-    sessions_->originate(att.as);
-    dests.push_back(att.as);
-  }
-  messages_ += sessions_->run_to_convergence();
-  delta_ = std::make_unique<bgp::DeltaRoutingTable>(g, std::move(dests));
+namespace {
+
+std::vector<AsId> prefix_owners(const testbed::Emulation& em) {
+  std::vector<AsId> owners;
+  for (const auto& att : em.hosts) owners.push_back(att.as);
+  return owners;
 }
 
-void RouteController::apply_delta(const bgp::RouteEvent& ev) {
-  last_delta_ = delta_->apply(ev);
-  if (last_delta_.applied) {
-    ++delta_events_;
-    delta_recomputed_ += last_delta_.recomputed;
-    delta_patched_ += last_delta_.patched;
-    delta_unchanged_ += last_delta_.unchanged;
-  }
+}  // namespace
+
+RouteController::RouteController(testbed::Emulation& em,
+                                 const topo::AsGraph& g)
+    : em_(&em), g_(&g), delta_(g, prefix_owners(em)) {}
+
+bool RouteController::apply(const bgp::RouteEvent& ev) {
+  last_delta_ = delta_.apply(ev);
+  return last_delta_.applied;
 }
 
 bool RouteController::session_down(AsId a, AsId b) {
-  apply_delta(bgp::RouteEvent::session_down(a, b));
-  return last_delta_.applied;
+  return apply(bgp::RouteEvent::session_down(a, b));
 }
 
 bool RouteController::session_up(AsId a, AsId b) {
-  apply_delta(bgp::RouteEvent::session_up(a, b));
-  return last_delta_.applied;
-}
-
-bool RouteController::withdrawn(AsId owner) const {
-  return std::find(withdrawn_.begin(), withdrawn_.end(), owner) !=
-         withdrawn_.end();
+  return apply(bgp::RouteEvent::session_up(a, b));
 }
 
 bool RouteController::withdraw(AsId owner) {
-  if (withdrawn(owner)) return false;
-  bool owns = false;
-  for (const auto& att : em_->hosts) owns = owns || att.as == owner;
-  if (!owns) return false;
-
-  sessions_->withdraw(owner);
-  messages_ += sessions_->run_to_convergence();
-  apply_delta(bgp::RouteEvent::withdraw(owner));
-  withdrawn_.push_back(owner);
-  for (const auto& att : em_->hosts) {
-    if (att.as == owner) evict_prefix(att);
-  }
-  return true;
-}
-
-bool RouteController::reannounce(AsId owner) {
-  const auto it = std::find(withdrawn_.begin(), withdrawn_.end(), owner);
-  if (it == withdrawn_.end()) return false;
-
-  sessions_->originate(owner);
-  messages_ += sessions_->run_to_convergence();
-  apply_delta(bgp::RouteEvent::reannounce(owner));
-  withdrawn_.erase(it);
-  for (const auto& att : em_->hosts) {
-    if (att.as == owner) install_prefix(att);
-  }
-  return true;
-}
-
-void RouteController::evict_prefix(const testbed::HostAttachment& att) {
+  if (!apply(bgp::RouteEvent::withdraw(owner))) return false;
   // Remote ASes lose the route entirely: default out_port and (via
   // Fib::remove) any daemon-programmed alt_port riding on the entry go
   // together — a withdrawn prefix must not keep attracting deflections.
   // The owner's own routers keep local delivery: the host did not move.
   dp::Network& net = *em_->net;
-  for (const auto& wiring : em_->wirings) {
-    if (wiring.as == att.as) continue;
-    em_->daemons[wiring.as.value()]->remove_prefix(net, att.addr);
-    for (const RouterId r : wiring.routers) {
-      net.router(r).fib().remove(att.addr);
-    }
-  }
-}
-
-void RouteController::install_prefix(const testbed::HostAttachment& att) {
-  // Mirror of EmulationBuilder::finalize's install pass, but fed from the
-  // live speakers' converged RIBs instead of a fresh compute_routes — the
-  // state a withdrawal/re-announcement sequence actually leaves behind.
-  dp::Network& net = *em_->net;
-  const bgp::IbgpPlan& plan = *em_->plan;
-  for (const auto& wiring : em_->wirings) {
-    const AsId as = wiring.as;
-    if (as == att.as) continue;
-    const bgpd::Speaker& sp = sessions_->speaker(as);
-    const bgp::Route best = sp.best(att.as);
-    if (!best.valid()) continue;  // still unreachable from here
-    const RouterId egress_router = plan.border_towards(as, best.next_hop);
-    const auto* eg = wiring.egress_to(best.next_hop);
-    MIFO_ASSERT(eg != nullptr);
-    for (const RouterId r : wiring.routers) {
-      if (r == egress_router) {
-        net.router(r).fib().set_route(att.addr, eg->port);
-      } else {
-        const PortId via = wiring.intra_port(r, egress_router);
-        MIFO_ASSERT(via.valid());
-        net.router(r).fib().set_route(att.addr, via);
+  for (const auto& att : em_->hosts) {
+    if (att.as != owner) continue;
+    for (const auto& wiring : em_->wirings) {
+      if (wiring.as == owner) continue;
+      em_->daemons[wiring.as.value()]->remove_prefix(net, att.addr);
+      for (const RouterId r : wiring.routers) {
+        net.router(r).fib().remove(att.addr);
       }
     }
-    core::PrefixRoutes pr;
-    pr.prefix = att.addr;
-    pr.default_neighbor = best.next_hop;
-    for (const auto& rib : sp.rib_in(att.as)) {
-      if (rib.neighbor == best.next_hop) continue;
-      if (rib.cls == bgp::RouteClass::None) continue;
-      pr.alternatives.push_back(rib.neighbor);
-    }
-    std::sort(pr.alternatives.begin(), pr.alternatives.end());
-    em_->daemons[as.value()]->update_prefix(net, std::move(pr));
   }
+  return true;
+}
+
+bool RouteController::reannounce(AsId owner) {
+  if (!apply(bgp::RouteEvent::reannounce(owner))) return false;
+  // Base-graph routes, not the delta table's masked segment: FIB defaults
+  // model the all-sessions-up state, as the builder installed them. The
+  // owner kept its local delivery and daemon entry through the withdrawal,
+  // so the pass rewrites identical values there.
+  dp::Network& net = *em_->net;
+  const bgp::RouteStore routes(*g_, owner);
+  for (const auto& att : em_->hosts) {
+    if (att.as != owner) continue;
+    testbed::install_prefix(
+        net, *g_, em_->wirings, att, routes,
+        [&](AsId as, core::PrefixRoutes pr) {
+          em_->daemons[as.value()]->update_prefix(net, std::move(pr));
+        });
+  }
+  return true;
 }
 
 }  // namespace mifo::chaos

@@ -1,27 +1,26 @@
 // Live BGP route churn for a running emulation.
 //
-// The testbed builder installs FIBs once, from a converged bgp::compute_routes
-// snapshot. Chaos needs the control plane to *move*: withdrawing an origin
-// must evict the route from every remote RIB, tear the FIB entries (default
-// and daemon-programmed alt) out of the data plane, and re-announcement must
-// put them back. RouteController runs a real bgpd::SessionNetwork (per-AS
-// Speakers, FIFO message processing) beside the packet plane and replays its
-// converged state into the routers' FIBs and the MIFO daemons' prefix
-// knowledge after every change.
+// The testbed builder installs FIBs and daemon prefix knowledge once, from
+// converged per-destination routes (testbed::install_prefix). Chaos needs
+// the control plane to *move*: withdrawing an origin must tear the prefix's
+// FIB entries (default and daemon-programmed alt) out of every other AS and
+// drop it from their daemons, and re-announcement must put them back.
 //
-// Beside the speakers the controller maintains a bgp::DeltaRoutingTable over
-// the prefix-owning destinations (DESIGN.md §5.1b): every withdraw /
-// reannounce / session event is mirrored into it as a delta recompute of
-// only the affected destinations, with the from-scratch rebuild retained as
-// the differential oracle. Per-event DeltaStats feed the chaos engine's
-// recovery spans and the verifier's dirty sets.
+// The routing-plane view is a bgp::DeltaRoutingTable over the prefix-owning
+// destinations (DESIGN.md §5.1b): every withdraw / reannounce / session
+// event is applied to it as a delta recompute of only the affected
+// destinations, with the from-scratch rebuild retained as the differential
+// oracle. Per-event DeltaStats feed the chaos engine's recovery spans and
+// the verifier's dirty sets.
+//
+// Re-announcement reinstalls through the builders' own install pass, fed
+// from the base graph's converged routes: FIB defaults model the
+// all-sessions-up state, exactly as the builder installed them. Session
+// events move the delta table only; the packet plane's port state is the
+// chaos engine's business.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "bgp/delta.hpp"
-#include "bgpd/session_network.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/as_graph.hpp"
 
@@ -29,71 +28,46 @@ namespace mifo::chaos {
 
 class RouteController {
  public:
-  /// Originates every prefix-owning AS of `em` and converges. `em` and `g`
-  /// must outlive the controller.
+  /// Tracks every prefix-owning AS of `em`. `em` and `g` must outlive the
+  /// controller.
   RouteController(testbed::Emulation& em, const topo::AsGraph& g);
 
-  /// Withdraws all prefixes originated by `owner`: converges the speakers,
-  /// evicts the FIB entries (default route and any alt riding on it) from
-  /// every other AS's routers and drops the prefix from their daemons.
-  /// Returns false when `owner` owns no prefix or is already withdrawn.
+  /// Withdraws all prefixes originated by `owner`: evicts the FIB entries
+  /// (default route and any alt riding on it) from every other AS's routers
+  /// and drops the prefix from their daemons. Returns false when `owner`
+  /// owns no prefix or is already withdrawn.
   bool withdraw(AsId owner);
 
   /// Re-announces `owner`'s prefixes and reinstalls FIB entries and daemon
-  /// PrefixRoutes from the speakers' converged RIBs. Returns false when
+  /// PrefixRoutes through testbed::install_prefix. Returns false when
   /// `owner` owns no prefix or is not currently withdrawn.
   bool reannounce(AsId owner);
 
-  [[nodiscard]] bool withdrawn(AsId owner) const;
-  /// BGP messages processed across all convergence runs (telemetry).
-  [[nodiscard]] std::size_t messages_processed() const { return messages_; }
-
-  [[nodiscard]] const bgpd::SessionNetwork& sessions() const {
-    return *sessions_;
-  }
-
   /// Marks the eBGP session `a`–`b` down (up) in the delta routing table,
   /// recomputing only the destinations whose best tree the edge carries
-  /// (RIB-row-only changes are view-patched without a decision run). The
-  /// packet plane's port state is the chaos engine's business; this tracks
-  /// the routing-plane view. Returns false when the event is a no-op (not
-  /// adjacent, already in that state).
+  /// (RIB-row-only changes are view-patched without a decision run).
+  /// Returns false when the event is a no-op (not adjacent, already in that
+  /// state).
   bool session_down(AsId a, AsId b);
   bool session_up(AsId a, AsId b);
 
-  /// The delta-maintained per-destination route segments (DESIGN.md §5.1b).
-  [[nodiscard]] const bgp::DeltaRoutingTable& delta() const { return *delta_; }
-  [[nodiscard]] bgp::DeltaRoutingTable& delta() { return *delta_; }
+  /// The delta-maintained per-destination route segments (DESIGN.md §5.1b);
+  /// its epoch counts the applied routing events.
+  [[nodiscard]] const bgp::DeltaRoutingTable& delta() const { return delta_; }
+  [[nodiscard]] bgp::DeltaRoutingTable& delta() { return delta_; }
 
-  /// Stats of the most recent applied delta event, and running totals.
+  /// Stats of the most recent delta event (applied or not).
   [[nodiscard]] const bgp::DeltaStats& last_delta_stats() const {
     return last_delta_;
   }
-  [[nodiscard]] std::size_t delta_events() const { return delta_events_; }
-  [[nodiscard]] std::size_t delta_recomputed() const {
-    return delta_recomputed_;
-  }
-  [[nodiscard]] std::size_t delta_patched() const { return delta_patched_; }
-  [[nodiscard]] std::size_t delta_unchanged() const {
-    return delta_unchanged_;
-  }
 
  private:
-  void install_prefix(const testbed::HostAttachment& att);
-  void evict_prefix(const testbed::HostAttachment& att);
-  void apply_delta(const bgp::RouteEvent& ev);
+  bool apply(const bgp::RouteEvent& ev);
 
   testbed::Emulation* em_;
   const topo::AsGraph* g_;
-  std::unique_ptr<bgpd::SessionNetwork> sessions_;
-  std::unique_ptr<bgp::DeltaRoutingTable> delta_;
-  std::vector<AsId> withdrawn_;
-  std::size_t messages_ = 0;
+  bgp::DeltaRoutingTable delta_;
   bgp::DeltaStats last_delta_;
-  std::size_t delta_events_ = 0;
-  std::size_t delta_recomputed_ = 0;
-  std::size_t delta_patched_ = 0;
-  std::size_t delta_unchanged_ = 0;
 };
 
 }  // namespace mifo::chaos

@@ -22,6 +22,15 @@ PortId AsWiring::intra_port(RouterId from, RouterId to) const {
   return PortId::invalid();
 }
 
+PortId AsWiring::port_towards(RouterId r, RouterId exit, PortId port) const {
+  if (r == exit) return port;
+  const PortId via = intra_port(r, exit);
+  // Full-mesh iBGP guarantees a direct intra link; a missing one means the
+  // wiring the builder produced is inconsistent.
+  MIFO_EXPECTS(via.valid());
+  return via;
+}
+
 void MifoDaemon::tick(dp::Network& net, SimTime now) {
   if (frozen_) return;  // the XORP process is dead; nothing reprograms
 
@@ -101,17 +110,10 @@ void MifoDaemon::program_alt(dp::Network& net, const PrefixRoutes& pr,
   const auto* egress = wiring_.egress_to(choice);
   MIFO_EXPECTS(egress != nullptr);
   for (const RouterId r : wiring_.routers) {
-    dp::Router& router = net.router(r);
-    if (!router.fib().lookup(pr.prefix)) continue;
-    if (r == egress->router) {
-      router.fib().set_alt(pr.prefix, egress->port);
-    } else {
-      const PortId via = wiring_.intra_port(r, egress->router);
-      // Full-mesh iBGP guarantees a direct intra link; a missing one means
-      // the wiring the builder handed us is inconsistent.
-      MIFO_EXPECTS(via.valid());
-      router.fib().set_alt(pr.prefix, via);
-    }
+    dp::Fib& fib = net.router(r).fib();
+    if (!fib.contains(pr.prefix)) continue;
+    fib.set_alt(pr.prefix,
+                wiring_.port_towards(r, egress->router, egress->port));
   }
 }
 

@@ -42,6 +42,10 @@ struct AsWiring {
 
   [[nodiscard]] const Egress* egress_to(AsId neighbor) const;
   [[nodiscard]] PortId intra_port(RouterId from, RouterId to) const;
+  /// The port router `r` of this AS forwards on to leave through `port` of
+  /// router `exit`: `port` itself at `exit`, else r's intra-AS link to it.
+  [[nodiscard]] PortId port_towards(RouterId r, RouterId exit,
+                                    PortId port) const;
 };
 
 /// One prefix's AS-level routing knowledge inside this AS (from the BGP

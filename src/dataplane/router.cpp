@@ -17,21 +17,35 @@ std::uint64_t pin_key(const Packet& p) {
   return hash_combine(p.flow.value(), p.dst);
 }
 
-/// Builds a packet-scoped trace event. Callers fill kind-specific fields.
-obs::TraceEvent trace_base(obs::TraceKind kind, SimTime t, RouterId router,
-                           const Packet& p) {
+/// Records one packet-scoped trace event if `tr` wants the packet's flow.
+void record_trace(obs::Tracer& tr, const Network& net, RouterId router,
+                  const Packet& p, obs::TraceKind kind, PortId port,
+                  topo::Rel rel) {
+  if (!tr.wants(p.flow.value())) return;
   obs::TraceEvent ev;
-  ev.t = t;
+  ev.t = net.now();
   ev.kind = kind;
   ev.router = router.value();
   ev.flow = p.flow.value();
   ev.dst = p.dst;
   ev.tag = p.mifo_tag;
+  if (port.valid()) ev.port = port.value();
+  ev.rel = rel;
   // Flight-recorder context carried by the packet from its injection point
   // (possibly on another shard); the recording tracer adds shard/epoch/seq.
   ev.origin_shard = p.origin_shard;
   ev.inject_epoch = p.inject_epoch;
-  return ev;
+  tr.record(ev);
+}
+
+/// Algorithm 1's trace hook. `port` and `rel` fill the kind-specific
+/// fields; left out, they keep their TraceEvent defaults. With tracing off
+/// a hook costs one pointer test.
+inline void trace(obs::Tracer* tr, const Network& net, RouterId router,
+                  const Packet& p, obs::TraceKind kind,
+                  PortId port = PortId::invalid(),
+                  topo::Rel rel = topo::Rel::Peer) {
+  if (tr != nullptr) record_trace(*tr, net, router, p, kind, port, rel);
 }
 }  // namespace
 
@@ -61,9 +75,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
   obs::Tracer* const tr = net.tracer();
   if (p.ttl == 0) {
     ++counters_.ttl_drops;
-    if (tr && tr->wants(p.flow.value())) {
-      tr->record(trace_base(obs::TraceKind::DropTtl, net.now(), id_, p));
-    }
+    trace(tr, net, id_, p, obs::TraceKind::DropTtl);
     return;
   }
   --p.ttl;
@@ -75,17 +87,12 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
   if (p.encapsulated) {
     if (p.outer_dst == addr_) {
       sender = decap(p);
-      if (tr && tr->wants(p.flow.value())) {
-        tr->record(trace_base(obs::TraceKind::Decap, net.now(), id_, p));
-      }
+      trace(tr, net, id_, p, obs::TraceKind::Decap);
     } else {
       const auto outer = fib_.lookup(p.outer_dst);
       if (!outer) {
         ++counters_.no_route_drops;
-        if (tr && tr->wants(p.flow.value())) {
-          tr->record(
-              trace_base(obs::TraceKind::DropNoRoute, net.now(), id_, p));
-        }
+        trace(tr, net, id_, p, obs::TraceKind::DropNoRoute);
         return;
       }
       emit(net, outer->out_port, std::move(p));
@@ -97,9 +104,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
   const auto fe = fib_.lookup(p.dst);
   if (!fe) {
     ++counters_.no_route_drops;
-    if (tr && tr->wants(p.flow.value())) {
-      tr->record(trace_base(obs::TraceKind::DropNoRoute, net.now(), id_, p));
-    }
+    trace(tr, net, id_, p, obs::TraceKind::DropNoRoute);
     return;
   }
   const PortId iout = fe->out_port;
@@ -112,20 +117,13 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
     const Port& pin = port(in_port);
     if (pin.kind == PortKind::Ebgp) {
       p.mifo_tag = topo::tag_bit(pin.neighbor_rel);
-      if (tr && tr->wants(p.flow.value())) {
-        obs::TraceEvent ev =
-            trace_base(obs::TraceKind::TagSet, net.now(), id_, p);
-        ev.rel = pin.neighbor_rel;
-        tr->record(ev);
-      }
+      trace(tr, net, id_, p, obs::TraceKind::TagSet, PortId::invalid(),
+            pin.neighbor_rel);
     } else if (pin.kind == PortKind::Host) {
       p.mifo_tag = true;
-      if (tr && tr->wants(p.flow.value())) {
-        obs::TraceEvent ev =
-            trace_base(obs::TraceKind::TagSet, net.now(), id_, p);
-        ev.rel = topo::Rel::Customer;  // host traffic behaves like customer
-        tr->record(ev);
-      }
+      // Host traffic behaves like customer traffic.
+      trace(tr, net, id_, p, obs::TraceKind::TagSet, PortId::invalid(),
+            topo::Rel::Customer);
     }
   }
 
@@ -140,12 +138,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
       sender != kInvalidAddr && out.peer_addr == sender;
   if (returned) {
     ++counters_.returned_detected;
-    if (tr && tr->wants(p.flow.value())) {
-      obs::TraceEvent ev =
-          trace_base(obs::TraceKind::ReturnDetected, net.now(), id_, p);
-      ev.port = iout.value();
-      tr->record(ev);
-    }
+    trace(tr, net, id_, p, obs::TraceKind::ReturnDetected, iout);
   }
 
   bool use_alt = returned;
@@ -168,12 +161,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
       if (admissible) {
         pins_.emplace(key, FlowPin{true, net.now()});
         out.last_pin_time = net.now();
-        if (tr && tr->wants(p.flow.value())) {
-          obs::TraceEvent ev =
-              trace_base(obs::TraceKind::PinCreated, net.now(), id_, p);
-          ev.port = ialt.value();
-          tr->record(ev);
-        }
+        trace(tr, net, id_, p, obs::TraceKind::PinCreated, ialt);
         logc(LogLevel::Debug, "dp.router",
              "[%0.6f] r%u PIN flow=%llu dst=%u", net.now(), id_.value(),
              static_cast<unsigned long long>(p.flow.value()), p.dst);
@@ -181,15 +169,9 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
         use_alt = true;
       } else if (config_.drop_on_congested_no_alt) {
         ++counters_.valley_drops;  // faithful line-20 behaviour
-        if (tr && tr->wants(p.flow.value())) {
-          obs::TraceEvent fail =
-              trace_base(obs::TraceKind::TagCheckFail, net.now(), id_, p);
-          fail.rel = alt.neighbor_rel;
-          fail.port = ialt.value();
-          tr->record(fail);
-          tr->record(
-              trace_base(obs::TraceKind::DropValley, net.now(), id_, p));
-        }
+        trace(tr, net, id_, p, obs::TraceKind::TagCheckFail, ialt,
+              alt.neighbor_rel);
+        trace(tr, net, id_, p, obs::TraceKind::DropValley);
         return;
       }
     }
@@ -204,16 +186,8 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
       encap(p, addr_, alt.peer_addr);
       ++counters_.encapsulated;
       ++counters_.deflected;
-      if (tr && tr->wants(p.flow.value())) {
-        obs::TraceEvent ev =
-            trace_base(obs::TraceKind::Encap, net.now(), id_, p);
-        ev.port = ialt.value();
-        tr->record(ev);
-        obs::TraceEvent defl =
-            trace_base(obs::TraceKind::Deflect, net.now(), id_, p);
-        defl.port = ialt.value();
-        tr->record(defl);
-      }
+      trace(tr, net, id_, p, obs::TraceKind::Encap, ialt);
+      trace(tr, net, id_, p, obs::TraceKind::Deflect, ialt);
       emit(net, ialt, std::move(p));
       return;
     }
@@ -221,17 +195,9 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
     if (!config_.enforce_tag_check ||
         topo::check_bit(p.mifo_tag, alt.neighbor_rel)) {
       ++counters_.deflected;
-      if (tr && tr->wants(p.flow.value())) {
-        obs::TraceEvent pass =
-            trace_base(obs::TraceKind::TagCheckPass, net.now(), id_, p);
-        pass.rel = alt.neighbor_rel;
-        pass.port = ialt.value();
-        tr->record(pass);
-        obs::TraceEvent defl =
-            trace_base(obs::TraceKind::Deflect, net.now(), id_, p);
-        defl.port = ialt.value();
-        tr->record(defl);
-      }
+      trace(tr, net, id_, p, obs::TraceKind::TagCheckPass, ialt,
+            alt.neighbor_rel);
+      trace(tr, net, id_, p, obs::TraceKind::Deflect, ialt);
       emit(net, ialt, std::move(p));
       return;
     }
@@ -239,14 +205,9 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
       // Returned packets must not go back to the default (cycle); without
       // an admissible alternative the packet is dropped (line 20).
       ++counters_.valley_drops;
-      if (tr && tr->wants(p.flow.value())) {
-        obs::TraceEvent fail =
-            trace_base(obs::TraceKind::TagCheckFail, net.now(), id_, p);
-        fail.rel = alt.neighbor_rel;
-        fail.port = ialt.value();
-        tr->record(fail);
-        tr->record(trace_base(obs::TraceKind::DropValley, net.now(), id_, p));
-      }
+      trace(tr, net, id_, p, obs::TraceKind::TagCheckFail, ialt,
+            alt.neighbor_rel);
+      trace(tr, net, id_, p, obs::TraceKind::DropValley);
       return;
     }
     // Otherwise fall through to the default path (flow was never pinned).
@@ -255,9 +216,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
       // Returned packet but the daemon has since cleared the alternative:
       // dropping beats cycling between iBGP peers.
       ++counters_.valley_drops;
-      if (tr && tr->wants(p.flow.value())) {
-        tr->record(trace_base(obs::TraceKind::DropValley, net.now(), id_, p));
-      }
+      trace(tr, net, id_, p, obs::TraceKind::DropValley);
       return;
     }
     // A pinned flow whose alternative vanished resumes the default path.
@@ -265,11 +224,7 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
   }
 
   // Line 22: default path.
-  if (tr && tr->wants(p.flow.value())) {
-    obs::TraceEvent ev = trace_base(obs::TraceKind::Forward, net.now(), id_, p);
-    ev.port = iout.value();
-    tr->record(ev);
-  }
+  trace(tr, net, id_, p, obs::TraceKind::Forward, iout);
   emit(net, iout, std::move(p));
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bgp/ibgp.hpp"
@@ -30,6 +31,7 @@ struct HostAttachment {
   HostId host;
   AsId as;
   RouterId router;
+  PortId port;  ///< `router`'s port to the host
   dp::Addr addr = dp::kInvalidAddr;
 };
 
@@ -49,6 +51,22 @@ struct Emulation {
 
   [[nodiscard]] const HostAttachment& attachment(HostId h) const;
 };
+
+/// Outcome of plant_valley_ring.
+struct ValleyRing {
+  std::vector<AsId> ring;  ///< the peering triangle, in ring order
+  dp::Addr dst = dp::kInvalidAddr;
+  std::string error;  ///< why nothing was planted; empty on success
+};
+
+/// The planted Tag-Check violation (Fig. 2(a)) behind `mifo-verify
+/// --mutate-valley` and the chaos plant-valley event: on the first peering
+/// triangle of `g`, points each ring AS's alt port clockwise along the ring
+/// for one prefix owned outside it, and disables the Tag-Check on those
+/// routers — the state Eq. 3 exists to forbid. Config writes bypass the FIB
+/// hooks, so they are noted on the network's change log by hand.
+[[nodiscard]] ValleyRing plant_valley_ring(Emulation& em,
+                                           const topo::AsGraph& g);
 
 class EmulationBuilder {
  public:

@@ -1,5 +1,7 @@
 // Network-wiring template shared by the serial and the sharded emulation
-// builders (emulation.cpp / sharded_emulation.cpp).
+// builders (emulation.cpp / sharded_emulation.cpp), and the per-prefix
+// install pass it runs, which chaos::RouteController re-runs when a
+// withdrawn prefix is re-announced.
 //
 // `NetT` is dp::Network or dp::ShardedNetwork — both expose the same
 // construction surface (add_router/connect_ebgp/connect_ibgp/add_host/
@@ -9,7 +11,6 @@
 // can only come from the engines.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/ibgp.hpp"
@@ -20,6 +21,46 @@
 #include "topo/as_graph.hpp"
 
 namespace mifo::testbed {
+
+/// Programs `att`'s prefix into every AS from `routes`, the converged routes
+/// towards its owner. The owner's routers deliver towards the attachment
+/// router and its host port; every other AS with a route heads for the
+/// border router facing its best next hop. Each such AS's PrefixRoutes (the
+/// default neighbor, then the neighbors whose RIB row offers the prefix, in
+/// neighbor order) goes to `sink(as, pr)`; an AS without a route gets no FIB
+/// entry and no sink call. Both builders install every host prefix through
+/// this, and chaos::RouteController reinstalls a re-announced one.
+template <typename NetT, typename Sink>
+void install_prefix(NetT& net, const topo::AsGraph& g,
+                    const std::vector<core::AsWiring>& wirings,
+                    const HostAttachment& att, const bgp::RouteStore& routes,
+                    Sink&& sink) {
+  for (const core::AsWiring& w : wirings) {
+    if (w.as == att.as) {
+      for (const RouterId r : w.routers) {
+        net.router(r).fib().set_route(
+            att.addr, w.port_towards(r, att.router, att.port));
+      }
+      sink(w.as, core::PrefixRoutes{att.addr, AsId::invalid(), {}});
+      continue;
+    }
+    const bgp::Route& best = routes.best(w.as);
+    if (!best.valid()) continue;  // unreachable: no FIB entry
+    const auto* eg = w.egress_to(best.next_hop);
+    MIFO_ASSERT(eg != nullptr);
+    for (const RouterId r : w.routers) {
+      net.router(r).fib().set_route(att.addr,
+                                    w.port_towards(r, eg->router, eg->port));
+    }
+    core::PrefixRoutes pr{att.addr, best.next_hop, {}};
+    for (const auto& nb : g.neighbors(w.as)) {
+      if (nb.as != best.next_hop && routes.rib_from(w.as, nb.as)) {
+        pr.alternatives.push_back(nb.as);
+      }
+    }
+    sink(w.as, std::move(pr));
+  }
+}
 
 /// Wires routers, eBGP/iBGP links and hosts into `net` per the IbgpPlan and
 /// programs BGP-derived FIBs for every pending host. Fills `wirings`,
@@ -79,64 +120,21 @@ void wire_network(NetT& net, const topo::AsGraph& g, const bgp::IbgpPlan& plan,
   }
 
   // Hosts.
-  std::unordered_map<std::uint32_t, PortId> host_port;  // host -> router port
   for (const AsId as : pending_hosts) {
     const RouterId attach = plan.routers_of(as).front();
     const HostId h = net.add_host();
     const PortId rp =
         net.connect_host(attach, h, params.host_rate, params.host_delay);
-    host_port.emplace(h.value(), rp);
-    hosts.push_back(HostAttachment{h, as, attach, net.host_addr(h)});
+    hosts.push_back(HostAttachment{h, as, attach, rp, net.host_addr(h)});
   }
 
   // FIBs + per-AS prefix knowledge, one destination prefix per host.
   prefix_routes.assign(g.num_ases(), {});
   for (const auto& att : hosts) {
-    const bgp::RouteStore routes(g, att.as);
-    for (std::size_t x = 0; x < g.num_ases(); ++x) {
-      const AsId as(static_cast<std::uint32_t>(x));
-      const auto& routers = plan.routers_of(as);
-      if (as == att.as) {
-        // Local delivery: towards the attachment router, then the host port.
-        for (const RouterId r : routers) {
-          if (r == att.router) {
-            net.router(r).fib().set_route(att.addr,
-                                          host_port.at(att.host.value()));
-          } else {
-            const PortId via = wirings[x].intra_port(r, att.router);
-            MIFO_ASSERT(via.valid());
-            net.router(r).fib().set_route(att.addr, via);
-          }
-        }
-        prefix_routes[x].push_back(
-            core::PrefixRoutes{att.addr, AsId::invalid(), {}});
-        continue;
-      }
-      const bgp::Route& best = routes.best(as);
-      if (!best.valid()) continue;  // unreachable: no FIB entry
-      const RouterId egress = plan.border_towards(as, best.next_hop);
-      const auto* eg = wirings[x].egress_to(best.next_hop);
-      MIFO_ASSERT(eg != nullptr);
-      for (const RouterId r : routers) {
-        if (r == egress) {
-          net.router(r).fib().set_route(att.addr, eg->port);
-        } else {
-          const PortId via = wirings[x].intra_port(r, egress);
-          MIFO_ASSERT(via.valid());
-          net.router(r).fib().set_route(att.addr, via);
-        }
-      }
-      core::PrefixRoutes pr;
-      pr.prefix = att.addr;
-      pr.default_neighbor = best.next_hop;
-      for (const auto& nb : g.neighbors(as)) {
-        if (nb.as == best.next_hop) continue;
-        if (routes.rib_from(as, nb.as)) {
-          pr.alternatives.push_back(nb.as);
-        }
-      }
-      prefix_routes[x].push_back(std::move(pr));
-    }
+    install_prefix(net, g, wirings, att, bgp::RouteStore(g, att.as),
+                   [&](AsId as, core::PrefixRoutes pr) {
+                     prefix_routes[as.value()].push_back(std::move(pr));
+                   });
   }
 }
 

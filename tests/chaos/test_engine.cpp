@@ -103,7 +103,7 @@ TEST(ChaosEngine, WithdrawReannounceRoundTripKeepsDelivery) {
   // Reachability is fully restored after the round trip.
   f.em.net->run_to_completion(60.0);
   EXPECT_TRUE(f.em.net->flows()[0].done);
-  EXPECT_FALSE(engine.route_controller().withdrawn(owner));
+  EXPECT_FALSE(engine.route_controller().delta().withdrawn(owner));
 }
 
 TEST(ChaosEngine, FreezeRestartAndIbgpStalenessApply) {

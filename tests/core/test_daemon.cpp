@@ -72,6 +72,20 @@ TEST_F(DaemonFixture, ElectsAlternativeAndProgramsAllFibs) {
             wiring.intra_port(rc, rb));
 }
 
+TEST_F(DaemonFixture, EqualSpareElectsLowestIdWhateverTheOrder) {
+  // The install pass lists alternatives in neighbor order, not sorted: on
+  // equal spare capacity the election must still pick the lowest AS id.
+  for (const auto& order : {std::vector<AsId>{AsId(2), AsId(3)},
+                            std::vector<AsId>{AsId(3), AsId(2)}}) {
+    MifoDaemon daemon(wiring, {PrefixRoutes{kPrefix, AsId(1), order}});
+    daemon.tick(net, 0.0);  // both alternatives idle: equal spare
+    EXPECT_EQ(daemon.elected_alt(kPrefix), AsId(2));
+    EXPECT_EQ(net.router(rb).fib().lookup(kPrefix)->alt_port, e2);
+    EXPECT_EQ(net.router(rc).fib().lookup(kPrefix)->alt_port,
+              wiring.intra_port(rc, rb));
+  }
+}
+
 TEST_F(DaemonFixture, GreedyPrefersMostSpareCapacity) {
   MifoDaemon daemon(wiring, prefixes());
   daemon.tick(net, 0.0);  // primes the monitor

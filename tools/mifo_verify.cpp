@@ -121,25 +121,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return opt.gen_ases >= 4 && opt.dests >= 1;
 }
 
-/// Three mutually-peered ASes (a peering triangle) — the Fig. 2(a) shape
-/// the --mutate-valley demo wires into a deflection ring.
-std::vector<AsId> find_peering_triangle(const topo::AsGraph& g) {
-  for (std::size_t i = 0; i < g.num_ases(); ++i) {
-    const AsId a(static_cast<std::uint32_t>(i));
-    const auto nbs = g.neighbors(a);
-    for (std::size_t x = 0; x < nbs.size(); ++x) {
-      if (nbs[x].rel != topo::Rel::Peer || !(a < nbs[x].as)) continue;
-      for (std::size_t y = x + 1; y < nbs.size(); ++y) {
-        if (nbs[y].rel != topo::Rel::Peer || !(a < nbs[y].as)) continue;
-        if (g.rel(nbs[x].as, nbs[y].as) == topo::Rel::Peer) {
-          return {a, nbs[x].as, nbs[y].as};
-        }
-      }
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -218,46 +199,17 @@ int main(int argc, char** argv) {
   }
 
   if (opt.mutate_valley) {
-    const std::vector<AsId> ring = find_peering_triangle(g);
-    if (ring.size() != 3) {
-      std::fprintf(stderr,
-                   "mifo-verify: no peering triangle to mutate in this "
-                   "topology\n");
+    const testbed::ValleyRing planted = testbed::plant_valley_ring(em, g);
+    if (!planted.error.empty()) {
+      std::fprintf(stderr, "mifo-verify: %s\n", planted.error.c_str());
       return 1;
-    }
-    // Point each ring AS's alt_port clockwise along the peering ring for
-    // one destination prefix, and disable the Tag-Check on those routers —
-    // the precise state Eq. 3 exists to forbid (Fig. 2(a)). The prefix must
-    // be owned outside the ring, else local delivery terminates the walk.
-    dp::Addr dst = dp::kInvalidAddr;
-    for (const auto& att : em.hosts) {
-      if (att.as != ring[0] && att.as != ring[1] && att.as != ring[2]) {
-        dst = att.addr;
-        break;
-      }
-    }
-    if (dst == dp::kInvalidAddr) {
-      std::fprintf(stderr, "mifo-verify: no prefix owned outside the ring\n");
-      return 1;
-    }
-    for (int i = 0; i < 3; ++i) {
-      const AsId as = ring[i];
-      const AsId nxt = ring[(i + 1) % 3];
-      const auto* eg = em.wirings[as.value()].egress_to(nxt);
-      if (eg == nullptr || !net.router(eg->router).fib().contains(dst)) {
-        std::fprintf(stderr, "mifo-verify: mutation target unreachable\n");
-        return 1;
-      }
-      net.router(eg->router).fib().set_alt(dst, eg->port);
-      net.router(eg->router).config().enforce_tag_check = false;
-      // The config write bypasses the hooked mutators; record it by hand so
-      // the incremental engine re-proves the ring routers' destinations.
-      if (auto* log = net.change_log()) log->note_config(eg->router);
     }
     if (!opt.quiet) {
+      const std::vector<AsId>& ring = planted.ring;
       std::printf("mutated: Tag-Check disabled on peering ring AS%u-AS%u-"
                   "AS%u, alt ports wired clockwise for dst=%u\n",
-                  ring[0].value(), ring[1].value(), ring[2].value(), dst);
+                  ring[0].value(), ring[1].value(), ring[2].value(),
+                  planted.dst);
     }
   }
 
