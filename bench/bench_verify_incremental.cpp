@@ -15,11 +15,14 @@
 // single-withdraw events (check.sh parses the artifact and enforces it).
 // A pure link flip is the extreme case: the deflection graph never reads
 // port liveness, so the dirty set is empty and nothing is re-explored.
+// Each arm also reports the wall time of the warm incremental pass and of
+// the full provers (one timed pass each; not gated).
 //
 // Scale knobs: MIFO_TOPO_N (ASes; default 500 -> ~1269 routers),
 // MIFO_DEST_POOL (prefixes; default 16), MIFO_SEED.
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,8 +85,12 @@ std::vector<std::string> rendered(const auto& items) {
   std::vector<std::string> out;
   out.reserve(items.size());
   for (const auto& item : items) out.push_back(item.to_string());
-  std::sort(out.begin(), out.end());
   return out;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 struct ArmRow {
@@ -93,6 +100,8 @@ struct ArmRow {
   std::size_t cache_hits = 0;
   std::size_t full_states = 0;  ///< from-scratch cost on the same state
   double reduction = 0.0;
+  double incremental_s = 0.0;  ///< wall time of the warm incremental pass
+  double full_s = 0.0;         ///< wall time of the full provers
   bool match = false;  ///< incremental verdict == full-prover verdict
 };
 
@@ -102,16 +111,20 @@ ArmRow measure_arm(const std::string& name, Deployment& d,
                    dp::ChangeLog& log, verify::ChangeSet& changes,
                    verify::IncrementalVerifier& inc) {
   const dp::Network& net = *d.em.net;
+  ArmRow row;
   changes.drain(log);
+  auto t0 = std::chrono::steady_clock::now();
   const auto res = inc.check(net, d.g, d.em.daemons, d.owners, changes);
+  row.incremental_s = seconds_since(t0);
   changes.clear();
 
+  t0 = std::chrono::steady_clock::now();
   const auto full_loop = verify::check_loop_freedom(net);
   const auto full_valley = verify::check_valley_freedom(net);
   const auto full_lint =
       verify::lint_deployment(net, d.g, d.em.daemons, d.owners);
+  row.full_s = seconds_since(t0);
 
-  ArmRow row;
   row.name = name;
   row.dirty = res.stats.dirty_destinations;
   row.states = res.stats.states_explored;
@@ -191,13 +204,15 @@ void print_verify_incremental() {
                                changes, inc));
   }
 
-  std::printf("%-18s %7s %9s %7s %11s %10s %6s\n", "arm", "dirty", "states",
-              "cached", "full_states", "reduction", "diff");
+  std::printf("%-18s %7s %9s %7s %11s %10s %8s %8s %6s\n", "arm", "dirty",
+              "states", "cached", "full_states", "reduction", "inc_ms",
+              "full_ms", "diff");
   bool all_match = true;
   for (const ArmRow& a : arms) {
     all_match = all_match && a.match;
-    std::printf("%-18s %7zu %9zu %7zu %11zu %9.1fx %6s\n", a.name.c_str(),
-                a.dirty, a.states, a.cache_hits, a.full_states, a.reduction,
+    std::printf("%-18s %7zu %9zu %7zu %11zu %9.1fx %8.3f %8.3f %6s\n",
+                a.name.c_str(), a.dirty, a.states, a.cache_hits, a.full_states,
+                a.reduction, 1e3 * a.incremental_s, 1e3 * a.full_s,
                 a.match ? "OK" : "DIFF");
   }
   std::printf("differential: incremental verdicts %s the full provers on "
@@ -237,6 +252,8 @@ void print_verify_incremental() {
     j.set("full_states",
           obs::Json::num(static_cast<std::uint64_t>(a.full_states)));
     j.set("reduction", obs::Json::num(a.reduction));
+    j.set("incremental_s", obs::Json::num(a.incremental_s));
+    j.set("full_s", obs::Json::num(a.full_s));
     j.set("differential_match", obs::Json::boolean(a.match));
     ja.push(std::move(j));
   }
@@ -245,10 +262,18 @@ void print_verify_incremental() {
   if (!path.empty()) std::printf("\nartifact: %s\n", path.c_str());
 }
 
-/// Timing benchmarks at differential-test scale (48 ASes) so iterations
-/// stay sub-100ms.
+/// Timing benchmarks at differential-test scale (48 ASes, 8 prefixes) so
+/// iterations stay sub-100ms, and at chaos_churn's shape (400 one-router
+/// ASes, 64 prefixes), where the per-destination cost of a re-proof is
+/// measured against a deployment that has many daemons and prefixes.
+void apply_scales(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"ases", "prefixes"})->Args({48, 8})->Args({400, 64});
+}
+
 void BM_FullProvers(benchmark::State& state) {
-  Deployment d = build_deployment(48, 8, 42, /*expand=*/false);
+  Deployment d = build_deployment(static_cast<std::size_t>(state.range(0)),
+                                  static_cast<std::size_t>(state.range(1)),
+                                  42, /*expand=*/false);
   const dp::Network& net = *d.em.net;
   std::size_t states = 0;
   for (auto _ : state) {
@@ -261,7 +286,7 @@ void BM_FullProvers(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(states);
 }
-BENCHMARK(BM_FullProvers)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FullProvers)->Apply(apply_scales)->Unit(benchmark::kMicrosecond);
 
 void BM_IncrementalAllCached(benchmark::State& state) {
   Deployment d = build_deployment(48, 8, 42, /*expand=*/false);
@@ -280,7 +305,9 @@ void BM_IncrementalAllCached(benchmark::State& state) {
 BENCHMARK(BM_IncrementalAllCached)->Unit(benchmark::kMicrosecond);
 
 void BM_IncrementalOneDirty(benchmark::State& state) {
-  Deployment d = build_deployment(48, 8, 42, /*expand=*/false);
+  Deployment d = build_deployment(static_cast<std::size_t>(state.range(0)),
+                                  static_cast<std::size_t>(state.range(1)),
+                                  42, /*expand=*/false);
   verify::ChangeSet changes;
   verify::IncrementalVerifier inc;
   (void)inc.check(*d.em.net, d.g, d.em.daemons, d.owners, changes);
@@ -295,7 +322,9 @@ void BM_IncrementalOneDirty(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(states);
 }
-BENCHMARK(BM_IncrementalOneDirty)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IncrementalOneDirty)
+    ->Apply(apply_scales)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

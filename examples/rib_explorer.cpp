@@ -26,7 +26,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[1]);
       return 1;
     }
-    g = topo::parse(in);
+    try {
+      g = topo::parse(in);
+    } catch (const topo::ParseError& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
+      return 1;
+    }
     std::printf("loaded %s: %s\n", argv[1],
                 topo::attributes_report(topo::attributes(g)).c_str());
   } else {
@@ -38,6 +43,13 @@ int main(int argc, char** argv) {
     topo::serialize(g, out);
     std::printf("generated %s and saved to mifo_topology.txt\n",
                 topo::attributes_report(topo::attributes(g)).c_str());
+  }
+
+  // Route computation orders ASes provider-first, which a provider cycle
+  // makes impossible.
+  if (!topo::is_pc_acyclic(g)) {
+    std::fprintf(stderr, "the provider-customer hierarchy has a cycle\n");
+    return 1;
   }
 
   const AsId src(argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2]))

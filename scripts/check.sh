@@ -5,15 +5,18 @@
 # forwarding-state verifier (tools/mifo-verify, docs/VERIFICATION.md), the
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
-# once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), and the
-# gcov coverage leg (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
+# once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), the
+# verify/chaos/topo suites under ASan+UBSan, and the gcov coverage leg
+# (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
 #
 #   scripts/check.sh [build_dir] [tsan_build_dir] [ubsan_build_dir] [cov_dir]
+#                    [asan_build_dir]
 set -euo pipefail
 
 build_dir="${1:-build}"
 tsan_dir="${2:-build-tsan}"
 ubsan_dir="${3:-build-ubsan}"
+asan_dir="${5:-build-asan}"
 jobs="$(nproc)"
 
 echo "=== tier-1: build + ctest (${build_dir}) ==="
@@ -107,8 +110,29 @@ if bh_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 \
 fi
 grep -q "blackhole\[no-route\]" <<< "$bh_out"
 grep -q "verdict: BLACKHOLE-FOUND" <<< "$bh_out"
+# Hostile topologies: a provider cycle is outside the loop-freedom
+# theorem's premise and must be refused (exit 2, never LOOP-FREE); a line
+# topo::parse rejects is an input error (exit 1) naming the line.
+printf '0 1 p2c\n1 2 p2c\n2 0 p2c\n' > "$artifact_dir/pc_cycle.txt"
+printf '0 1 p2c\n1 2 sibling\n' > "$artifact_dir/bad_kind.txt"
+rc=0
+cycle_out="$("$build_dir"/tools/mifo-verify --topo \
+  "$artifact_dir/pc_cycle.txt" --dests 2)" || rc=$?
+[[ $rc -eq 2 ]] || { echo "mifo-verify: provider cycle exit $rc"; exit 1; }
+grep -q "verdict: PREMISE-VIOLATED" <<< "$cycle_out"
+rc=0
+cycle_out="$("$build_dir"/tools/mifo-chaos --topo \
+  "$artifact_dir/pc_cycle.txt" --gen -q)" || rc=$?
+[[ $rc -eq 2 ]] || { echo "mifo-chaos: provider cycle exit $rc"; exit 1; }
+grep -q "verdict: PREMISE-VIOLATED" <<< "$cycle_out"
+rc=0
+kind_err="$("$build_dir"/tools/mifo-verify --topo \
+  "$artifact_dir/bad_kind.txt" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-verify: unknown link kind exit $rc"; exit 1; }
+grep -q "line 2: unknown link kind 'sibling'" <<< "$kind_err"
 echo "verifier OK: both topologies proved loop-free, incremental mode" \
-     "agreed with the full provers, planted cycle and blackhole caught"
+     "agreed with the full provers, planted cycle and blackhole caught," \
+     "provider cycle and unknown link kind refused"
 
 echo "=== mifo-chaos: safety under churn (docs/CHAOS.md) ==="
 # A randomized chaos run must end SAFE-UNDER-CHURN (exit 0) and emit a
@@ -503,6 +527,15 @@ cmake -B "$ubsan_dir" -S . -DMIFO_SANITIZE=undefined
 cmake --build "$ubsan_dir" -j "$jobs"
 ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 
+echo "=== ASan+UBSan: verify, chaos and topo suites (${asan_dir}) ==="
+# Memory errors (use-after-free, overflow, leaks) in the verifier, the chaos
+# engine and the topology parser, which take untrusted input.
+cmake -B "$asan_dir" -S . -DMIFO_SANITIZE=address,undefined
+cmake --build "$asan_dir" -j "$jobs" --target test_verify test_chaos test_topo
+for t in test_verify test_chaos test_topo; do
+  "$asan_dir"/tests/"$t"
+done
+
 echo "=== coverage: gcov over the tier-1 suite (scripts/coverage.sh) ==="
 if [[ "${MIFO_SKIP_COVERAGE:-0}" == "1" ]]; then
   echo "coverage: skipped (MIFO_SKIP_COVERAGE=1)"
@@ -511,4 +544,4 @@ else
 fi
 
 echo "OK: tier-1 suite, example smoke tests, artifact schema, verifier," \
-     "lint, TSan, UBSan, and coverage all passed"
+     "lint, TSan, UBSan, ASan, and coverage all passed"

@@ -15,14 +15,6 @@ std::uint64_t port_key(RouterId r, PortId p) {
   return (static_cast<std::uint64_t>(r.value()) << 32) | p.value();
 }
 
-/// Sorted copies for order-insensitive differential comparison: the full
-/// lint pass orders issues by daemon while the incremental merge orders by
-/// destination, so equality is on multisets of rendered strings.
-std::vector<std::string> sorted(std::vector<std::string> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 }  // namespace
 
 const char* to_string(VerifyMode m) {
@@ -292,14 +284,13 @@ bool Engine::snapshot(Report& report, SimTime t) {
 
     if (cfg_.verify_mode == VerifyMode::Differential) {
       // Oracle pass: the untouched full provers on the same state. The
-      // incremental result must be verdict- and counterexample-identical
-      // (lints compare as multisets — the full pass orders by daemon, the
-      // incremental merge by destination).
+      // incremental result must be verdict- and counterexample-identical,
+      // in order: both sides emit destination-ascending.
       const FullVerdict full = run_full_provers();
       const bool match = full.loop_free == inc.loop.loop_free &&
-                         sorted(full.cycles) == sorted(inc_cycles) &&
-                         sorted(full.valleys) == sorted(inc_valleys) &&
-                         sorted(full.lints) == sorted(inc_lints);
+                         full.cycles == inc_cycles &&
+                         full.valleys == inc_valleys &&
+                         full.lints == inc_lints;
       if (!match) {
         ++report.differential_mismatches;
         report.violations.push_back(Violation{

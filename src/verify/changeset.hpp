@@ -77,6 +77,12 @@ class ChangeSet {
   [[nodiscard]] std::vector<dp::Addr> port_dirty_destinations(
       std::span<const dp::Router> routers) const;
 
+  /// The recorded FIB changes in log order (the incremental verifier tracks
+  /// its destination universe from them).
+  [[nodiscard]] std::span<const dp::ChangeLog::FibChange> fib_records() const {
+    return fib_;
+  }
+
   [[nodiscard]] std::size_t fib_changes() const { return fib_.size(); }
   [[nodiscard]] std::size_t port_changes() const { return ports_.size(); }
   [[nodiscard]] std::size_t config_changes() const { return configs_.size(); }

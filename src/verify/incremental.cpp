@@ -15,7 +15,52 @@ void accumulate(VerifyStats& into, const VerifyStats& from) {
   into.edges += from.edges;
 }
 
+bool held_at(std::span<const dp::Router> routers, RouterId r, dp::Addr dst) {
+  return r.valid() && r.value() < routers.size() &&
+         routers[r.value()].fib().contains(dst);
+}
+
+bool held_anywhere(std::span<const dp::Router> routers, dp::Addr dst) {
+  return std::any_of(routers.begin(), routers.end(), [dst](const auto& r) {
+    return r.fib().contains(dst);
+  });
+}
+
 }  // namespace
+
+void IncrementalVerifier::track_universe(std::span<const dp::Router> routers,
+                                         const ChangeSet& changes) {
+  // An empty cache means a first check, an invalidate_all(), or an empty
+  // universe (whose sweep is free): nothing to update incrementally.
+  if (cache_.empty()) {
+    universe_ = fib_destinations(routers);
+    return;
+  }
+  // A destination enters or leaves the universe only through a FIB insert
+  // or remove, and each of those is a FibChange. Grouped by destination, a
+  // recorded router still holding `dst` settles membership in O(1); only a
+  // listed destination none of its recorded routers holds any more needs
+  // the other routers scanned, once per destination.
+  std::vector<dp::ChangeLog::FibChange> fib(changes.fib_records().begin(),
+                                            changes.fib_records().end());
+  std::sort(fib.begin(), fib.end(),
+            [](const auto& a, const auto& b) { return a.dst < b.dst; });
+  for (auto it = fib.begin(); it != fib.end();) {
+    const dp::Addr dst = it->dst;
+    bool held = false;
+    for (; it != fib.end() && it->dst == dst; ++it) {
+      held = held || held_at(routers, it->router, dst);
+    }
+    const auto pos = std::lower_bound(universe_.begin(), universe_.end(), dst);
+    const bool listed = pos != universe_.end() && *pos == dst;
+    if (listed && !held) held = held_anywhere(routers, dst);
+    if (held && !listed) {
+      universe_.insert(pos, dst);
+    } else if (!held && listed) {
+      universe_.erase(pos);
+    }
+  }
+}
 
 IncrementalResult IncrementalVerifier::check(
     const dp::Network& net, const topo::AsGraph& g,
@@ -23,7 +68,8 @@ IncrementalResult IncrementalVerifier::check(
     std::span<const std::pair<dp::Addr, AsId>> owners,
     const ChangeSet& changes) {
   const std::span<const dp::Router> routers = net.routers();
-  const std::vector<dp::Addr> dests = fib_destinations(routers);
+  track_universe(routers, changes);
+  const std::vector<dp::Addr>& dests = universe_;
   const std::vector<dp::Addr> dirty = changes.dirty_destinations(routers);
   const std::vector<dp::Addr> port_dirty =
       cfg_.blackhole ? changes.port_dirty_destinations(routers)

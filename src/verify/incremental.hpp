@@ -62,8 +62,8 @@ struct IncrementalResult {
   /// computed); the cost of THIS round is in `stats`.
   LoopCheck loop;
   ValleyCheck valley;
-  std::vector<LintIssue> lint;  ///< destination-ascending (full run orders
-                                ///< by daemon; compare as multisets)
+  std::vector<LintIssue> lint;  ///< destination-ascending, daemon order
+                                ///< within one, like the full lint pass
   ReachabilityCheck reach;
   IncrementalStats stats;
 };
@@ -75,16 +75,21 @@ class IncrementalVerifier {
   /// Re-proves the destinations `changes` dirtied (all destinations on the
   /// first call), serves the rest from cache, and returns the merged
   /// verdicts. Destinations that vanished from every FIB are dropped; new
-  /// ones are proved fresh. The caller clears `changes` afterwards (or
-  /// keeps accumulating — re-proving a clean destination is wasteful but
-  /// harmless).
+  /// ones are proved fresh. The destination universe is swept from the FIBs
+  /// on the first call and after invalidate_all(); later calls update it
+  /// from `changes`' FIB records, which is sound while every FIB insert and
+  /// remove since the previous call is among them (a ChangeLog attached to
+  /// the network records all of them). The caller clears `changes`
+  /// afterwards (or keeps accumulating — re-proving a clean destination is
+  /// wasteful but harmless).
   IncrementalResult check(const dp::Network& net, const topo::AsGraph& g,
                           std::span<const std::unique_ptr<core::MifoDaemon>>
                               daemons,
                           std::span<const std::pair<dp::Addr, AsId>> owners,
                           const ChangeSet& changes);
 
-  /// Drops every cached proof (the next check() re-proves everything).
+  /// Drops every cached proof (the next check() re-sweeps the FIBs and
+  /// re-proves everything).
   void invalidate_all() { cache_.clear(); }
 
   [[nodiscard]] const IncrementalConfig& config() const { return cfg_; }
@@ -104,10 +109,19 @@ class IncrementalVerifier {
     VerifyStats loop_stats;  ///< exploration cost when last proved
   };
 
+  /// Brings `universe_` up to date with the FIBs: a full sweep when the
+  /// cache is empty, else membership tests for the recorded FIB changes.
+  void track_universe(std::span<const dp::Router> routers,
+                      const ChangeSet& changes);
+
   IncrementalConfig cfg_;
   /// Ordered: merging iterates destination-ascending, matching the full
   /// prover's fib_destinations() order.
   std::map<dp::Addr, DestProof> cache_;
+  /// Every destination some FIB holds, ascending: fib_destinations() as of
+  /// the last check(), kept current from FibChange records. After every
+  /// check() the cache holds a proof for exactly these destinations.
+  std::vector<dp::Addr> universe_;
 };
 
 }  // namespace mifo::verify

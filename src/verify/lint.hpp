@@ -51,18 +51,21 @@ struct LintIssue {
 /// Deployment lints over live router FIBs and daemon RIB state.
 /// `prefix_owners` maps each destination prefix to the AS originating it
 /// (the testbed's host attachments); prefixes absent from the map only get
-/// the RIB-independent checks.
+/// the RIB-independent checks. Sweeps every destination a FIB or a daemon
+/// knows, ascending: the output is destination-ascending, in daemon order
+/// within a destination.
 [[nodiscard]] std::vector<LintIssue> lint_deployment(
     const dp::Network& net, const topo::AsGraph& g,
     std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
     std::span<const std::pair<dp::Addr, AsId>> prefix_owners);
 
-/// Destination-filtered deployment lints: only issues whose `dst` is in
-/// `dests` (which must be sorted ascending) are produced. Every deployment
-/// lint names the destination it concerns, so issues partition exactly by
-/// destination — the incremental verifier re-lints dirty destinations with
-/// this overload and the union over all destinations equals the full run
-/// (element-identical; see the differential property tests).
+/// The same lints for the destinations in `dests` only (sorted ascending,
+/// no duplicates), at a cost per destination that does not depend on how
+/// many other destinations exist. Every deployment lint names the
+/// destination it concerns, so issues partition exactly by destination: the
+/// full run equals the one-destination calls concatenated in destination
+/// order, which is how the incremental verifier merges its per-destination
+/// re-lints (element-identical; see the differential property tests).
 [[nodiscard]] std::vector<LintIssue> lint_deployment(
     const dp::Network& net, const topo::AsGraph& g,
     std::span<const std::unique_ptr<core::MifoDaemon>> daemons,

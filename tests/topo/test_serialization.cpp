@@ -70,5 +70,61 @@ TEST(Serialization, DeclaredNodeCountCreatesIsolatedAses) {
   EXPECT_EQ(g.degree(AsId(4)), 0u);
 }
 
+/// parse_string(text) must throw a ParseError naming `line` whose reason
+/// contains `reason`.
+void expect_parse_error(const std::string& text, std::size_t line,
+                        const std::string& reason) {
+  try {
+    (void)parse_string(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line) << e.what();
+    EXPECT_NE(e.reason().find(reason), std::string::npos) << e.what();
+    EXPECT_EQ(std::string(e.what()),
+              "line " + std::to_string(line) + ": " + e.reason());
+  }
+}
+
+TEST(Serialization, UnparsableLineIsAParseError) {
+  expect_parse_error("0 1 p2c\n0 x p2c\n", 2, "expected");
+  expect_parse_error("# comment\n\n7\n", 3, "expected");
+}
+
+TEST(Serialization, UnknownLinkKindIsAParseError) {
+  expect_parse_error("0 1 p2c\n1 2 sibling\n", 2, "unknown link kind");
+}
+
+TEST(Serialization, SelfLoopIsAParseError) {
+  expect_parse_error("0 1 peer\n3 3 p2c\n", 2, "self-loop at AS3");
+}
+
+TEST(Serialization, ContradictoryDuplicateEdgeIsAParseError) {
+  expect_parse_error("0 1 p2c\n1 0 p2c\n", 2,
+                     "'1 0 p2c' contradicts the earlier '0 1 p2c'");
+  expect_parse_error("0 1 p2c\n0 1 peer\n", 2,
+                     "'0 1 peer' contradicts the earlier '0 1 p2c'");
+}
+
+TEST(Serialization, RepeatedEdgeIsAccepted) {
+  const AsGraph g = parse_string("0 1 p2c\n0 1 p2c\n1 2 peer\n2 1 peer\n");
+  EXPECT_EQ(g.num_adjacencies(), 2u);
+  EXPECT_EQ(g.rel(AsId(0), AsId(1)), Rel::Customer);
+  EXPECT_EQ(g.rel(AsId(2), AsId(1)), Rel::Peer);
+}
+
+TEST(Serialization, AsIdBeyondTheLimitIsAParseError) {
+  // "-1" reads as the largest 32-bit id; allocating up to it is refused.
+  expect_parse_error("0 -1 p2c\n", 1, "exceeds the limit");
+  expect_parse_error("# nodes 99999999\n", 1, "exceeds the limit");
+}
+
+TEST(Serialization, ProviderCycleParsesButBreaksThePremise) {
+  // Well-formed line by line, so parse() accepts it; the verifier tools
+  // refuse it through is_pc_acyclic, the loop-freedom theorem's premise.
+  const AsGraph g = parse_string("0 1 p2c\n1 2 p2c\n2 0 p2c\n");
+  EXPECT_EQ(g.num_pc_adjacencies(), 3u);
+  EXPECT_FALSE(is_pc_acyclic(g));
+}
+
 }  // namespace
 }  // namespace mifo::topo

@@ -1,6 +1,7 @@
 // Differential property tests for the incremental verifier: after any
 // random single-event mutation (alt reprogram, entry eviction, RIB
-// withdrawal, config flip, link flap, daemon reconvergence tick), the
+// withdrawal, config flip, link flap, route install, eviction everywhere,
+// daemon reconvergence tick), the
 // merged incremental result must be verdict-, counterexample- and
 // lint-identical to a from-scratch run of the full provers on the same
 // state. The full provers are the oracle; the cache must never be able to
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,11 +67,6 @@ std::vector<std::string> rendered(const auto& findings) {
   return out;
 }
 
-std::vector<std::string> sorted(std::vector<std::string> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 struct FullRun {
   verify::LoopCheck loop;
   verify::ValleyCheck valley;
@@ -81,11 +79,9 @@ FullRun full_run(const Deployment& d) {
           verify::lint_deployment(net, d.g, d.em.daemons, d.owners)};
 }
 
-// Element-identical, not just verdict-identical: cycles and valley
-// violations are at most one per destination and both sides merge
-// destination-ascending, so they compare as sequences; the full lint pass
-// orders daemon-major while the incremental merge is destination-ascending,
-// so lints compare as sorted multisets.
+// Element-identical, not just verdict-identical: every finding names one
+// destination and both sides emit destination-ascending (the lints in
+// daemon order within a destination), so everything compares as sequences.
 void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
                       const std::string& context) {
   EXPECT_EQ(inc.loop.loop_free, full.loop.loop_free) << context;
@@ -93,8 +89,55 @@ void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
   EXPECT_EQ(inc.valley.valley_free, full.valley.valley_free) << context;
   EXPECT_EQ(rendered(inc.valley.violations), rendered(full.valley.violations))
       << context;
-  EXPECT_EQ(sorted(rendered(inc.lint)), sorted(rendered(full.lints)))
-      << context;
+  EXPECT_EQ(rendered(inc.lint), rendered(full.lints)) << context;
+}
+
+/// An address no host owns: installing it creates a new destination.
+dp::Addr fresh_prefix(const Deployment& d) {
+  dp::Addr max = 0;
+  for (const auto& [addr, as] : d.owners) max = std::max(max, addr);
+  return max + 100;
+}
+
+/// The first AS's first egress (border router and eBGP port), if any.
+const core::AsWiring::Egress* some_egress(const Deployment& d) {
+  for (const auto& w : d.em.wirings) {
+    if (!w.egresses.empty()) return &w.egresses.front();
+  }
+  return nullptr;
+}
+
+TEST(Incremental, FullLintIsTheDestinationOrderedConcatenation) {
+  Deployment d = deploy(25, 30);
+  dp::Network& net = *d.em.net;
+  // Collapse the alternative onto the default for every prefix at every
+  // router of two ASes: alt-equals-default issues at every destination,
+  // raised by two daemons.
+  for (const std::uint32_t as : {3u, 17u}) {
+    for (const RouterId r : d.em.wirings[as].routers) {
+      for (const auto& [dst, owner] : d.owners) {
+        const auto fe = net.router(r).fib().lookup(dst);
+        if (fe) net.router(r).fib().set_alt(dst, fe->out_port);
+      }
+    }
+  }
+  const auto full = verify::lint_deployment(net, d.g, d.em.daemons, d.owners);
+  std::set<dp::Addr> dsts;
+  std::set<AsId> ases;
+  for (const auto& issue : full) {
+    dsts.insert(issue.dst);
+    ases.insert(issue.as);
+  }
+  ASSERT_GE(dsts.size(), 2u);
+  ASSERT_GE(ases.size(), 2u);
+
+  std::vector<verify::LintIssue> concatenated;
+  for (const dp::Addr dst : verify::fib_destinations(net)) {
+    const auto one = verify::lint_deployment(net, d.g, d.em.daemons, d.owners,
+                                              std::span(&dst, 1));
+    concatenated.insert(concatenated.end(), one.begin(), one.end());
+  }
+  EXPECT_EQ(rendered(full), rendered(concatenated));
 }
 
 TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {
@@ -179,6 +222,77 @@ TEST(Incremental, VanishedDestinationIsDroppedFromTheMerge) {
   expect_identical(r, full_run(d), "after full withdrawal");
 }
 
+TEST(Incremental, RouteInstalledAfterTheColdPassIsProvedNext) {
+  Deployment d = deploy(24, 20);
+  dp::Network& net = *d.em.net;
+  dp::ChangeLog log;
+  net.attach_change_log(&log);
+
+  verify::IncrementalVerifier inc;
+  verify::ChangeSet cs;
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+
+  const dp::Addr fresh = fresh_prefix(d);
+  const auto* eg = some_egress(d);
+  ASSERT_NE(eg, nullptr);
+  net.router(eg->router).fib().set_route(fresh, eg->port);
+  cs.drain(log);
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  cs.clear();
+  EXPECT_EQ(r.stats.destinations, d.owners.size() + 1);
+  EXPECT_EQ(r.stats.dirty_destinations, 1u);
+  EXPECT_EQ(inc.cached_destinations(), d.owners.size() + 1);
+  expect_identical(r, full_run(d), "after a fresh route install");
+}
+
+TEST(Incremental, RemovalAtOneRouterKeepsADestinationHeldElsewhere) {
+  Deployment d = deploy(26, 20);
+  dp::Network& net = *d.em.net;
+  dp::ChangeLog log;
+  net.attach_change_log(&log);
+
+  verify::IncrementalVerifier inc;
+  verify::ChangeSet cs;
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+
+  // The recorded router no longer holds the prefix; others still do.
+  const dp::Addr dst = d.owners.front().first;
+  const auto* eg = some_egress(d);
+  ASSERT_NE(eg, nullptr);
+  ASSERT_TRUE(net.router(eg->router).fib().remove(dst));
+  cs.drain(log);
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  cs.clear();
+  EXPECT_EQ(r.stats.destinations, d.owners.size());
+  EXPECT_EQ(r.stats.dirty_destinations, 1u);
+  EXPECT_EQ(inc.cached_destinations(), d.owners.size());
+  expect_identical(r, full_run(d), "after a single-router eviction");
+}
+
+TEST(Incremental, InvalidateAllResweepsTheFibs) {
+  Deployment d = deploy(27, 20);
+  dp::Network& net = *d.em.net;
+  verify::IncrementalVerifier inc;
+  verify::ChangeSet cs;
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+
+  // No change log attached: the install below leaves no FibChange, so the
+  // tracked universe cannot see it...
+  const dp::Addr fresh = fresh_prefix(d);
+  const auto* eg = some_egress(d);
+  ASSERT_NE(eg, nullptr);
+  net.router(eg->router).fib().set_route(fresh, eg->port);
+  const auto unseen = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  EXPECT_EQ(unseen.stats.destinations, d.owners.size());
+
+  // ...until invalidate_all() drops it and the next check sweeps the FIBs.
+  inc.invalidate_all();
+  const auto swept = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  EXPECT_EQ(swept.stats.destinations, d.owners.size() + 1);
+  EXPECT_EQ(swept.stats.dirty_destinations, swept.stats.destinations);
+  expect_identical(swept, full_run(d), "after invalidate_all");
+}
+
 class IncrementalProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The satellite's core claim: a long random single-event mutation sequence
@@ -201,7 +315,7 @@ TEST_P(IncrementalProperty, RandomMutationSequenceNeverDiverges) {
     const AsId as(static_cast<std::uint32_t>(rng.bounded(num_ases)));
     const auto& w = d.em.wirings[as.value()];
     const dp::Addr dst = d.owners[rng.bounded(d.owners.size())].first;
-    switch (rng.bounded(6)) {
+    switch (rng.bounded(8)) {
       case 0: {  // arbitrary alt reprogram — may very well create a cycle
         if (w.egresses.empty()) continue;
         const auto& eg = w.egresses[rng.bounded(w.egresses.size())];
@@ -238,6 +352,25 @@ TEST_P(IncrementalProperty, RandomMutationSequenceNeverDiverges) {
         if (w.egresses.empty()) continue;
         const auto& eg = w.egresses[rng.bounded(w.egresses.size())];
         net.set_port_up(eg.router, eg.port, rng.bernoulli(0.5));
+        break;
+      }
+      case 6: {  // route (re)install: the destination may rejoin the
+                 // universe after case 7 emptied it
+        if (w.egresses.empty()) continue;
+        const auto& eg = w.egresses[rng.bounded(w.egresses.size())];
+        if (net.router(eg.router).fib().contains(dst)) continue;
+        net.router(eg.router).fib().set_route(dst, eg.port);
+        break;
+      }
+      case 7: {  // eviction everywhere: the destination leaves the universe
+        bool removed = false;
+        for (std::size_t i = 0; i < net.num_routers(); ++i) {
+          removed = net.router(RouterId(static_cast<std::uint32_t>(i)))
+                        .fib()
+                        .remove(dst) ||
+                    removed;
+        }
+        if (!removed) continue;
         break;
       }
     }

@@ -11,11 +11,13 @@
 //   mifo-chaos --gen --seed 7 --mutate-valley       # planted Eq.3 violation;
 //                                                   # expects a caught cycle
 //
-// Exit status: 0 = every snapshot safe, 1 = usage/input error,
-// 2 = violation found (a counterexample cycle or lint issue, attributed to
-// the event that triggered it). Artifacts (mifo.run_artifact.v1 with a
-// `chaos` section) land in MIFO_ARTIFACT_DIR; the run is bit-reproducible
-// for a fixed (topology, seed, plan).
+// Exit status: 0 = every snapshot safe, 1 = usage/input error (including a
+// --topo line topo::parse rejects), 2 = violation found (a counterexample
+// cycle or lint issue, attributed to the event that triggered it) or a
+// cyclic provider hierarchy, which is outside the loop-freedom theorem's
+// premise (verdict PREMISE-VIOLATED, nothing is run). Artifacts
+// (mifo.run_artifact.v1 with a `chaos` section) land in MIFO_ARTIFACT_DIR;
+// the run is bit-reproducible for a fixed (topology, seed, plan).
 
 #include <algorithm>
 #include <cstdio>
@@ -32,6 +34,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "testbed/emulation.hpp"
+#include "topo/analysis.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialization.hpp"
 
@@ -222,12 +225,25 @@ int main(int argc, char** argv) {
                    opt.topo_file.c_str());
       return 1;
     }
-    g = topo::parse(in);
+    try {
+      g = topo::parse(in);
+    } catch (const topo::ParseError& e) {
+      std::fprintf(stderr, "mifo-chaos: %s: %s\n", opt.topo_file.c_str(),
+                   e.what());
+      return 1;
+    }
   } else {
     topo::GeneratorParams gp;
     gp.num_ases = opt.ases;
     gp.seed = opt.seed;
     g = topo::generate_topology(gp);
+  }
+  // Safety under churn is only claimed inside the loop-freedom theorem's
+  // premise (paper Section III-A): an acyclic provider-customer hierarchy.
+  if (!topo::is_pc_acyclic(g)) {
+    std::printf("verdict: PREMISE-VIOLATED (the provider-customer "
+                "hierarchy has a cycle)\n");
+    return 2;
   }
   const std::size_t n = g.num_ases();
 

@@ -15,7 +15,9 @@
 //                                              # prover differential
 //
 // Exit status: 0 = loop-free, valley-free and lint-clean, 1 = usage/input
-// error, 2 = cycle / valley / blackhole found, lint issues, or (under
+// error (including a --topo line topo::parse rejects), 2 = cycle / valley /
+// blackhole found, lint issues, a cyclic provider hierarchy (outside the
+// loop-freedom theorem's premise; verdict PREMISE-VIOLATED), or (under
 // --incremental) an incremental-vs-full differential mismatch.
 
 #include <algorithm>
@@ -138,7 +140,13 @@ int main(int argc, char** argv) {
                    opt.topo_file.c_str());
       return 1;
     }
-    g = topo::parse(in);
+    try {
+      g = topo::parse(in);
+    } catch (const topo::ParseError& e) {
+      std::fprintf(stderr, "mifo-verify: %s: %s\n", opt.topo_file.c_str(),
+                   e.what());
+      return 1;
+    }
   } else {
     topo::GeneratorParams gp;
     gp.num_ases = opt.gen_ases;
@@ -148,6 +156,13 @@ int main(int argc, char** argv) {
   if (!opt.quiet) {
     std::printf("topology: %s\n",
                 topo::attributes_report(topo::attributes(g)).c_str());
+  }
+  // The loop-freedom theorem (paper Section III-A) assumes an acyclic
+  // provider-customer hierarchy; nothing outside it is ever certified.
+  if (!topo::is_pc_acyclic(g)) {
+    std::printf("verdict: PREMISE-VIOLATED (the provider-customer "
+                "hierarchy has a cycle)\n");
+    return 2;
   }
 
   // Destination prefixes: one host per chosen AS, spread across the id
@@ -264,7 +279,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> out;
     out.reserve(items.size());
     for (const auto& item : items) out.push_back(item.to_string());
-    std::sort(out.begin(), out.end());
     return out;
   };
 
@@ -279,8 +293,8 @@ int main(int argc, char** argv) {
                   warm.stats.cache_hits, warm.stats.states_explored);
     }
     // Differential oracle: the merged incremental result must be verdict-
-    // and counterexample-identical to a from-scratch full run (lints
-    // compare as multisets — the orders differ by design).
+    // and counterexample-identical to a from-scratch full run, in order
+    // (both sides emit destination-ascending).
     const auto full_loop = verify::check_loop_freedom(net);
     const auto full_valley = verify::check_valley_freedom(net);
     const auto full_lint = verify::lint_deployment(net, g, em.daemons, owners);
