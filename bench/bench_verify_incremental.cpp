@@ -151,8 +151,7 @@ void print_verify_incremental() {
 
   dp::ChangeLog log;
   verify::ChangeSet changes;
-  verify::IncrementalVerifier inc(verify::IncrementalConfig{
-      .lint = true, .valley = true, .blackhole = false});
+  verify::IncrementalVerifier inc;
   net.attach_change_log(&log);
   const auto cold = inc.check(net, d.g, d.em.daemons, d.owners, changes);
 

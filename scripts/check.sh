@@ -47,15 +47,16 @@ grep -q "tag-check-FAIL" <<< "$loop_out"
 grep -q "return-detected" <<< "$loop_out"
 
 # A small internet_scale run must emit a parseable, schema-conformant
-# run artifact (docs/OBSERVABILITY.md, mifo.run_artifact.v1).
+# run artifact (docs/OBSERVABILITY.md, mifo.run_artifact.v1). The artifact
+# checks below share scripts/artifact_schema.py's load(), which asserts the
+# schema and bench name.
+export PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}"
 MIFO_ARTIFACT_DIR="$artifact_dir" MIFO_THREADS=0 \
   "$build_dir"/examples/internet_scale 200 2000 0.5 > /dev/null
 python3 - "$artifact_dir/internet_scale.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "internet_scale"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "internet_scale")
 assert {"topo_n", "flows"} <= a["scale"].keys()
 assert len(a["arms"]) == 3, [arm["name"] for arm in a["arms"]]
 for arm in a["arms"]:
@@ -130,9 +131,16 @@ kind_err="$("$build_dir"/tools/mifo-verify --topo \
   "$artifact_dir/bad_kind.txt" 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-verify: unknown link kind exit $rc"; exit 1; }
 grep -q "line 2: unknown link kind 'sibling'" <<< "$kind_err"
+# A malformed numeric flag is an input error naming the flag (exit 1), not a
+# silently truncated value (`--seed abc` once verified with seed 0).
+rc=0
+flag_err="$("$build_dir"/tools/mifo-verify --gen 40 --seed abc 2>&1 \
+  >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-verify: malformed --seed exit $rc"; exit 1; }
+grep -q -- "--seed: invalid value 'abc'" <<< "$flag_err"
 echo "verifier OK: both topologies proved loop-free, incremental mode" \
      "agreed with the full provers, planted cycle and blackhole caught," \
-     "provider cycle and unknown link kind refused"
+     "provider cycle, unknown link kind and malformed flag refused"
 
 echo "=== mifo-chaos: safety under churn (docs/CHAOS.md) ==="
 # A randomized chaos run must end SAFE-UNDER-CHURN (exit 0) and emit a
@@ -141,11 +149,9 @@ MIFO_ARTIFACT_DIR="$artifact_dir" \
   "$build_dir"/tools/mifo-chaos --gen --ases 36 --seed 5 --duration 0.8 \
   --flows 24 > /dev/null
 python3 - "$artifact_dir/chaos_run.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "chaos_run"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "chaos_run")
 assert {"topo_n", "flows", "seed"} <= a["scale"].keys()
 c = a["chaos"]
 assert c["safe"] is True
@@ -257,8 +263,14 @@ if stale_out="$(MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --gen \
 fi
 grep -q "route-differential" <<< "$stale_out"
 grep -q "verdict: UNSAFE" <<< "$stale_out"
+rc=0
+flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --duration 0.2x \
+  2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: malformed --duration exit $rc"; exit 1; }
+grep -q -- "--duration: invalid value '0.2x'" <<< "$flag_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
-     "violation caught, incremental differential clean, stale route caught"
+     "violation caught, incremental differential clean, stale route caught," \
+     "malformed flag refused"
 
 echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
 # --check proves the merged timeline is epoch-monotone and every span
@@ -278,7 +290,13 @@ grep -q "recovery latency by failure class" \
 # accounting; the span table must surface it.
 grep -q "dirty" "$artifact_dir/trace_render.first.txt"
 grep -q "cached" "$artifact_dir/trace_render.first.txt"
-echo "mifo-trace OK: timeline checked, rendering byte-reproducible"
+rc=0
+flag_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
+  --flow 3x 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: malformed --flow exit $rc"; exit 1; }
+grep -q -- "--flow: invalid value '3x'" <<< "$flag_err"
+echo "mifo-trace OK: timeline checked, rendering byte-reproducible," \
+     "malformed flag refused"
 
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
@@ -289,11 +307,9 @@ echo "=== sharded plane: sharded-vs-serial differential gate ==="
 MIFO_ARTIFACT_DIR="$artifact_dir" MIFO_TOPO_N=64 MIFO_FLOWS=16 \
   "$build_dir"/bench/bench_sharded_plane --benchmark_filter=none > /dev/null
 python3 - "$artifact_dir/sharded_plane.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "sharded_plane"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "sharded_plane")
 assert a["scale"]["routers"] > 0
 arms = {arm["name"]: arm for arm in a["arms"]}
 assert {"serial", "1w", "2w", "4w", "8w"} <= arms.keys(), sorted(arms)
@@ -335,11 +351,9 @@ MIFO_ARTIFACT_DIR="$artifact_dir" MIFO_TOPO_N=120 \
   "$build_dir"/bench/bench_verify_incremental --benchmark_filter=none \
   > /dev/null
 python3 - "$artifact_dir/verify_incremental.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "verify_incremental"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "verify_incremental")
 assert a["scale"]["routers"] > 0 and a["scale"]["destinations"] > 0
 assert a["cold"]["destinations"] > 0 and a["cold"]["states_explored"] > 0
 arms = {arm["name"]: arm for arm in a["arms"]}
@@ -373,11 +387,9 @@ route_env=(MIFO_ARTIFACT_DIR="$artifact_dir" MIFO_TOPO_N=120
 env "${route_env[@]}" "$build_dir"/bench/bench_route_delta \
   --benchmark_filter=none > /dev/null
 python3 - "$artifact_dir/route_delta.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "route_delta"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "route_delta")
 assert {"topo_n", "routers", "destinations", "events", "seed"} <= \
     a["scale"].keys()
 assert a["scale"]["routers"] > 0
@@ -412,14 +424,8 @@ mv "$artifact_dir/route_delta.json" "$artifact_dir/route_delta.first.json"
 env "${route_env[@]}" "$build_dir"/bench/bench_route_delta \
   --benchmark_filter=none > /dev/null
 for f in route_delta.first.json route_delta.json; do
-  python3 - "$artifact_dir/$f" "$artifact_dir/$f.stripped" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-del a["timing"]
-with open(sys.argv[2], "w") as f:
-    json.dump(a, f, indent=1, sort_keys=True)
-PY
+  python3 scripts/artifact_schema.py strip-timing "$artifact_dir/$f" \
+    "$artifact_dir/$f.stripped"
 done
 diff "$artifact_dir/route_delta.first.json.stripped" \
      "$artifact_dir/route_delta.json.stripped"
@@ -452,11 +458,9 @@ steady_env=(MIFO_ARTIFACT_DIR="$artifact_dir" MIFO_TOPO_N=200
 env "${steady_env[@]}" "$build_dir"/bench/bench_steady_state \
   --benchmark_filter=none > /dev/null
 python3 - "$artifact_dir/steady_state.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-assert a["schema"] == "mifo.run_artifact.v1", a.get("schema")
-assert a["bench"] == "steady_state"
+import sys
+from artifact_schema import load
+a = load(sys.argv[1], "steady_state")
 assert {"topo_n", "endpoints", "target_concurrent", "rho"} <= \
     a["scale"].keys()
 target = a["scale"]["target_concurrent"]
@@ -490,14 +494,8 @@ mv "$artifact_dir/steady_state.json" "$artifact_dir/steady_state.first.json"
 env "${steady_env[@]}" "$build_dir"/bench/bench_steady_state \
   --benchmark_filter=none > /dev/null
 for f in steady_state.first.json steady_state.json; do
-  python3 - "$artifact_dir/$f" "$artifact_dir/$f.stripped" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    a = json.load(f)
-del a["timing"]
-with open(sys.argv[2], "w") as f:
-    json.dump(a, f, indent=1, sort_keys=True)
-PY
+  python3 scripts/artifact_schema.py strip-timing "$artifact_dir/$f" \
+    "$artifact_dir/$f.stripped"
 done
 diff "$artifact_dir/steady_state.first.json.stripped" \
      "$artifact_dir/steady_state.json.stripped"

@@ -11,6 +11,12 @@ namespace mifo::chaos {
 
 namespace {
 
+/// Delay after each event before the reconvergence snapshot: a few daemon
+/// intervals, so the tick between event and snapshot is real.
+constexpr SimTime kReconvDelay = 0.05;
+/// Settle time after the plan ends before the final snapshot.
+constexpr SimTime kDrainMargin = 0.5;
+
 std::uint64_t port_key(RouterId r, PortId p) {
   return (static_cast<std::uint64_t>(r.value()) << 32) | p.value();
 }
@@ -157,10 +163,7 @@ Engine::Engine(testbed::Emulation& em, const topo::AsGraph& g,
       g_(&g),
       cfg_(cfg),
       route_ctl_(em, g),
-      rng_(hash_combine(cfg.seed, 0xc4a06)),
-      inc_(verify::IncrementalConfig{.lint = cfg.lint,
-                                     .valley = cfg.valley,
-                                     .blackhole = false}) {
+      rng_(hash_combine(cfg.seed, 0xc4a06)) {
   owners_.reserve(em.hosts.size());
   for (const auto& att : em.hosts) owners_.emplace_back(att.addr, att.as);
   if (cfg_.verify_mode != VerifyMode::Full) {
@@ -205,16 +208,12 @@ Engine::FullVerdict Engine::run_full_provers() const {
   for (const auto& cycle : loop_check.cycles) {
     out.cycles.push_back(cycle.to_string());
   }
-  if (cfg_.valley) {
-    const auto vc = verify::check_valley_freedom(net);
-    out.states_explored += vc.stats.states;
-    for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
-  }
-  if (cfg_.lint) {
-    for (const auto& issue :
-         verify::lint_deployment(net, *g_, em_->daemons, owners_)) {
-      out.lints.push_back(issue.to_string());
-    }
+  const auto vc = verify::check_valley_freedom(net);
+  out.states_explored += vc.stats.states;
+  for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
+  for (const auto& issue :
+       verify::lint_deployment(net, *g_, em_->daemons, owners_)) {
+    out.lints.push_back(issue.to_string());
   }
   return out;
 }
@@ -715,14 +714,14 @@ Report Engine::run(const Plan& plan) {
       sp.states_explored = last_cost_.states_explored;
       sp.cache_hits = last_cost_.cache_hits;
       report.log.back().clean_reconverged = true;
-      checks.push_back(ev.t + cfg_.reconv_delay);
+      checks.push_back(ev.t + kReconvDelay);
     }
   }
 
   // Drain: run past the plan end so daemons settle and queues empty, then
   // take the final quiescent snapshot.
-  net.run_until(plan.duration + cfg_.drain_margin);
-  snapshot(report, plan.duration + cfg_.drain_margin);
+  net.run_until(plan.duration + kDrainMargin);
+  snapshot(report, plan.duration + kDrainMargin);
 
   if (planted_violation_) {
     // A planted ring is expected to be caught; "safe" keeps meaning "the

@@ -52,20 +52,12 @@ enum class VerifyMode : std::uint8_t {
 
 struct EngineConfig {
   std::uint64_t seed = 1;
-  /// Delay after each event before the reconvergence snapshot; keep it a
-  /// few daemon intervals so the tick between event and snapshot is real.
-  SimTime reconv_delay = 0.05;
   /// Re-run verify:: at every snapshot (the whole point; off only for
-  /// throughput-only benches where verification cost would dominate).
+  /// throughput-only benches where verification cost would dominate). Each
+  /// snapshot runs the loop and valley-freedom provers and the FIB/RIB lints.
   bool verify = true;
-  /// Include the FIB/RIB lint pass in each snapshot.
-  bool lint = true;
-  /// Include the Gao–Rexford valley-freedom prover in each snapshot.
-  bool valley = true;
   /// Proof strategy per snapshot (see VerifyMode).
   VerifyMode verify_mode = VerifyMode::Full;
-  /// Extra settle time after the last event before the final snapshot.
-  SimTime drain_margin = 0.5;
 };
 
 /// One applied (or skipped) plan event with its verification outcomes.
@@ -74,7 +66,7 @@ struct AppliedEvent {
   bool applied = false;      ///< false: no-op (e.g. withdraw of a non-owner)
   std::string detail;        ///< what concretely changed
   bool clean_immediate = true;  ///< verifier verdict right after the event
-  bool clean_reconverged = true;  ///< ...and after reconv_delay
+  bool clean_reconverged = true;  ///< ...and after the reconvergence delay
   /// For recovery events: first verifier-clean snapshot time minus the
   /// paired failure time. Negative when not applicable / never clean.
   double recovery_latency = -1.0;

@@ -13,7 +13,7 @@
 // oracle. Per-event DeltaStats feed the chaos engine's recovery spans and
 // the verifier's dirty sets.
 //
-// Re-announcement reinstalls through the builders' own install pass, fed
+// Re-announcement reinstalls through the builder's own install pass, fed
 // from the base graph's converged routes: FIB defaults model the
 // all-sessions-up state, exactly as the builder installed them. Session
 // events move the delta table only; the packet plane's port state is the

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "dataplane/network.hpp"
 
@@ -162,9 +161,6 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
         pins_.emplace(key, FlowPin{true, net.now()});
         out.last_pin_time = net.now();
         trace(tr, net, id_, p, obs::TraceKind::PinCreated, ialt);
-        logc(LogLevel::Debug, "dp.router",
-             "[%0.6f] r%u PIN flow=%llu dst=%u", net.now(), id_.value(),
-             static_cast<unsigned long long>(p.flow.value()), p.dst);
         ++counters_.flow_switches;
         use_alt = true;
       } else if (config_.drop_on_congested_no_alt) {
@@ -258,8 +254,6 @@ void Router::reevaluate_flows(
     }
   }
   if (all_drained && !pins_.empty()) {
-    logc(LogLevel::Debug, "dp.router", "[%0.6f] r%u RELEASE %zu pins", now,
-         id_.value(), pins_.size());
     if (obs::Tracer* tr = net.tracer()) {
       obs::TraceEvent ev;
       ev.t = now;

@@ -262,12 +262,7 @@ void ShardedNetwork::freeze() {
       min_delay = std::min(min_delay, port.delay);
     }
   }
-  if (cfg_.window > 0.0) {
-    MIFO_EXPECTS(cfg_.window <= min_delay);
-    window_ = cfg_.window;
-  } else {
-    window_ = min_delay;  // +inf with no cross-shard links: free-running
-  }
+  window_ = min_delay;  // +inf with no cross-shard links: free-running
   MIFO_EXPECTS(window_ > 0.0);
 }
 

@@ -51,10 +51,6 @@ struct ShardConfig {
   /// packet — accounted as `ring_overflow` in drop_breakdown(), never
   /// silent — so size this above the worst per-window burst.
   std::size_t ring_capacity = 1u << 12;
-  /// Conservative window override (seconds); 0 derives W from the minimum
-  /// cross-shard link delay. Overrides larger than that minimum are
-  /// rejected — they would break the no-event-in-the-past guarantee.
-  SimTime window = 0.0;
 };
 
 /// Occupancy/drop statistics of one directed shard-pair ring.

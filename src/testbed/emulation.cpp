@@ -1,14 +1,17 @@
 #include "testbed/emulation.hpp"
 
+#include <type_traits>
+
 #include "common/contracts.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/wiring.hpp"
 
 namespace mifo::testbed {
 
-void Emulation::enable_mifo(const std::vector<AsId>& ases,
-                            const dp::RouterConfig& base_config,
-                            SimTime daemon_interval) {
+template <typename NetT>
+void BasicEmulation<NetT>::enable_mifo(const std::vector<AsId>& ases,
+                                       const dp::RouterConfig& base_config,
+                                       SimTime daemon_interval) {
   for (const AsId as : ases) {
     MIFO_EXPECTS(as.value() < daemons.size());
     for (const RouterId r : wirings[as.value()].routers) {
@@ -17,20 +20,28 @@ void Emulation::enable_mifo(const std::vector<AsId>& ases,
       net->router(r).config() = cfg;
     }
     core::MifoDaemon* daemon = daemons[as.value()].get();
-    net->add_periodic(daemon_interval,
-                      [daemon](dp::Network& n, SimTime now) {
-                        daemon->tick(n, now);
-                      });
+    const auto tick = [daemon](dp::Network& n, SimTime now) {
+      daemon->tick(n, now);
+    };
+    if constexpr (std::is_same_v<NetT, dp::ShardedNetwork>) {
+      net->add_periodic(as, daemon_interval, tick);
+    } else {
+      net->add_periodic(daemon_interval, tick);
+    }
   }
 }
 
-const HostAttachment& Emulation::attachment(HostId h) const {
+template <typename NetT>
+const HostAttachment& BasicEmulation<NetT>::attachment(HostId h) const {
   for (const auto& a : hosts) {
     if (a.host == h) return a;
   }
   MIFO_EXPECTS(false && "unknown host");
   return hosts.front();  // unreachable
 }
+
+template struct BasicEmulation<dp::Network>;
+template struct BasicEmulation<dp::ShardedNetwork>;
 
 namespace {
 
@@ -105,23 +116,100 @@ HostId EmulationBuilder::attach_host(AsId as) {
   return HostId(static_cast<std::uint32_t>(pending_hosts_.size() - 1));
 }
 
-Emulation EmulationBuilder::finalize() {
-  Emulation em;
-  em.net = std::make_unique<dp::Network>();
-  em.plan = std::make_unique<bgp::IbgpPlan>(g_, expand_);
+template <typename NetT>
+BasicEmulation<NetT> EmulationBuilder::build(std::unique_ptr<NetT> net) const {
+  // Paper testbed: Gigabit Ethernet on every link. The iBGP rate is passed
+  // explicitly: the engines default intra-AS links to 10 Gbps.
+  constexpr Mbps kLinkRate = kGigabit;
+  constexpr SimTime kIbgpDelay = 20e-6;
+  constexpr SimTime kHostDelay = 20e-6;
 
-  std::vector<std::vector<core::PrefixRoutes>> prefix_routes;
-  wire_network(*em.net, g_, *em.plan, params_, pending_hosts_, em.wirings,
-               em.hosts, prefix_routes);
+  BasicEmulation<NetT> em;
+  em.net = std::move(net);
+  em.plan = std::make_unique<bgp::IbgpPlan>(g_, expand_);
+  NetT& n = *em.net;
+  const bgp::IbgpPlan& plan = *em.plan;
+
+  // Routers (ids in the network match the plan's router ids).
+  for (std::size_t i = 0; i < plan.num_routers(); ++i) {
+    const auto& br = plan.router(RouterId(static_cast<std::uint32_t>(i)));
+    const RouterId created = n.add_router(br.as);
+    MIFO_ASSERT(created == br.id);
+  }
+
+  std::vector<core::AsWiring>& wirings = em.wirings;
+  wirings.resize(g_.num_ases());
+  for (std::size_t i = 0; i < g_.num_ases(); ++i) {
+    const AsId as(static_cast<std::uint32_t>(i));
+    wirings[i].as = as;
+    wirings[i].routers = plan.routers_of(as);
+  }
+
+  // eBGP links: one physical link per AS adjacency, between the two facing
+  // border routers.
+  for (std::size_t i = 0; i < g_.num_ases(); ++i) {
+    const AsId a(static_cast<std::uint32_t>(i));
+    for (const auto& nb : g_.neighbors(a)) {
+      if (!(a < nb.as)) continue;  // each adjacency once
+      const RouterId ra = plan.border_towards(a, nb.as);
+      const RouterId rb = plan.border_towards(nb.as, a);
+      const auto [pa, pb] =
+          n.connect_ebgp(ra, rb, nb.rel, kLinkRate, params_.ebgp_delay);
+      wirings[a.value()].egresses.push_back(
+          core::AsWiring::Egress{nb.as, ra, pa, nb.rel});
+      wirings[nb.as.value()].egresses.push_back(
+          core::AsWiring::Egress{a, rb, pb, topo::reverse(nb.rel)});
+    }
+  }
+
+  // iBGP full mesh inside expanded ASes.
+  for (core::AsWiring& w : wirings) {
+    const auto& routers = w.routers;
+    for (std::size_t x = 0; x < routers.size(); ++x) {
+      for (std::size_t y = x + 1; y < routers.size(); ++y) {
+        const auto [px, py] =
+            n.connect_ibgp(routers[x], routers[y], kLinkRate, kIbgpDelay);
+        w.intra.push_back(
+            core::AsWiring::IntraPort{routers[x], routers[y], px});
+        w.intra.push_back(
+            core::AsWiring::IntraPort{routers[y], routers[x], py});
+      }
+    }
+  }
+
+  // Hosts.
+  for (const AsId as : pending_hosts_) {
+    const RouterId attach = plan.routers_of(as).front();
+    const HostId h = n.add_host();
+    const PortId rp = n.connect_host(attach, h, kLinkRate, kHostDelay);
+    em.hosts.push_back(HostAttachment{h, as, attach, rp, n.host_addr(h)});
+  }
+
+  // FIBs + per-AS prefix knowledge, one destination prefix per host.
+  std::vector<std::vector<core::PrefixRoutes>> prefix_routes(g_.num_ases());
+  for (const auto& att : em.hosts) {
+    install_prefix(n, g_, wirings, att, bgp::RouteStore(g_, att.as),
+                   [&](AsId as, core::PrefixRoutes pr) {
+                     prefix_routes[as.value()].push_back(std::move(pr));
+                   });
+  }
 
   // Daemons (constructed for every AS; only ticked once enabled).
   em.daemons.reserve(g_.num_ases());
   for (std::size_t i = 0; i < g_.num_ases(); ++i) {
     em.daemons.push_back(std::make_unique<core::MifoDaemon>(
-        em.wirings[i], std::move(prefix_routes[i])));
+        wirings[i], std::move(prefix_routes[i])));
   }
-
   return em;
+}
+
+Emulation EmulationBuilder::finalize() const {
+  return build(std::make_unique<dp::Network>());
+}
+
+ShardedEmulation EmulationBuilder::finalize(std::size_t num_shards,
+                                            dp::ShardConfig cfg) const {
+  return build(std::make_unique<dp::ShardedNetwork>(num_shards, cfg));
 }
 
 }  // namespace mifo::testbed

@@ -3,72 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <type_traits>
 
-#include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "testbed/wiring.hpp"
 #include "topo/generator.hpp"
 
 namespace mifo::testbed {
-
-void ShardedEmulation::enable_mifo(const std::vector<AsId>& ases,
-                                   const dp::RouterConfig& base_config,
-                                   SimTime daemon_interval) {
-  for (const AsId as : ases) {
-    MIFO_EXPECTS(as.value() < daemons.size());
-    for (const RouterId r : wirings[as.value()].routers) {
-      dp::RouterConfig cfg = base_config;
-      cfg.mifo_enabled = true;
-      net->router(r).config() = cfg;
-    }
-    core::MifoDaemon* daemon = daemons[as.value()].get();
-    net->add_periodic(as, daemon_interval,
-                      [daemon](dp::Network& n, SimTime now) {
-                        daemon->tick(n, now);
-                      });
-  }
-}
-
-const HostAttachment& ShardedEmulation::attachment(HostId h) const {
-  for (const auto& a : hosts) {
-    if (a.host == h) return a;
-  }
-  MIFO_EXPECTS(false && "unknown host");
-  return hosts.front();  // unreachable
-}
-
-ShardedEmulationBuilder::ShardedEmulationBuilder(const topo::AsGraph& g,
-                                                 std::vector<bool> expand,
-                                                 BuildParams params)
-    : g_(g), expand_(std::move(expand)), params_(params) {
-  MIFO_EXPECTS(expand_.size() == g.num_ases());
-}
-
-HostId ShardedEmulationBuilder::attach_host(AsId as) {
-  MIFO_EXPECTS(as.value() < g_.num_ases());
-  pending_hosts_.push_back(as);
-  return HostId(static_cast<std::uint32_t>(pending_hosts_.size() - 1));
-}
-
-ShardedEmulation ShardedEmulationBuilder::finalize(std::size_t num_shards,
-                                                   dp::ShardConfig cfg) {
-  ShardedEmulation em;
-  em.net = std::make_unique<dp::ShardedNetwork>(num_shards, cfg);
-  em.plan = std::make_unique<bgp::IbgpPlan>(g_, expand_);
-
-  std::vector<std::vector<core::PrefixRoutes>> prefix_routes;
-  wire_network(*em.net, g_, *em.plan, params_, pending_hosts_, em.wirings,
-               em.hosts, prefix_routes);
-
-  em.daemons.reserve(g_.num_ases());
-  for (std::size_t i = 0; i < g_.num_ases(); ++i) {
-    em.daemons.push_back(std::make_unique<core::MifoDaemon>(
-        em.wirings[i], std::move(prefix_routes[i])));
-  }
-  return em;
-}
-
-// --- scaled scenario ----------------------------------------------------------
 
 namespace {
 
@@ -102,6 +42,18 @@ struct FlowOutcome {
   SimTime end_time = 0.0;
   std::uint32_t received = 0;  ///< receiver-side in-order progress
 };
+
+/// The serial engine keeps a flow's sender and receiver state in one
+/// FlowState; the sharded plane keeps each on its own host's shard.
+FlowOutcome flow_outcome(const dp::Network& net, FlowId id) {
+  const dp::FlowState& f = net.flows()[id.value()];
+  return FlowOutcome{f.done, f.end_time, f.expected};
+}
+
+FlowOutcome flow_outcome(const dp::ShardedNetwork& net, FlowId id) {
+  const dp::FlowState& snd = net.sender_flow(id);
+  return FlowOutcome{snd.done, snd.end_time, net.receiver_flow(id).expected};
+}
 
 /// Order-independent only across engines, not across scenarios: the fields
 /// are mixed in a fixed order, so equal digests <=> identical outcomes.
@@ -169,6 +121,54 @@ std::vector<AsId> all_ases(const topo::AsGraph& g) {
   return ases;
 }
 
+/// The scaled scenario on a built emulation, on either engine: enable MIFO,
+/// schedule the flows, run in segments, read the outcome out. `t0` is when
+/// the build started.
+template <typename NetT>
+ScaledResult run_built(BasicEmulation<NetT> em, const topo::AsGraph& g,
+                       const ScaledParams& p,
+                       std::chrono::steady_clock::time_point t0) {
+  if (p.mifo) em.enable_mifo(all_ases(g), p.router_config, p.daemon_interval);
+  NetT& net = *em.net;
+  const std::vector<FlowId> ids = schedule_flows(net, p, em.hosts);
+  ScaledResult res;
+  res.wall_build_seconds = seconds_since(t0);
+
+  const auto t1 = std::chrono::steady_clock::now();
+  run_segmented(net, p.time_cap, [&] {
+    return std::all_of(ids.begin(), ids.end(), [&](FlowId id) {
+      return flow_outcome(net, id).done;
+    });
+  });
+  res.wall_run_seconds = seconds_since(t1);
+
+  res.num_routers = net.num_routers();
+  res.num_shards = p.num_shards;
+  res.flows_total = ids.size();
+  res.injected_pkts = net.injected_pkts();
+  res.delivered_pkts = net.delivered_pkts();
+  res.drops = net.drop_breakdown();
+  if constexpr (std::is_same_v<NetT, dp::ShardedNetwork>) {
+    res.ring_overflow = res.drops.back().second;
+    res.ring_pairs = net.ring_stats();
+    for (const dp::RingStats& rs : res.ring_pairs) {
+      res.ring_pushed += rs.pushed;
+      res.ring_peak = std::max(res.ring_peak, rs.peak);
+    }
+  }
+  std::vector<FlowOutcome> outcomes;
+  for (const FlowId id : ids) {
+    const FlowOutcome f = flow_outcome(net, id);
+    if (f.done) {
+      ++res.flows_done;
+      res.last_completion = std::max(res.last_completion, f.end_time);
+    }
+    outcomes.push_back(f);
+  }
+  res.outcome_digest = digest_outcome(res, outcomes);
+  return res;
+}
+
 }  // namespace
 
 std::vector<bool> scaled_expand_mask(const topo::AsGraph& g,
@@ -185,89 +185,14 @@ std::vector<bool> scaled_expand_mask(const topo::AsGraph& g,
 ScaledResult run_scaled(const ScaledParams& p) {
   const auto t0 = std::chrono::steady_clock::now();
   const Scenario sc = make_scenario(p);
-
-  ScaledResult res;
-  res.num_shards = p.num_shards;
-  res.flows_total = p.num_host_pairs * p.flows_per_pair;
-  std::vector<FlowOutcome> outcomes;
-
-  if (p.num_shards == 0) {
-    // Serial oracle engine.
-    EmulationBuilder builder(sc.g, sc.expand, p.build);
-    for (const auto& [src, dst] : sc.pairs) {
-      builder.attach_host(src);
-      builder.attach_host(dst);
-    }
-    Emulation em = builder.finalize();
-    if (p.mifo) {
-      em.enable_mifo(all_ases(sc.g), p.router_config, p.daemon_interval);
-    }
-    const std::vector<FlowId> ids = schedule_flows(*em.net, p, em.hosts);
-    res.wall_build_seconds = seconds_since(t0);
-
-    const auto t1 = std::chrono::steady_clock::now();
-    dp::Network& net = *em.net;
-    run_segmented(net, p.time_cap, [&] {
-      return std::all_of(ids.begin(), ids.end(),
-                         [&](FlowId id) { return net.flow(id).done; });
-    });
-    res.wall_run_seconds = seconds_since(t1);
-
-    res.num_routers = net.num_routers();
-    res.injected_pkts = net.injected_pkts();
-    res.delivered_pkts = net.delivered_pkts();
-    res.drops = net.drop_breakdown();
-    for (const FlowId id : ids) {
-      const dp::FlowState& f = net.flow(id);
-      outcomes.push_back(FlowOutcome{f.done, f.end_time, f.expected});
-    }
-  } else {
-    ShardedEmulationBuilder builder(sc.g, sc.expand, p.build);
-    for (const auto& [src, dst] : sc.pairs) {
-      builder.attach_host(src);
-      builder.attach_host(dst);
-    }
-    ShardedEmulation em = builder.finalize(p.num_shards, p.shard);
-    if (p.mifo) {
-      em.enable_mifo(all_ases(sc.g), p.router_config, p.daemon_interval);
-    }
-    const std::vector<FlowId> ids = schedule_flows(*em.net, p, em.hosts);
-    res.wall_build_seconds = seconds_since(t0);
-
-    const auto t1 = std::chrono::steady_clock::now();
-    dp::ShardedNetwork& net = *em.net;
-    run_segmented(net, p.time_cap, [&] {
-      return std::all_of(ids.begin(), ids.end(), [&](FlowId id) {
-        return net.sender_flow(id).done;
-      });
-    });
-    res.wall_run_seconds = seconds_since(t1);
-
-    res.num_routers = net.num_routers();
-    res.injected_pkts = net.injected_pkts();
-    res.delivered_pkts = net.delivered_pkts();
-    res.drops = net.drop_breakdown();
-    res.ring_overflow = res.drops.back().second;
-    res.ring_pairs = net.ring_stats();
-    for (const dp::RingStats& rs : res.ring_pairs) {
-      res.ring_pushed += rs.pushed;
-      res.ring_peak = std::max(res.ring_peak, rs.peak);
-    }
-    for (const FlowId id : ids) {
-      const dp::FlowState& snd = net.sender_flow(id);
-      outcomes.push_back(
-          FlowOutcome{snd.done, snd.end_time, net.receiver_flow(id).expected});
-    }
+  EmulationBuilder builder(sc.g, sc.expand, p.build);
+  for (const auto& [src, dst] : sc.pairs) {
+    builder.attach_host(src);
+    builder.attach_host(dst);
   }
-
-  for (const FlowOutcome& f : outcomes) {
-    if (f.done) {
-      ++res.flows_done;
-      res.last_completion = std::max(res.last_completion, f.end_time);
-    }
-  }
-  res.outcome_digest = digest_outcome(res, outcomes);
-  return res;
+  return p.num_shards == 0
+             ? run_built(builder.finalize(), sc.g, p, t0)
+             : run_built(builder.finalize(p.num_shards, p.shard), sc.g, p, t0);
 }
 
 }  // namespace mifo::testbed

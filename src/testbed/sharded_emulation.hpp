@@ -1,7 +1,7 @@
-// Sharded testbed emulation: the EmulationBuilder counterpart that wires the
-// same AS graph into a dp::ShardedNetwork (DESIGN.md §6), plus the scaled
-// Fig. 12-style scenario the multi-worker benchmarks and the sharded-vs-
-// serial differential gate run.
+// The scaled Fig. 12-style scenario the multi-worker benchmarks and the
+// sharded-vs-serial differential gate run, on either packet engine: the
+// serial dp::Network oracle or the sharded dp::ShardedNetwork (DESIGN.md
+// §6), both built by EmulationBuilder and driven by one run_scaled body.
 //
 // The paper's testbed is 15 machines; the scaled scenario generates an
 // Internet-like topology (topo::generate_topology) and expands transit ASes
@@ -10,58 +10,19 @@
 // workers start paying off.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bgp/ibgp.hpp"
-#include "core/daemon.hpp"
 #include "dataplane/shard.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/as_graph.hpp"
 
 namespace mifo::testbed {
 
-/// The finished sharded emulation. Same shape as `Emulation` but the packet
-/// plane runs on MIFO_THREADS forwarding workers.
-struct ShardedEmulation {
-  std::unique_ptr<dp::ShardedNetwork> net;
-  std::unique_ptr<bgp::IbgpPlan> plan;
-  std::vector<HostAttachment> hosts;
-  std::vector<core::AsWiring> wirings;                     // indexed by AS id
-  std::vector<std::unique_ptr<core::MifoDaemon>> daemons;  // indexed by AS id
-
-  /// Turns MIFO on for the given ASes. Each AS's daemon tick registers as a
-  /// periodic on the shard that owns the AS, so the control plane runs
-  /// exactly where its routers' monitor state lives — no cross-shard reads.
-  void enable_mifo(const std::vector<AsId>& ases,
-                   const dp::RouterConfig& base_config,
-                   SimTime daemon_interval = 0.01);
-
-  [[nodiscard]] const HostAttachment& attachment(HostId h) const;
-};
-
-class ShardedEmulationBuilder {
- public:
-  ShardedEmulationBuilder(const topo::AsGraph& g, std::vector<bool> expand,
-                          BuildParams params = {});
-
-  /// Attach a host to the AS (to its first router). Must precede finalize.
-  HostId attach_host(AsId as);
-
-  /// Wires everything into `num_shards` forwarding workers.
-  [[nodiscard]] ShardedEmulation finalize(std::size_t num_shards,
-                                          dp::ShardConfig cfg = {});
-
- private:
-  const topo::AsGraph& g_;
-  std::vector<bool> expand_;
-  BuildParams params_;
-  std::vector<AsId> pending_hosts_;
-};
-
-// --- scaled Fig. 12-style scenario -------------------------------------------
+/// EmulationBuilder under its former sharded-only name; `finalize(k)` is
+/// the sharded build. Kept for the benchmark sources that still name it.
+using ShardedEmulationBuilder = EmulationBuilder;
 
 struct ScaledParams {
   // Topology: generated Internet-like graph; transit ASes whose degree is in
@@ -95,7 +56,7 @@ struct ScaledParams {
   /// two barriers over.
   BuildParams build{.ebgp_delay = 500e-6};
 
-  /// 0 = serial dp::Network oracle (EmulationBuilder); >= 1 = sharded plane
+  /// 0 = serial dp::Network oracle (`finalize()`); >= 1 = sharded plane
   /// with that many forwarding workers.
   std::size_t num_shards = 0;
   dp::ShardConfig shard{};

@@ -107,16 +107,12 @@ IncrementalResult IncrementalVerifier::check(
         result.stats.states_explored += lc.stats.states;
         result.stats.edges_explored += lc.stats.edges;
 
-        if (cfg_.valley) {
-          ValleyCheck vc = check_valley_freedom(routers, one);
-          proof.valley_free = vc.valley_free;
-          proof.valleys = std::move(vc.violations);
-          result.stats.states_explored += vc.stats.states;
-          result.stats.edges_explored += vc.stats.edges;
-        }
-        if (cfg_.lint) {
-          proof.lints = lint_deployment(net, g, daemons, owners, one);
-        }
+        ValleyCheck vc = check_valley_freedom(routers, one);
+        proof.valley_free = vc.valley_free;
+        proof.valleys = std::move(vc.violations);
+        result.stats.states_explored += vc.stats.states;
+        result.stats.edges_explored += vc.stats.edges;
+        proof.lints = lint_deployment(net, g, daemons, owners, one);
       }
       if (reach_dirty) {
         ReachabilityCheck rc = check_reachability(routers, one);

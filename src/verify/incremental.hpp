@@ -37,9 +37,9 @@
 
 namespace mifo::verify {
 
+/// Loop and valley freedom and the deployment lints are re-proved for every
+/// dirty destination; the blackhole analysis is the one optional property.
 struct IncrementalConfig {
-  bool lint = true;    ///< run the deployment lints per dirty destination
-  bool valley = true;  ///< run the valley-freedom prover
   /// Blackhole analysis (reachability.hpp). Off by default: it is the one
   /// port-state-sensitive property, and under live fault injection a downed
   /// link legitimately strands traffic until reconvergence.

@@ -19,7 +19,6 @@ namespace {
 
 using testbed::EmulationBuilder;
 using testbed::Fig11Ids;
-using testbed::ShardedEmulationBuilder;
 
 struct Fixture {
   Fig11Ids ids;
@@ -44,7 +43,7 @@ struct Fixture {
 TEST(ShardedQuiescence, UntouchedPlaneIsQuiescentAndSnapshotMatchesSerial) {
   const Fixture fx;
 
-  ShardedEmulationBuilder sb(fx.g, fx.expand);
+  EmulationBuilder sb(fx.g, fx.expand);
   fx.attach_hosts(sb);
   testbed::ShardedEmulation em = sb.finalize(4);
   em.enable_mifo({fx.ids.as3}, dp::RouterConfig{}, 0.0050003);
@@ -74,7 +73,7 @@ TEST(ShardedQuiescence, UntouchedPlaneIsQuiescentAndSnapshotMatchesSerial) {
 
 TEST(ShardedQuiescence, DetectsDrainUnderTrafficAndProvesLoopFreedom) {
   const Fixture fx;
-  ShardedEmulationBuilder sb(fx.g, fx.expand);
+  EmulationBuilder sb(fx.g, fx.expand);
   fx.attach_hosts(sb);
   testbed::ShardedEmulation em = sb.finalize(2);
   em.enable_mifo({fx.ids.as3}, dp::RouterConfig{}, 0.0050003);

@@ -331,13 +331,5 @@ TEST(ShardedNetwork, PublishMetricsMergesReplicaShardsAndExportsRingGauges) {
   EXPECT_EQ(pushed, static_cast<double>(expected_pushed));
 }
 
-TEST(ShardedNetworkDeathTest, WindowOverrideAboveLinkDelayAborts) {
-  ShardConfig cfg;
-  cfg.window = 1.0;  // way above the 50us cross-shard delay
-  ShardedNetwork net(4, cfg);
-  Chain::build(net, kChainAses);
-  EXPECT_DEATH(net.run_until(0.01), "Precondition");
-}
-
 }  // namespace
 }  // namespace mifo::dp

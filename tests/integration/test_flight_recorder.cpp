@@ -38,7 +38,7 @@ TracedRun run_sharded_fig11(std::size_t shards, bool inject_fault) {
   expand[ids.as4.value()] = true;
   expand[ids.as6.value()] = true;
 
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as2);
   builder.attach_host(ids.as5);
@@ -156,7 +156,7 @@ TEST(ShardedFlightRecorder, HopPathMatchesSerialOracle) {
       hop_path(serial_tracer.events(), serial_flow.value());
   ASSERT_GE(serial_path.size(), 2u);
 
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as5);
   ShardedEmulation em = builder.finalize(4);
@@ -174,7 +174,7 @@ TEST(ShardedFlightRecorder, FlowFilterAppliesToEveryWorkerTracer) {
   std::vector<bool> expand(g.num_ases(), false);
   expand[ids.as3.value()] = true;
 
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as5);
   builder.attach_host(ids.as2);
@@ -210,7 +210,7 @@ TEST(ShardedFlightRecorder, WorkerStatsAndHistogramsPublish) {
   const topo::AsGraph g = fig11_graph();
   std::vector<bool> expand(g.num_ases(), false);
   expand[ids.as3.value()] = true;
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as5);
   ShardedEmulation em = builder.finalize(4);
@@ -275,7 +275,7 @@ TEST(ShardedFlightRecorder, PublishTwiceDoesNotDoubleCount) {
   const Fig11Ids ids;
   const topo::AsGraph g = fig11_graph();
   std::vector<bool> expand(g.num_ases(), false);
-  ShardedEmulationBuilder builder(g, expand);
+  EmulationBuilder builder(g, expand);
   builder.attach_host(ids.as1);
   builder.attach_host(ids.as5);
   ShardedEmulation em = builder.finalize(4);

@@ -62,6 +62,116 @@ TEST(ShardedDifferential, ScaledEmulationMatchesSerialOracle) {
   }
 }
 
+/// Owner-replica FIB entries (default and alt port) of every router for
+/// every host prefix.
+void expect_same_fibs(const Emulation& se, const ShardedEmulation& pe) {
+  for (std::size_t r = 0; r < se.net->num_routers(); ++r) {
+    const RouterId id(static_cast<std::uint32_t>(r));
+    for (const HostAttachment& h : se.hosts) {
+      const auto want = se.net->router(id).fib().lookup(h.addr);
+      const auto got = pe.net->router(id).fib().lookup(h.addr);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "r" << r;
+      if (!want) continue;
+      EXPECT_EQ(got->out_port, want->out_port) << "r" << r;
+      EXPECT_EQ(got->alt_port, want->alt_port) << "r" << r;
+    }
+  }
+}
+
+TEST(ShardedDifferential, BuilderWiresBothEnginesIdentically) {
+  // The digests compare the engines only through outcomes; this compares
+  // what EmulationBuilder built. One builder, finalize() vs finalize(k):
+  // wirings, hosts, daemon RIB knowledge and FIBs must be element-identical,
+  // and after three daemon intervals with no traffic every daemon must have
+  // elected and programmed the same alternatives — a tick registered on a
+  // shard that does not own the AS, or not at all, leaves them unset.
+  const ScaledParams p = small_scaled_params();
+  topo::GeneratorParams gp;
+  gp.num_ases = p.num_ases;
+  gp.num_tier1 = p.num_tier1;
+  gp.seed = p.seed;
+  const topo::AsGraph g = topo::generate_topology(gp);
+  const std::size_t n = g.num_ases();
+  EmulationBuilder builder(g, scaled_expand_mask(g, p.expand_degree_cap));
+  constexpr std::size_t kHosts = 10;
+  for (std::size_t k = 0; k < kHosts; ++k) {
+    builder.attach_host(AsId(static_cast<std::uint32_t>(k * (n - 1) /
+                                                        (kHosts - 1))));
+  }
+  std::vector<AsId> all_ases;
+  for (std::size_t i = 0; i < n; ++i) {
+    all_ases.push_back(AsId(static_cast<std::uint32_t>(i)));
+  }
+  constexpr SimTime kInterval = 0.01;
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Emulation se = builder.finalize();
+    ShardedEmulation pe = builder.finalize(shards);
+    ASSERT_GT(se.net->num_routers(), n);  // the expansion mask took effect
+
+    ASSERT_EQ(pe.wirings.size(), se.wirings.size());
+    for (std::size_t i = 0; i < se.wirings.size(); ++i) {
+      const core::AsWiring& want = se.wirings[i];
+      const core::AsWiring& got = pe.wirings[i];
+      EXPECT_EQ(got.as, want.as);
+      EXPECT_EQ(got.routers, want.routers);
+      ASSERT_EQ(got.egresses.size(), want.egresses.size());
+      for (std::size_t e = 0; e < want.egresses.size(); ++e) {
+        EXPECT_EQ(got.egresses[e].neighbor, want.egresses[e].neighbor);
+        EXPECT_EQ(got.egresses[e].router, want.egresses[e].router);
+        EXPECT_EQ(got.egresses[e].port, want.egresses[e].port);
+        EXPECT_EQ(got.egresses[e].rel, want.egresses[e].rel);
+      }
+      ASSERT_EQ(got.intra.size(), want.intra.size());
+      for (std::size_t e = 0; e < want.intra.size(); ++e) {
+        EXPECT_EQ(got.intra[e].from, want.intra[e].from);
+        EXPECT_EQ(got.intra[e].to, want.intra[e].to);
+        EXPECT_EQ(got.intra[e].port, want.intra[e].port);
+      }
+    }
+
+    ASSERT_EQ(pe.hosts.size(), kHosts);
+    ASSERT_EQ(se.hosts.size(), kHosts);
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      EXPECT_EQ(pe.hosts[h].host, se.hosts[h].host);
+      EXPECT_EQ(pe.hosts[h].as, se.hosts[h].as);
+      EXPECT_EQ(pe.hosts[h].router, se.hosts[h].router);
+      EXPECT_EQ(pe.hosts[h].port, se.hosts[h].port);
+      EXPECT_EQ(pe.hosts[h].addr, se.hosts[h].addr);
+    }
+
+    ASSERT_EQ(pe.daemons.size(), se.daemons.size());
+    for (std::size_t i = 0; i < se.daemons.size(); ++i) {
+      const auto want = se.daemons[i]->prefixes();
+      const auto got = pe.daemons[i]->prefixes();
+      ASSERT_EQ(got.size(), want.size()) << "AS" << i;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].prefix, want[k].prefix);
+        EXPECT_EQ(got[k].default_neighbor, want[k].default_neighbor);
+        EXPECT_EQ(got[k].alternatives, want[k].alternatives);
+      }
+    }
+    expect_same_fibs(se, pe);
+
+    se.enable_mifo(all_ases, dp::RouterConfig{}, kInterval);
+    pe.enable_mifo(all_ases, dp::RouterConfig{}, kInterval);
+    se.net->run_until(3 * kInterval);
+    pe.net->run_until(3 * kInterval);
+    std::size_t elected = 0;
+    for (std::size_t i = 0; i < se.daemons.size(); ++i) {
+      for (const core::PrefixRoutes& pr : se.daemons[i]->prefixes()) {
+        const AsId want = se.daemons[i]->elected_alt(pr.prefix);
+        EXPECT_EQ(pe.daemons[i]->elected_alt(pr.prefix), want)
+            << "AS" << i << " prefix " << pr.prefix;
+        elected += want.valid() ? 1 : 0;
+      }
+    }
+    EXPECT_GT(elected, 0u);
+    expect_same_fibs(se, pe);
+  }
+}
+
 TEST(ShardedDifferential, ShardedRunsAreReproducible) {
   ScaledParams p = small_scaled_params();
   p.num_shards = 4;
@@ -123,7 +233,7 @@ TEST(ShardedDifferential, Fig11DeflectionMatchesSerialUnderMifo) {
 
   for (const std::size_t shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedEmulationBuilder builder(g, expand);
+    EmulationBuilder builder(g, expand);
     builder.attach_host(ids.as1);
     builder.attach_host(ids.as2);
     builder.attach_host(ids.as5);

@@ -12,7 +12,6 @@
 #include <memory>
 #include <sstream>
 
-#include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/artifact.hpp"
 #include "obs/exposition.hpp"
@@ -566,30 +565,6 @@ TEST(Exposition, DumpServiceConsumesRequests) {
   EXPECT_TRUE(dump_requested());
   EXPECT_TRUE(ds.service());   // consumed...
   EXPECT_FALSE(ds.service());  // ...exactly once
-}
-
-// --- log spec parsing (MIFO_LOG) --------------------------------------------
-
-TEST(LogSpec, ParsesLevelAndComponent) {
-  const LogSpec spec = parse_log_spec("debug:dp.router", LogLevel::Info);
-  EXPECT_EQ(spec.level, LogLevel::Debug);
-  EXPECT_EQ(spec.component_prefix, "dp.router");
-}
-
-TEST(LogSpec, LevelOnly) {
-  const LogSpec spec = parse_log_spec("warn", LogLevel::Info);
-  EXPECT_EQ(spec.level, LogLevel::Warn);
-  EXPECT_TRUE(spec.component_prefix.empty());
-}
-
-TEST(LogSpec, UnknownLevelFallsBack) {
-  const LogSpec spec = parse_log_spec("chatty:dp", LogLevel::Error);
-  EXPECT_EQ(spec.level, LogLevel::Error);
-  EXPECT_EQ(spec.component_prefix, "dp");
-}
-
-TEST(LogSpec, OffSilencesEverything) {
-  EXPECT_EQ(parse_log_spec("off", LogLevel::Info).level, LogLevel::Off);
 }
 
 }  // namespace

@@ -12,16 +12,16 @@
 //                                                   # expects a caught cycle
 //
 // Exit status: 0 = every snapshot safe, 1 = usage/input error (including a
-// --topo line topo::parse rejects), 2 = violation found (a counterexample
-// cycle or lint issue, attributed to the event that triggered it) or a
-// cyclic provider hierarchy, which is outside the loop-freedom theorem's
-// premise (verdict PREMISE-VIOLATED, nothing is run). Artifacts
-// (mifo.run_artifact.v1 with a `chaos` section) land in MIFO_ARTIFACT_DIR;
-// the run is bit-reproducible for a fixed (topology, seed, plan).
+// malformed numeric flag and a --topo line topo::parse rejects), 2 =
+// violation found (a counterexample cycle or lint issue, attributed to the
+// event that triggered it) or a cyclic provider hierarchy, which is outside
+// the loop-freedom theorem's premise (verdict PREMISE-VIOLATED, nothing is
+// run). Artifacts (mifo.run_artifact.v1 with a `chaos` section) land in
+// MIFO_ARTIFACT_DIR; the run is bit-reproducible for a fixed (topology,
+// seed, plan).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "common/rng.hpp"
+#include "flags.hpp"
 #include "obs/artifact.hpp"
 #include "obs/exposition.hpp"
 #include "obs/registry.hpp"
@@ -41,6 +42,8 @@
 using namespace mifo;
 
 namespace {
+
+constexpr const char* kTool = "mifo-chaos";
 
 struct Options {
   std::string topo_file;
@@ -107,19 +110,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--topo" && (v = next())) {
       opt.topo_file = v;
     } else if (arg == "--ases" && (v = next())) {
-      opt.ases = static_cast<std::size_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.ases)) return false;
     } else if (arg == "--seed" && (v = next())) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.seed)) return false;
     } else if (arg == "--duration" && (v = next())) {
-      opt.duration = std::atof(v);
+      if (!tools::parse_flag(kTool, arg, v, opt.duration)) return false;
     } else if (arg == "--rate" && (v = next())) {
-      opt.rate = std::atof(v);
+      if (!tools::parse_flag(kTool, arg, v, opt.rate)) return false;
     } else if (arg == "--mttr" && (v = next())) {
-      opt.mttr = std::atof(v);
+      if (!tools::parse_flag(kTool, arg, v, opt.mttr)) return false;
     } else if (arg == "--dests" && (v = next())) {
-      opt.dests = static_cast<std::size_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.dests)) return false;
     } else if (arg == "--flows" && (v = next())) {
-      opt.flows = static_cast<std::size_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.flows)) return false;
     } else if (arg == "--verify-mode" && (v = next())) {
       const std::string mode = v;
       if (mode == "full") {
@@ -143,7 +146,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "-q") {
       opt.quiet = true;
     } else {
-      usage(argv[0]);
       return false;
     }
   }

@@ -18,7 +18,6 @@
 // of byte-identical artifacts are themselves byte-identical.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -26,11 +25,14 @@
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/artifact.hpp"
 
 using namespace mifo;
 
 namespace {
+
+constexpr const char* kTool = "mifo-trace";
 
 struct Options {
   std::string path;
@@ -62,12 +64,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
     };
     const char* v = nullptr;
     if (arg == "--flow" && (v = next())) {
-      opt.flow = static_cast<std::uint64_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.flow)) return false;
       opt.have_flow = true;
     } else if (arg == "--flows" && (v = next())) {
-      opt.max_flows = static_cast<std::size_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.max_flows)) return false;
     } else if (arg == "--links" && (v = next())) {
-      opt.links = static_cast<std::size_t>(std::atoll(v));
+      if (!tools::parse_flag(kTool, arg, v, opt.links)) return false;
     } else if (arg == "--check") {
       opt.check = true;
     } else if (opt.path.empty() && !arg.empty() && arg[0] != '-') {

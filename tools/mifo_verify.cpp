@@ -15,14 +15,14 @@
 //                                              # prover differential
 //
 // Exit status: 0 = loop-free, valley-free and lint-clean, 1 = usage/input
-// error (including a --topo line topo::parse rejects), 2 = cycle / valley /
-// blackhole found, lint issues, a cyclic provider hierarchy (outside the
-// loop-freedom theorem's premise; verdict PREMISE-VIOLATED), or (under
-// --incremental) an incremental-vs-full differential mismatch.
+// error (including a malformed numeric flag and a --topo line topo::parse
+// rejects), 2 = cycle / valley / blackhole found, lint issues, a cyclic
+// provider hierarchy (outside the loop-freedom theorem's premise; verdict
+// PREMISE-VIOLATED), or (under --incremental) an incremental-vs-full
+// differential mismatch.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "dataplane/change_log.hpp"
+#include "flags.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/analysis.hpp"
 #include "topo/generator.hpp"
@@ -44,6 +45,8 @@
 using namespace mifo;
 
 namespace {
+
+constexpr const char* kTool = "mifo-verify";
 
 struct Options {
   std::string topo_file;
@@ -92,16 +95,13 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.topo_file = v;
     } else if (arg == "--gen") {
       const char* v = next();
-      if (!v) return false;
-      opt.gen_ases = static_cast<std::size_t>(std::atoll(v));
+      if (!v || !tools::parse_flag(kTool, arg, v, opt.gen_ases)) return false;
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !tools::parse_flag(kTool, arg, v, opt.seed)) return false;
     } else if (arg == "--dests") {
       const char* v = next();
-      if (!v) return false;
-      opt.dests = static_cast<std::size_t>(std::atoll(v));
+      if (!v || !tools::parse_flag(kTool, arg, v, opt.dests)) return false;
     } else if (arg == "--expand-tier1") {
       opt.expand_tier1 = true;
     } else if (arg == "--mutate-valley") {
@@ -116,7 +116,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "-q") {
       opt.quiet = true;
     } else {
-      usage(argv[0]);
       return false;
     }
   }
@@ -201,8 +200,8 @@ int main(int argc, char** argv) {
   // only the dirtied destinations and must match the full provers exactly.
   dp::ChangeLog change_log;
   verify::ChangeSet changes;
-  verify::IncrementalVerifier inc(verify::IncrementalConfig{
-      .lint = true, .valley = true, .blackhole = opt.blackhole});
+  verify::IncrementalVerifier inc(
+      verify::IncrementalConfig{.blackhole = opt.blackhole});
   if (opt.incremental) {
     net.attach_change_log(&change_log);
     const auto cold = inc.check(net, g, em.daemons, owners, changes);
