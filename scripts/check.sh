@@ -6,7 +6,7 @@
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
 # once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), the
-# verify/chaos/topo suites under ASan+UBSan, and the gcov coverage leg
+# verify/chaos/topo/core suites under ASan+UBSan, and the gcov coverage leg
 # (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
 #
 #   scripts/check.sh [build_dir] [tsan_build_dir] [ubsan_build_dir] [cov_dir]
@@ -268,9 +268,18 @@ flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --duration 0.2x \
   2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-chaos: malformed --duration exit $rc"; exit 1; }
 grep -q -- "--duration: invalid value '0.2x'" <<< "$flag_err"
+# A plan event naming an AS outside the topology is an input error (exit 1)
+# naming the event, not an out-of-bounds index into the per-AS state.
+printf 'duration 0.5\nat 0.1 ibgp-drop 99999\n' > "$artifact_dir/bad_as_plan.txt"
+rc=0
+plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/bad_as_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: out-of-range plan AS exit $rc"; exit 1; }
+grep -q "ibgp-drop 99999' names an AS outside the 36-AS topology" \
+  <<< "$plan_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
-     "malformed flag refused"
+     "malformed flag and out-of-range plan AS refused"
 
 echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
 # --check proves the merged timeline is epoch-monotone and every span
@@ -525,12 +534,14 @@ cmake -B "$ubsan_dir" -S . -DMIFO_SANITIZE=undefined
 cmake --build "$ubsan_dir" -j "$jobs"
 ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 
-echo "=== ASan+UBSan: verify, chaos and topo suites (${asan_dir}) ==="
+echo "=== ASan+UBSan: verify, chaos, topo and core suites (${asan_dir}) ==="
 # Memory errors (use-after-free, overflow, leaks) in the verifier, the chaos
-# engine and the topology parser, which take untrusted input.
+# engine and the topology parser, which take untrusted input, and in the
+# MIFO daemon, which indexes dense per-AS tables by computed offsets.
 cmake -B "$asan_dir" -S . -DMIFO_SANITIZE=address,undefined
-cmake --build "$asan_dir" -j "$jobs" --target test_verify test_chaos test_topo
-for t in test_verify test_chaos test_topo; do
+cmake --build "$asan_dir" -j "$jobs" \
+  --target test_verify test_chaos test_topo test_core
+for t in test_verify test_chaos test_topo test_core; do
   "$asan_dir"/tests/"$t"
 done
 

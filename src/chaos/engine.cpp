@@ -438,19 +438,11 @@ void Engine::freeze_as(AsId as, bool freeze, std::string& detail) {
     nest_port_fault(back->router, back->port, freeze);
     ++ports;
   }
-  em_->daemons[as.value()]->set_frozen(freeze);
-  if (!freeze) {
-    // Restart loses the daemon-programmed state: alt ports come back only
-    // once the (unfrozen) daemon re-elects them on its next tick.
-    for (const RouterId r : wiring.routers) {
-      dp::Fib& fib = net.router(r).fib();
-      std::vector<dp::Addr> with_alt;
-      for (const auto& [dst, fe] : fib) {
-        if (fe.alt_port.valid()) with_alt.push_back(dst);
-      }
-      for (const dp::Addr dst : with_alt) fib.clear_alt(dst);
-    }
-  }
+  core::MifoDaemon& daemon = *em_->daemons[as.value()];
+  daemon.set_frozen(freeze);
+  // Restart loses the daemon-programmed state: alt ports come back only
+  // once the (unfrozen) daemon re-elects them on its next tick.
+  if (!freeze) daemon.restart(net);
   detail = std::to_string(wiring.routers.size()) + " routers, " +
            std::to_string(ports) + " ports " + (freeze ? "down" : "up");
 }
@@ -618,6 +610,7 @@ std::pair<bool, std::string> Engine::apply(const Event& ev) {
 
 Report Engine::run(const Plan& plan) {
   MIFO_EXPECTS(em_ != nullptr);
+  MIFO_EXPECTS(!validate_plan(plan, g_->num_ases()));
   dp::Network& net = *em_->net;
   Report report;
   report.verify_mode = cfg_.verify_mode;

@@ -162,7 +162,8 @@ class Engine {
   void attach_registry(obs::Registry& reg, const std::string& labels);
 
   /// Runs the plan to completion (events, snapshots, final drain) and
-  /// returns the report. Call once per engine.
+  /// returns the report. Call once per engine, with a plan that passes
+  /// validate_plan for the engine's topology.
   [[nodiscard]] Report run(const Plan& plan);
 
   [[nodiscard]] RouteController& route_controller() { return route_ctl_; }

@@ -278,6 +278,33 @@ std::string format_plan(const Plan& plan) {
   return out;
 }
 
+std::optional<Event> validate_plan(const Plan& plan, std::size_t num_ases) {
+  const auto outside = [num_ases](AsId as) { return as.value() >= num_ases; };
+  for (const Event& ev : plan.events) {
+    switch (ev.kind) {
+      case EventKind::LinkDown:
+      case EventKind::LinkUp:
+      case EventKind::Degrade:
+      case EventKind::Restore:
+      case EventKind::Burst:
+        if (outside(ev.a) || outside(ev.b)) return ev;
+        break;
+      case EventKind::Withdraw:
+      case EventKind::Reannounce:
+      case EventKind::IbgpDrop:
+      case EventKind::IbgpRestore:
+      case EventKind::RouterFreeze:
+      case EventKind::RouterRestart:
+        if (outside(ev.a)) return ev;
+        break;
+      case EventKind::PlantValley:
+      case EventKind::PlantStaleRoute:
+        break;
+    }
+  }
+  return std::nullopt;
+}
+
 Plan generate_plan(const topo::AsGraph& g, const GenParams& params) {
   MIFO_EXPECTS(g.num_ases() >= 2);
   MIFO_EXPECTS(params.duration > 0.0);

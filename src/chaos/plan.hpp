@@ -94,6 +94,13 @@ struct Plan {
 /// Renders a plan back into the DSL (round-trips through parse_plan).
 [[nodiscard]] std::string format_plan(const Plan& plan);
 
+/// The first event that names an AS id outside a topology of `num_ases`
+/// ASes (a link endpoint, origin, frozen AS or burst endpoint), or nullopt
+/// when every event fits. The engine indexes its per-AS state by these ids,
+/// so a plan must pass this before it runs.
+[[nodiscard]] std::optional<Event> validate_plan(const Plan& plan,
+                                                 std::size_t num_ases);
+
 struct GenParams {
   std::uint64_t seed = 1;
   SimTime duration = 2.0;

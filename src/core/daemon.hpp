@@ -5,12 +5,23 @@
 //    the XORP module's "constantly collects available link capacity"),
 //   2. elects, per destination prefix, the alternative next-hop AS with the
 //      most spare capacity (the greedy selection of Section III-C),
-//   3. programs the `alt_port` of every router FIB in the AS so the
-//      forwarding engine can deflect at line speed, and
+//   3. reprograms the `alt_port` of every router FIB in the AS for the
+//      prefixes whose election changed, so the forwarding engine can deflect
+//      at line speed, and
 //   4. runs the routers' flow re-evaluation (hysteresis back to defaults).
+//
+// The greedy election depends only on a prefix's set of candidate egresses,
+// so prefixes that share an alternative set share a class and the daemon
+// elects once per class. It writes a prefix's alt ports only when its
+// class's choice differs from what it last wrote there, so it owns the alt
+// ports: any other writer must make it forget (restart, forget,
+// update_prefix, remove_prefix) — DESIGN.md §5.4b.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/link_monitor.hpp"
@@ -59,14 +70,15 @@ struct PrefixRoutes {
 
 class MifoDaemon {
  public:
-  MifoDaemon(AsWiring wiring, std::vector<PrefixRoutes> prefixes)
-      : wiring_(std::move(wiring)), prefixes_(std::move(prefixes)) {}
+  /// `wiring` has at most one egress per neighbor AS (EmulationBuilder wires
+  /// one eBGP link per adjacency).
+  MifoDaemon(AsWiring wiring, std::vector<PrefixRoutes> prefixes);
 
   /// Periodic daemon work; wire into Network::add_periodic.
   void tick(dp::Network& net, SimTime now);
 
-  /// The alternative neighbor currently elected for a prefix (invalid when
-  /// none programmed). Exposed for tests and examples.
+  /// The alternative neighbor whose alt ports the daemon last programmed
+  /// for a prefix (invalid when none is). Exposed for tests and examples.
   [[nodiscard]] AsId elected_alt(dp::Addr prefix) const;
 
   [[nodiscard]] const AsWiring& wiring() const { return wiring_; }
@@ -87,6 +99,15 @@ class MifoDaemon {
   /// programmed (the FIB default eviction is the route controller's job).
   void remove_prefix(dp::Network& net, dp::Addr prefix);
 
+  /// The AS's routers restarted and lost their alt state: clears every alt
+  /// port on them and forgets what the daemon wrote, so its next tick
+  /// reprograms every election.
+  void restart(dp::Network& net);
+
+  /// Another writer set `prefix`'s alt ports behind the daemon's back (the
+  /// planted valley ring): the next tick rewrites the prefix's election.
+  void forget(dp::Addr prefix);
+
   /// A frozen daemon skips its ticks entirely (router/XORP process crash);
   /// forwarding continues on whatever state was last programmed.
   void set_frozen(bool frozen) { frozen_ = frozen; }
@@ -99,13 +120,55 @@ class MifoDaemon {
   [[nodiscard]] bool stale() const { return stale_; }
 
  private:
-  void program_alt(dp::Network& net, const PrefixRoutes& pr, AsId choice);
+  /// An egress index, or no egress: an alt-set class with every candidate
+  /// down, a prefix that never elects, a cleared prefix.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+  /// A prefix whose alt ports the daemon does not know: the next tick
+  /// writes its election whatever it is.
+  static constexpr std::uint32_t kUnwritten = UINT32_MAX - 1;
+  /// A prefix whose class the next rescan resolves. A daemon resolves its
+  /// prefixes on its first tick, not at construction: EmulationBuilder
+  /// makes a daemon for every AS, and only the enabled ones tick.
+  static constexpr std::uint32_t kUnresolved = UINT32_MAX - 2;
+
+  /// Prefixes whose alternatives resolve to the same egresses.
+  struct AltClass {
+    std::vector<std::uint32_t> egresses;  ///< candidates, ascending
+    std::uint32_t choice = kNone;         ///< elected egress on the last tick
+    std::vector<std::uint32_t> members;   ///< prefix indexes, ascending
+  };
+  /// Election state of prefixes_[i].
+  struct Slot {
+    std::uint32_t cls = kUnresolved;  ///< kNone: local or no alternatives
+    std::uint32_t written = kUnwritten;  ///< egress last programmed
+  };
+
+  /// The class of `pr`'s alternative set (kNone when it never elects). A
+  /// class it creates is elected on this tick's spare capacity.
+  [[nodiscard]] std::uint32_t class_of(const PrefixRoutes& pr);
+  [[nodiscard]] std::uint32_t elect(const AltClass& cls) const;
+  void write(dp::Network& net, std::uint32_t i);
+  void program_alt(dp::Network& net, dp::Addr prefix, std::uint32_t egress);
   void clear_alt(dp::Network& net, dp::Addr prefix);
+  /// Position of `prefix` in prefixes_, prefixes_.size() when unknown.
+  [[nodiscard]] std::size_t index_of(dp::Addr prefix) const;
 
   AsWiring wiring_;
   std::vector<PrefixRoutes> prefixes_;
+  std::vector<Slot> slots_;  ///< parallel to prefixes_
+  std::vector<AltClass> classes_;
+  std::map<std::vector<std::uint32_t>, std::uint32_t> class_index_;
+  /// (neighbor, egress index), ascending by neighbor.
+  std::vector<std::pair<AsId, std::uint32_t>> egress_of_;
+  /// routers x egresses: the port router i forwards on towards egress e.
+  std::vector<PortId> port_towards_;
+  /// Per router, port value -> the egress on that port (kNone otherwise).
+  std::vector<std::vector<std::uint32_t>> egress_at_;
+  /// Slots or class members went stale: the next tick walks every prefix.
+  bool rescan_ = true;
   LinkMonitor monitor_;
-  std::vector<std::pair<dp::Addr, AsId>> elected_;
+  std::vector<Mbps> spare_;         ///< per egress, this tick
+  std::vector<std::uint32_t> key_;  ///< class_of's reused key buffer
   bool frozen_ = false;
   bool stale_ = false;
 };

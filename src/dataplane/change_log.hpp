@@ -6,9 +6,13 @@
 // port's link state flipped, a router config knob flipped, or a daemon's
 // per-prefix RIB knowledge changed. A ChangeLog attached to a Network (see
 // Network::attach_change_log) captures exactly the *value-changing* subset
-// of those writes — the MIFO daemon re-programs identical alt ports on
-// every tick, so recording raw write traffic would dirty every destination
-// every 10 ms and incrementality would buy nothing.
+// of those writes. The MIFO daemon writes alt ports only when an election
+// changes, but other writers still rewrite values the FIB already holds:
+// the re-announcement install pass sets the owner's local routes again,
+// the daemon clears a prefix's alt ports on every router of its AS when its
+// RIB knowledge changes (most hold none), and after the daemon forgets
+// what it wrote its next tick rewrites every election. Recording raw write
+// traffic would dirty destinations no write changed.
 //
 // The log is drained (moved out and cleared) by verify::ChangeSet at each
 // quiescent point; dataplane code only appends.

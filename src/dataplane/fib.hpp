@@ -49,14 +49,15 @@ class Fib {
     return n;
   }
 
-  /// Iteration support for the daemon's refresh pass.
+  /// Iteration support (the daemon's restart wipe, the verifier).
   [[nodiscard]] auto begin() const { return table_.begin(); }
   [[nodiscard]] auto end() const { return table_.end(); }
 
   /// Mirror value-changing writes into `log` as FibChange records tagged
-  /// with `self` (the owning router). The daemon rewrites identical alt
-  /// ports every tick, so only writes that actually change the entry are
-  /// recorded — see dataplane/change_log.hpp. nullptr detaches.
+  /// with `self` (the owning router). Only writes that actually change the
+  /// entry are recorded: the re-announcement install pass and the daemon's
+  /// clears still write values the FIB already holds — see
+  /// dataplane/change_log.hpp. nullptr detaches.
   void attach_change_log(ChangeLog* log, RouterId self) {
     change_log_ = log;
     self_ = self;

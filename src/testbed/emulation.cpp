@@ -94,10 +94,12 @@ ValleyRing plant_valley_ring(Emulation& em, const topo::AsGraph& g) {
     }
     egresses.push_back(eg);
   }
-  for (const auto* eg : egresses) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto* eg = egresses[i];
     net.router(eg->router).fib().set_alt(out.dst, eg->port);
     net.router(eg->router).config().enforce_tag_check = false;
     if (auto* log = net.change_log()) log->note_config(eg->router);
+    em.daemons[ring[i].value()]->forget(out.dst);
   }
   out.ring = ring;
   return out;

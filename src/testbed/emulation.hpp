@@ -77,7 +77,9 @@ struct ValleyRing {
 /// triangle of `g`, points each ring AS's alt port clockwise along the ring
 /// for one prefix owned outside it, and disables the Tag-Check on those
 /// routers — the state Eq. 3 exists to forbid. Config writes bypass the FIB
-/// hooks, so they are noted on the network's change log by hand.
+/// hooks, so they are noted on the network's change log by hand. Each ring
+/// AS's daemon forgets `dst`, so its next tick writes its own election back
+/// over the planted alt port.
 [[nodiscard]] ValleyRing plant_valley_ring(Emulation& em,
                                            const topo::AsGraph& g);
 

@@ -131,6 +131,54 @@ TEST(ChaosEngine, FreezeRestartAndIbgpStalenessApply) {
   EXPECT_FALSE(f.em.daemons[stale.value()]->stale());
 }
 
+TEST(ChaosEngine, RestartedDaemonReprogramsItsAltPorts) {
+  Fixture f = Fixture::make(8);
+  // An AS that elects an alternative for some prefix.
+  AsId frozen = AsId::invalid();
+  for (const auto& d : f.em.daemons) {
+    for (const core::PrefixRoutes& pr : d->prefixes()) {
+      if (pr.default_neighbor.valid() && !pr.alternatives.empty()) {
+        frozen = d->wiring().as;
+      }
+    }
+    if (frozen.valid()) break;
+  }
+  ASSERT_TRUE(frozen.valid());
+  const Plan plan = parse_or_die("duration 0.4\nfail 0.1 mttr 0.1 router " +
+                                 std::to_string(frozen.value()) + "\n");
+  Engine engine(f.em, f.g);
+  EXPECT_TRUE(engine.run(plan).safe);
+
+  // The restart wiped the AS's alt ports; the daemon's next tick must put
+  // back every one its election implies, although the election itself did
+  // not change. Every other daemon's FIBs follow its election too.
+  std::size_t reprogrammed = 0;
+  for (const auto& d : f.em.daemons) {
+    const core::AsWiring& w = d->wiring();
+    for (const core::PrefixRoutes& pr : d->prefixes()) {
+      const AsId alt = d->elected_alt(pr.prefix);
+      const auto* eg = alt.valid() ? w.egress_to(alt) : nullptr;
+      for (const RouterId r : w.routers) {
+        const auto fe = f.em.net->router(r).fib().lookup(pr.prefix);
+        if (!fe) continue;
+        EXPECT_EQ(fe->alt_port, eg != nullptr
+                                    ? w.port_towards(r, eg->router, eg->port)
+                                    : PortId::invalid())
+            << "AS " << w.as.value() << " prefix " << pr.prefix;
+        reprogrammed += w.as == frozen && fe->alt_port.valid() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(reprogrammed, 0u);
+}
+
+TEST(ChaosEngine, PlanNamingAnAsOutsideTheTopologyIsRefused) {
+  Fixture f = Fixture::make(8);
+  const Plan plan = parse_or_die("duration 0.2\nat 0.1 ibgp-drop 99999\n");
+  Engine engine(f.em, f.g);
+  EXPECT_DEATH((void)engine.run(plan), "Precondition");
+}
+
 TEST(ChaosEngine, BurstInjectsFlows) {
   Fixture f = Fixture::make(9);
   const std::size_t before = f.em.net->flows().size();

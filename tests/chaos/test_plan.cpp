@@ -153,6 +153,53 @@ TEST(ChaosPlan, NormalizeSortsStably) {
   EXPECT_EQ(p.events[2].kind, EventKind::Burst);
 }
 
+// One plan line per event kind that names an AS, with one id outside a
+// 36-AS topology. mifo-chaos once indexed its per-AS state with these ids
+// unchecked: ibgp-drop, freeze and link-down crashed with SIGSEGV, while
+// withdraw and burst ran to exit 0 on a plan that named no real AS.
+class PlanOutsideTopology : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PlanOutsideTopology, ValidateNamesTheOffendingEvent) {
+  constexpr std::size_t kAses = 36;
+  const std::string bad = std::string("at 0.2 ") + GetParam() + "\n";
+  std::string error;
+  const auto plan =
+      parse_plan("duration 1.0\nat 0.1 link-down 1 2\n" + bad, error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  const auto offending = validate_plan(*plan, kAses);
+  ASSERT_TRUE(offending.has_value());
+  EXPECT_EQ(offending->to_string(), plan->events[1].to_string());
+  // The first event alone fits.
+  Plan ok = *plan;
+  ok.events.pop_back();
+  EXPECT_FALSE(validate_plan(ok, kAses).has_value());
+  // Every id is in range once the topology is large enough.
+  EXPECT_FALSE(validate_plan(*plan, 4'000'001).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EventKinds, PlanOutsideTopology,
+    ::testing::Values("link-down 3 99999", "link-up 99999 3",
+                      "degrade 3 99999 0.5", "restore 99999 3",
+                      "withdraw 77777", "reannounce 77777",
+                      "ibgp-drop 99999", "ibgp-restore 99999",
+                      "freeze 4000000", "restart 4000000",
+                      "burst 0 99999 4 2.0", "burst 99999 0 4 2.0"));
+
+TEST(ChaosPlan, ValidateIgnoresKindsWithoutAsIds) {
+  std::string error;
+  const auto plan = parse_plan(
+      "duration 1.0\nat 0.1 plant-valley\nat 0.2 plant-stale-route\n", error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_FALSE(validate_plan(*plan, 4).has_value());
+  // A hand-built event that never set its AS is outside any topology.
+  Plan p;
+  Event ev;
+  ev.kind = EventKind::Withdraw;
+  p.events.push_back(ev);
+  EXPECT_TRUE(validate_plan(p, 36).has_value());
+}
+
 class GeneratorProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GeneratorProperty, DeterministicAndWellFormed) {

@@ -151,5 +151,39 @@ TEST_F(DaemonFixture, TickRunsFlowReevaluation) {
   EXPECT_EQ(net.router(ra).pinned_alt_flows(), 0u);
 }
 
+TEST_F(DaemonFixture, FlowReevaluationReadsEachRoutersOwnEgresses) {
+  // rb's pin must follow rb's own egress (e2), not ra's (e1): both sit on
+  // port 0 of their router.
+  ASSERT_EQ(e1, e2);
+  MifoDaemon daemon(wiring, prefixes());
+  daemon.tick(net, 0.0);  // primes the monitor, programs rb's alt (e2)
+  ASSERT_EQ(net.router(rb).fib().lookup(kPrefix)->alt_port, e2);
+  net.router(rb).config().mifo_enabled = true;
+  // Congest rb's default (its intra link to ra) so a packet pins to e2.
+  for (int i = 0; i < 61; ++i) {
+    dp::Packet filler;
+    filler.dst = kPrefix;
+    filler.flow = FlowId(99);
+    filler.size_bytes = 1000;
+    net.transmit_router(rb, wiring.intra_port(rb, ra), filler);
+  }
+  dp::Packet p;
+  p.dst = kPrefix;
+  p.flow = FlowId(7);
+  p.size_bytes = 1000;
+  p.mifo_tag = true;
+  net.router(rb).handle_packet(net, p, PortId::invalid());
+  ASSERT_EQ(net.router(rb).pinned_alt_flows(), 1u);
+
+  // rb's own egress busy (~800 Mbps of 1 Gbps): the pin stays.
+  load_egress(e2, rb, 10'000'000);
+  daemon.tick(net, 0.1);
+  EXPECT_EQ(net.router(rb).pinned_alt_flows(), 1u);
+  // Now only ra's egress is busy: rb's flows return to the default.
+  load_egress(e1, ra, 10'000'000);
+  daemon.tick(net, 0.2);
+  EXPECT_EQ(net.router(rb).pinned_alt_flows(), 0u);
+}
+
 }  // namespace
 }  // namespace mifo::core

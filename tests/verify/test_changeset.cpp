@@ -1,7 +1,8 @@
 // Unit tests of the change-recording layer that feeds incremental
 // verification: the dp::ChangeLog hooks in Fib/Network/MifoDaemon (which
-// must record value changes only — the daemon rewrites identical alt ports
-// every tick), and the verify::ChangeSet dirty mapping, including the
+// must record value changes only — the re-announcement install pass and the
+// daemon's clears rewrite values the FIB already holds), and the
+// verify::ChangeSet dirty mapping, including the
 // port-flip invariance the whole design rests on: Port::up never reaches
 // the deflection graph, so link faults alone dirty nothing.
 
@@ -69,7 +70,8 @@ TEST(ChangeLog, FibHooksRecordOnlyValueChanges) {
   dp::Fib& fib = net.router(r).fib();
   const dp::FibEntry before = *fib.lookup(dst);
 
-  // Identical rewrites — the daemon does this every tick — record nothing.
+  // Identical rewrites — the install pass and the daemon's clears do this —
+  // record nothing.
   fib.set_route(dst, before.out_port);
   fib.set_alt(dst, before.alt_port);
   if (!before.alt_port.valid()) fib.clear_alt(dst);

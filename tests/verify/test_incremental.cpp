@@ -175,8 +175,8 @@ TEST(Incremental, PortFlipsAndNoOpTicksAreFree) {
   verify::ChangeSet cs;
   (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
 
-  // The daemon rewrites the same alt ports every tick; value-change-only
-  // hooks must keep the log empty so the snapshot is pure cache.
+  // A steady-state tick changes no election, so the daemon writes nothing
+  // and the log stays empty: the snapshot is pure cache.
   for (const auto& daemon : d.em.daemons) daemon->tick(net, 0.01);
   EXPECT_TRUE(log.empty()) << "steady-state tick dirtied the change log";
 
@@ -375,8 +375,9 @@ TEST_P(IncrementalProperty, RandomMutationSequenceNeverDiverges) {
       }
     }
     // Occasionally let the control plane reconverge, like the chaos
-    // engine's reconv delay does; the daemons then rewrite only what the
-    // mutations actually changed.
+    // engine's reconv delay does; the daemons then rewrite the elections
+    // that changed, and alt ports the mutations set behind their backs stay
+    // as arbitrary state the provers must agree on.
     if (rng.bernoulli(0.25)) {
       for (const auto& daemon : d.em.daemons) {
         daemon->tick(net, 0.02 * (step + 1));

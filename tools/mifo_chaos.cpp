@@ -12,7 +12,8 @@
 //                                                   # expects a caught cycle
 //
 // Exit status: 0 = every snapshot safe, 1 = usage/input error (including a
-// malformed numeric flag and a --topo line topo::parse rejects), 2 =
+// malformed numeric flag, a --topo line topo::parse rejects and a plan
+// event naming an AS outside the topology), 2 =
 // violation found (a counterexample cycle or lint issue, attributed to the
 // event that triggered it) or a cyclic provider hierarchy, which is outside
 // the loop-freedom theorem's premise (verdict PREMISE-VIOLATED, nothing is
@@ -327,6 +328,13 @@ int main(int argc, char** argv) {
     ev.kind = chaos::EventKind::PlantStaleRoute;
     plan.events.push_back(ev);
     plan.normalize();
+  }
+  if (const auto bad = chaos::validate_plan(plan, n)) {
+    std::fprintf(stderr,
+                 "mifo-chaos: plan event '%s' names an AS outside the "
+                 "%zu-AS topology\n",
+                 bad->to_string().c_str(), n);
+    return 1;
   }
   if (opt.print_plan) std::printf("%s", chaos::format_plan(plan).c_str());
 
