@@ -6,8 +6,8 @@
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
 # once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), the
-# verify/chaos/topo/core suites under ASan+UBSan, and the gcov coverage leg
-# (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
+# verify/chaos/topo/core/obs suites under ASan+UBSan, and the gcov coverage
+# leg (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
 #
 #   scripts/check.sh [build_dir] [tsan_build_dir] [ubsan_build_dir] [cov_dir]
 #                    [asan_build_dir]
@@ -304,8 +304,31 @@ flag_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   --flow 3x 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-trace: malformed --flow exit $rc"; exit 1; }
 grep -q -- "--flow: invalid value '3x'" <<< "$flag_err"
+# Hostile artifacts are input errors (exit 1) with a message, never an abort
+# (134), a stack overflow (139) or a pass (0): nesting past the parser's cap,
+# a section of the wrong kind, and --check on events that are bare numbers.
+python3 -c "print('[' * 200000)" > "$artifact_dir/deep.json"
+printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":5}}' \
+  > "$artifact_dir/bad_shape.json"
+printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[1,2,3]}}' \
+  > "$artifact_dir/bare_events.json"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/deep.json" 2>&1 \
+  >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: deep nesting exit $rc"; exit 1; }
+grep -q "malformed JSON" <<< "$trace_err"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/bad_shape.json" \
+  2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: wrong shape exit $rc"; exit 1; }
+grep -q "timeline.events: expected an array" <<< "$trace_err"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace --check \
+  "$artifact_dir/bare_events.json" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: bare events exit $rc"; exit 1; }
+grep -q "timeline.events\[0\]" <<< "$trace_err"
 echo "mifo-trace OK: timeline checked, rendering byte-reproducible," \
-     "malformed flag refused"
+     "malformed flag, deep nesting, wrong shape and bare events refused"
 
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
@@ -517,7 +540,7 @@ echo "=== TSan: thread-pool + fluid-sim + sharded-plane + delta-route tests (${t
 cmake -B "$tsan_dir" -S . -DMIFO_SANITIZE=thread
 cmake --build "$tsan_dir" -j "$jobs" \
   --target test_common test_sim test_dataplane test_integration test_bgp
-"$tsan_dir"/tests/test_common --gtest_filter='ThreadPool.*:ParallelFor.*:GlobalPool.*:SpscRing.*'
+"$tsan_dir"/tests/test_common --gtest_filter='ThreadPool.*:ParallelFor.*:SpscRing.*'
 "$tsan_dir"/tests/test_sim --gtest_filter='FluidSim.*'
 "$tsan_dir"/tests/test_dataplane --gtest_filter='ShardedNetwork.*'
 "$tsan_dir"/tests/test_integration --gtest_filter='ShardedDifferential.*:ShardedFlightRecorder.*'
@@ -534,14 +557,15 @@ cmake -B "$ubsan_dir" -S . -DMIFO_SANITIZE=undefined
 cmake --build "$ubsan_dir" -j "$jobs"
 ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 
-echo "=== ASan+UBSan: verify, chaos, topo and core suites (${asan_dir}) ==="
+echo "=== ASan+UBSan: verify/chaos/topo/core/obs suites (${asan_dir}) ==="
 # Memory errors (use-after-free, overflow, leaks) in the verifier, the chaos
-# engine and the topology parser, which take untrusted input, and in the
-# MIFO daemon, which indexes dense per-AS tables by computed offsets.
+# engine, the topology parser and the JSON parser, which take untrusted
+# input, and in the MIFO daemon, which indexes dense per-AS tables by
+# computed offsets.
 cmake -B "$asan_dir" -S . -DMIFO_SANITIZE=address,undefined
 cmake --build "$asan_dir" -j "$jobs" \
-  --target test_verify test_chaos test_topo test_core
-for t in test_verify test_chaos test_topo test_core; do
+  --target test_verify test_chaos test_topo test_core test_obs
+for t in test_verify test_chaos test_topo test_core test_obs; do
   "$asan_dir"/tests/"$t"
 done
 

@@ -17,9 +17,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 export MIFO_ARTIFACT_DIR="${MIFO_ARTIFACT_DIR:--}"
 
 benches=(
-  bench_forwarding_engine
   bench_maxmin
-  bench_fig5_throughput_deployment
   bench_sharded_plane
   bench_verify_incremental
   bench_route_delta

@@ -55,15 +55,6 @@ RouterId IbgpPlan::border_towards(AsId as, AsId neighbor) const {
   return it->second;
 }
 
-std::vector<RouterId> IbgpPlan::ibgp_peers(RouterId id) const {
-  const BorderRouter& r = router(id);
-  std::vector<RouterId> peers;
-  for (RouterId other : per_as_[r.as.value()]) {
-    if (other != id) peers.push_back(other);
-  }
-  return peers;
-}
-
 bool IbgpPlan::expanded(AsId as) const {
   MIFO_EXPECTS(as.value() < expanded_.size());
   return expanded_[as.value()];

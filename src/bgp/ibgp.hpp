@@ -34,9 +34,6 @@ class IbgpPlan {
   /// that adjacency). For collapsed ASes this is the AS's single router.
   [[nodiscard]] RouterId border_towards(AsId as, AsId neighbor) const;
 
-  /// iBGP peers of a router = all other routers of the same AS (full mesh).
-  [[nodiscard]] std::vector<RouterId> ibgp_peers(RouterId id) const;
-
   [[nodiscard]] bool expanded(AsId as) const;
 
  private:

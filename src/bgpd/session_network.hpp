@@ -16,7 +16,6 @@ class SessionNetwork {
 
   [[nodiscard]] Speaker& speaker(AsId as);
   [[nodiscard]] const Speaker& speaker(AsId as) const;
-  [[nodiscard]] std::size_t num_speakers() const { return speakers_.size(); }
 
   /// Originate one AS's prefix (enqueues its announcements).
   void originate(AsId as);

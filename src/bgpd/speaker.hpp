@@ -58,9 +58,6 @@ class Speaker {
   /// All Adj-RIB-In entries for a prefix (MIFO's alternative paths).
   [[nodiscard]] std::vector<RibIn> rib_in(AsId dest) const;
 
-  /// Number of prefixes with any state.
-  [[nodiscard]] std::size_t known_prefixes() const { return table_.size(); }
-
   // Telemetry.
   std::uint64_t updates_received = 0;
   std::uint64_t updates_sent = 0;

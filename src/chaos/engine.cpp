@@ -172,7 +172,6 @@ Engine::Engine(testbed::Emulation& em, const topo::AsGraph& g,
 }
 
 void Engine::attach_registry(obs::Registry& reg, const std::string& labels) {
-  reg_ = &reg;
   m_events_ = reg.counter("chaos.events_applied", labels);
   m_checks_ = reg.counter("chaos.checks", labels);
   m_violations_ = reg.counter("chaos.violations", labels);
@@ -187,7 +186,6 @@ void Engine::attach_registry(obs::Registry& reg, const std::string& labels) {
   m_states_explored_ = reg.counter("verify.states_explored", labels);
   m_cache_hits_ = reg.counter("verify.cache_hits", labels);
   shard_ = &reg.create_shard();
-  dump_ = std::make_unique<obs::DumpService>(reg);
 }
 
 std::uint64_t Engine::drop_sum() const {
@@ -355,7 +353,6 @@ bool Engine::snapshot(Report& report, SimTime t) {
       }
     }
   }
-  if (dump_) dump_->service();
   return clean;
 }
 

@@ -12,7 +12,6 @@
 // together with the event that triggered it.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,7 +21,6 @@
 #include "chaos/route_control.hpp"
 #include "common/rng.hpp"
 #include "obs/artifact.hpp"
-#include "obs/exposition.hpp"
 #include "obs/registry.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
@@ -156,9 +154,7 @@ class Engine {
 
   /// Attach a metrics registry: chaos.events_applied / chaos.checks /
   /// chaos.violations counters and a chaos.recovery_latency histogram
-  /// (explicit bounds, 10 ms .. 2 s) accumulate under `labels`. Also arms a
-  /// live obs::DumpService: snapshots double as parked points, so SIGUSR1 /
-  /// MIFO_OBS_DUMP dumps flow out mid-run without touching the hot path.
+  /// (explicit bounds, 10 ms .. 2 s) accumulate under `labels`.
   void attach_registry(obs::Registry& reg, const std::string& labels);
 
   /// Runs the plan to completion (events, snapshots, final drain) and
@@ -248,8 +244,6 @@ class Engine {
   /// event that triggered the immediate snapshot).
   verify::IncrementalStats last_cost_;
 
-  std::unique_ptr<obs::DumpService> dump_;
-  obs::Registry* reg_ = nullptr;
   obs::Registry::Shard* shard_ = nullptr;
   obs::MetricId m_events_ = 0;
   obs::MetricId m_checks_ = 0;

@@ -4,18 +4,11 @@
 
 namespace mifo::chaos {
 
-std::size_t apply_to_fluid(const Plan& plan, const topo::AsGraph& g,
-                           sim::FluidSim& fs) {
-  return apply_to_fluid_window(plan, g, fs, 0.0, plan.duration);
-}
-
 std::size_t apply_to_fluid_window(const Plan& plan, const topo::AsGraph& g,
                                   sim::FluidSim& fs, SimTime start,
                                   SimTime length) {
   MIFO_EXPECTS(start >= 0.0 && length > 0.0);
   MIFO_EXPECTS(plan.duration > 0.0);
-  // scale == 1.0 exactly when the window is the plan's own timeline, so
-  // apply_to_fluid keeps scheduling the original event times bit-for-bit.
   const double scale = length / plan.duration;
   std::size_t applied = 0;
   for (const Event& ev : plan.events) {

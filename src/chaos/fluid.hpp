@@ -16,15 +16,11 @@ namespace mifo::chaos {
 /// same floor: a dead link crawls instead of dividing by zero).
 inline constexpr double kFluidDownFactor = 1e-3;
 
-/// Schedules the plan's link events on `fs` (both directed links of each
-/// adjacency). Returns how many plan events translated. Call before run().
-std::size_t apply_to_fluid(const Plan& plan, const topo::AsGraph& g,
-                           sim::FluidSim& fs);
-
 /// Chaos × workload composition (failure during a flash crowd): schedules
-/// the plan's link events compressed onto the window [start, start+length]
-/// of a streaming run — event times map linearly from [0, plan.duration].
-/// Returns how many plan events translated. Call before run()/run_stream().
+/// the plan's link events on `fs` (both directed links of each adjacency),
+/// compressed onto the window [start, start+length] of a streaming run —
+/// event times map linearly from [0, plan.duration]. Returns how many plan
+/// events translated. Call before run()/run_stream().
 std::size_t apply_to_fluid_window(const Plan& plan, const topo::AsGraph& g,
                                   sim::FluidSim& fs, SimTime start,
                                   SimTime length);

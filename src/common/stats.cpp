@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -28,8 +27,6 @@ double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 double RunningStats::variance() const {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double RunningStats::min() const {
   return n_ == 0 ? std::numeric_limits<double>::quiet_NaN() : min_;

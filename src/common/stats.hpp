@@ -16,7 +16,6 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }

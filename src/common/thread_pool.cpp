@@ -145,9 +145,4 @@ std::size_t default_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool& global_pool() {
-  static ThreadPool pool(default_thread_count());
-  return pool;
-}
-
 }  // namespace mifo

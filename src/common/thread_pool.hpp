@@ -69,7 +69,4 @@ inline void parallel_for(ThreadPool& pool, std::size_t n,
 /// 0 / unset means std::thread::hardware_concurrency().
 [[nodiscard]] std::size_t default_thread_count();
 
-/// Shared process-wide pool (lazily constructed, sized by MIFO_THREADS).
-ThreadPool& global_pool();
-
 }  // namespace mifo

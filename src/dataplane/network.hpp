@@ -106,7 +106,6 @@ class Network {
   [[nodiscard]] const std::vector<Bytes>& delivery_buckets() const {
     return delivery_bytes_;
   }
-  [[nodiscard]] SimTime delivery_bucket_width() const { return bucket_width_; }
 
   // --- execution ---------------------------------------------------------------
   /// Processes events up to and including `t_end`.

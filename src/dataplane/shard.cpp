@@ -573,14 +573,4 @@ void ShardedNetwork::publish_metrics(obs::Registry& reg,
       wait_hist);
 }
 
-std::vector<Router> ShardedNetwork::gather_routers() const {
-  std::vector<Router> out;
-  out.reserve(num_routers());
-  for (std::size_t r = 0; r < num_routers(); ++r) {
-    const RouterId id(static_cast<std::uint32_t>(r));
-    out.push_back(nets_[shard_of(id)]->router(id));
-  }
-  return out;
-}
-
 }  // namespace mifo::dp

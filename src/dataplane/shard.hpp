@@ -92,9 +92,6 @@ class ShardedNetwork {
   [[nodiscard]] std::uint32_t shard_of_as(AsId as) const;
   [[nodiscard]] std::uint32_t shard_of(RouterId r) const;
   [[nodiscard]] std::uint32_t shard_of(HostId h) const;
-  /// The shard replica engine (daemon periodics, advanced tests). State of
-  /// nodes owned by other shards is structurally present but never touched.
-  [[nodiscard]] Network& shard_net(std::uint32_t s) { return *nets_[s]; }
 
   // --- owner-replica access ---------------------------------------------------
   /// The authoritative Router/Host object (owning shard's replica): FIB
@@ -194,12 +191,6 @@ class ShardedNetwork {
   /// epoch-window / barrier-wait histograms. Re-publishing with the same
   /// (registry, labels) overwrites in place — exactly-once per snapshot.
   void publish_metrics(obs::Registry& reg, const std::string& labels) const;
-
-  // --- verification hooks ------------------------------------------------------
-  /// Consistent copy of every router (owning replica), in RouterId order —
-  /// feed to verify:: at a quiescent point (parked, e.g. after
-  /// run_to_completion or between run_until segments).
-  [[nodiscard]] std::vector<Router> gather_routers() const;
 
  private:
   struct RingSlot {

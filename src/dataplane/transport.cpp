@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "common/env.hpp"
 #include "dataplane/network.hpp"
 
 namespace mifo::dp::transport {
@@ -16,12 +15,6 @@ constexpr std::uint32_t kAckBytes = 40;
 constexpr std::uint32_t kLossThreshold = 3;
 /// Retransmission burst bound per ACK event.
 constexpr int kRetxBudgetPerAck = 2;
-
-/// Set MIFO_TRACE_FLOW=<id> to stderr-trace one flow's transport events.
-bool traced(const FlowState& f) {
-  static const std::uint64_t id = env_u64("MIFO_TRACE_FLOW", ~0ull);
-  return f.id.value() == id;
-}
 
 Packet make_data(const FlowState& f, std::uint32_t seq) {
   Packet p;
@@ -96,10 +89,6 @@ void retransmit_holes(Network& net, FlowState& f) {
     f.retx_at[s] = net.now();
     ++f.retransmits;
     --budget;
-    if (traced(f)) {
-      std::fprintf(stderr, "[%0.6f] flow %llu RETX seq=%u cwnd=%.1f\n",
-                   net.now(), (unsigned long long)f.id.value(), s, f.cwnd);
-    }
     net.transmit_host(f.params.src, make_data(f, s));
   }
 }
@@ -174,11 +163,6 @@ void on_timer(Network& net, FlowState& f) {
   if (f.done) return;
   if (f.high_acked >= f.total_pkts) return;
   if (net.now() - f.last_progress >= f.rto) {
-    if (traced(f)) {
-      std::fprintf(stderr, "[%0.6f] flow %llu RTO high=%u next=%u cwnd=%.1f\n",
-                   net.now(), (unsigned long long)f.id.value(), f.high_acked,
-                   f.next_seq, f.cwnd);
-    }
     // Retransmission timeout: rewind the send frontier to the first hole
     // and let try_send walk the lost window back out under slow start,
     // skipping SACKed segments.

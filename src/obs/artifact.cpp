@@ -286,12 +286,14 @@ struct JsonParser {
     return consume('"');
   }
 
-  Json parse_value();  // sets ok=false on malformed input
+  /// `depth` counts the containers enclosing the value; sets ok=false on
+  /// malformed input.
+  Json parse_value(int depth);
 };
 
-Json JsonParser::parse_value() {
+Json JsonParser::parse_value(int depth) {
   skip_ws();
-  if (p >= end) {
+  if (p >= end || ((*p == '{' || *p == '[') && depth >= Json::kMaxNesting)) {
     ok = false;
     return {};
   }
@@ -307,7 +309,7 @@ Json JsonParser::parse_value() {
           ok = false;
           return {};
         }
-        Json v = parse_value();
+        Json v = parse_value(depth + 1);
         if (!ok) return {};
         obj.set(key, std::move(v));
       } while (consume(','));
@@ -320,7 +322,7 @@ Json JsonParser::parse_value() {
       skip_ws();
       if (consume(']')) return arr;
       do {
-        Json v = parse_value();
+        Json v = parse_value(depth + 1);
         if (!ok) return {};
         arr.push(std::move(v));
       } while (consume(','));
@@ -369,7 +371,7 @@ Json JsonParser::parse_value() {
 
 std::optional<Json> Json::parse(const std::string& text) {
   JsonParser parser{text.data(), text.data() + text.size()};
-  Json v = parser.parse_value();
+  Json v = parser.parse_value(0);
   parser.skip_ws();
   if (!parser.ok || parser.p != parser.end) return std::nullopt;
   return v;

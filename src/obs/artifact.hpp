@@ -31,9 +31,14 @@ class Json {
   static Json num(std::int64_t v);
   static Json boolean(bool b);
 
+  /// Deepest container nesting parse() accepts (RFC 8259 §9 lets a parser
+  /// set one). Artifacts nest at most 5 deep; the cap keeps the recursive
+  /// descent off the end of the stack on hostile input.
+  static constexpr int kMaxNesting = 64;
+
   /// Parse a JSON document (the inverse of dump(); enough for reading our
   /// own artifacts back — tools/mifo-trace). std::nullopt on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage or nesting deeper than kMaxNesting.
   static std::optional<Json> parse(const std::string& text);
 
   /// Object member access (creates the member; asserts object kind).

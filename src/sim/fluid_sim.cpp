@@ -15,6 +15,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kRemEps = 1e-6;   // megabits (~0.1 byte)
 constexpr double kTimeEps = 1e-12;
+
+std::vector<std::uint32_t> link_ids(std::span<const LinkId> links) {
+  std::vector<std::uint32_t> out;
+  out.reserve(links.size());
+  for (const LinkId l : links) out.push_back(l.value());
+  return out;
+}
 }  // namespace
 
 FluidSim::FluidSim(const topo::AsGraph& g, SimConfig cfg)
@@ -42,7 +49,6 @@ void FluidSim::attach_registry(obs::Registry& reg, const std::string& labels) {
   m_solver_runs_ = reg.counter("sim.solver_runs", labels);
   m_reroutes_ = reg.counter("sim.reroutes", labels);
   m_cache_bytes_ = reg.gauge("sim.route_cache_bytes", labels);
-  m_route_invalidations_ = reg.counter("sim.route_invalidations", labels);
   m_active_flows_ = reg.gauge("sim.active_flows", labels);
   m_offered_load_ = reg.gauge("sim.offered_load_mbps", labels);
   m_solver_components_ = reg.counter("sim.solver_components", labels);
@@ -65,22 +71,6 @@ const bgp::RouteStore& FluidSim::routes_for(AsId dest) {
     if (shard_) shard_->set(m_cache_bytes_, static_cast<double>(cache_bytes_));
   }
   return *it->second;
-}
-
-std::size_t FluidSim::invalidate_routes(std::span<const AsId> dests) {
-  std::size_t dropped = 0;
-  for (const AsId dest : dests) {
-    const auto it = cache_.find(dest.value());
-    if (it == cache_.end()) continue;
-    cache_bytes_ -= it->second->bytes();
-    cache_.erase(it);
-    ++dropped;
-  }
-  if (dropped != 0 && shard_) {
-    shard_->set(m_cache_bytes_, static_cast<double>(cache_bytes_));
-    shard_->add(m_route_invalidations_, static_cast<double>(dropped));
-  }
-  return dropped;
 }
 
 void FluidSim::warm_route_cache(std::span<const traffic::FlowSpec> specs) {
@@ -196,66 +186,85 @@ void FluidSim::recompute_rates() {
   if (shard_) shard_->add(m_solver_runs_);
 }
 
-void FluidSim::reevaluate_paths(std::vector<FlowRecord>& records) {
-  if (cfg_.mode == RoutingMode::Bgp) return;
-  for (auto& f : active_) {
-    FlowRecord& rec = records[f.record];
-    const AsId src = rec.spec.src;
-    const AsId dst = rec.spec.dst;
+void FluidSim::reset_run_state() {
+  active_.clear();
+  // Completions tear allocations down flow by flow, which can leave tiny
+  // floating-point residues behind; start every run from exact zeros.
+  std::fill(alloc_.begin(), alloc_.end(), 0.0);
+  // Chaos capacity events mutate capacity_ mid-run; start from a clean slate
+  // so back-to-back runs on one sim are independent.
+  std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
+  std::stable_sort(cap_events_.begin(), cap_events_.end(),
+                   [](const CapacityEvent& a, const CapacityEvent& b) {
+                     return a.t < b.t;
+                   });
+}
 
-    // Evaluate congestion as the flow's border routers would see it:
-    // without the flow's own contribution. A lone flow saturating a link is
-    // not congestion worth fleeing — counting it makes every full link
-    // "congested" under max–min and the flow would oscillate between its
-    // default and an alternative forever.
-    for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
-
-    bool should_reroute = false;
-    if (!f.deflected) {
-      // Default path hit congestion?
-      for (const std::uint32_t l : f.links) {
-        if (utilization(l) >= cfg_.congest_threshold) {
-          should_reroute = true;
-          break;
-        }
-      }
-    } else {
-      // Hysteresis: resume the default path once it has drained…
-      bool default_clear = true;
-      for (const std::uint32_t l : f.deflt) {
-        if (utilization(l) >= cfg_.low_watermark) {
-          default_clear = false;
-          break;
-        }
-      }
-      // Deflected flows do NOT hop between alternatives: under max–min
-      // sharing every loaded bottleneck sits at full utilization, so
-      // alternative-fleeing would re-shuffle the whole population every
-      // tick. The paper's stability numbers (Fig. 9: two thirds of
-      // switching flows switch exactly once) reflect this
-      // deflect-once/return-once discipline.
-      should_reroute = default_clear;
-    }
-
-    if (should_reroute) {
-      core::WalkResult w = route_flow(src, dst);
-      MIFO_ASSERT(w.reachable);  // it was reachable at admission
-      std::vector<std::uint32_t> links;
-      links.reserve(w.links.size());
-      for (const LinkId l : w.links) links.push_back(l.value());
-      if (links != f.links) {
-        f.links = std::move(links);
-        f.deflected = w.deflections > 0;
-        ++rec.path_switches;
-        rec.used_alternative = rec.used_alternative || f.deflected;
-        if (shard_) shard_->add(m_reroutes_);
-      }
-    }
-
-    // Re-charge the (possibly moved) flow so later flows in this tick see
-    // the shifted load.
-    for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
+std::optional<FluidSim::ActiveFlow> FluidSim::admit_path(
+    FlowRecord& rec, std::uint32_t record) {
+  const traffic::FlowSpec& spec = rec.spec;
+  const core::WalkResult w = route_flow(spec.src, spec.dst);
+  if (!w.reachable) {
+    rec.unreachable = true;
+    if (shard_) shard_->add(m_unreachable_);
+    return std::nullopt;
   }
+  if (shard_) shard_->add(m_arrivals_);
+  ActiveFlow f;
+  f.record = record;
+  f.links = link_ids(w.links);
+  f.deflt = link_ids(core::bgp_walk(g_, routes_for(spec.dst), spec.src).links);
+  f.remaining_mb = to_megabits(spec.size);
+  f.deflected = w.deflections > 0;
+  if (f.deflected) {
+    // The initial deflection is the flow's first path switch.
+    rec.path_switches = 1;
+    rec.used_alternative = true;
+  }
+  return f;
+}
+
+bool FluidSim::reevaluate_flow(ActiveFlow& f, FlowRecord& rec) {
+  // Evaluate congestion as the flow's border routers would see it:
+  // without the flow's own contribution. A lone flow saturating a link is
+  // not congestion worth fleeing — counting it makes every full link
+  // "congested" under max–min and the flow would oscillate between its
+  // default and an alternative forever.
+  for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
+  const auto any_at = [this](const std::vector<std::uint32_t>& links,
+                             double level) {
+    return std::any_of(links.begin(), links.end(), [&](std::uint32_t l) {
+      return utilization(l) >= level;
+    });
+  };
+  // A flow on its default path leaves it when that path hits congestion; a
+  // deflected flow resumes the default once it has drained (hysteresis).
+  // Deflected flows do NOT hop between alternatives: under max–min sharing
+  // every loaded bottleneck sits at full utilization, so alternative-fleeing
+  // would re-shuffle the whole population every tick. The paper's stability
+  // numbers (Fig. 9: two thirds of switching flows switch exactly once)
+  // reflect this deflect-once/return-once discipline.
+  const bool should_reroute = f.deflected
+                                  ? !any_at(f.deflt, cfg_.low_watermark)
+                                  : any_at(f.links, cfg_.congest_threshold);
+  bool moved = false;
+  if (should_reroute) {
+    const core::WalkResult w = route_flow(rec.spec.src, rec.spec.dst);
+    MIFO_ASSERT(w.reachable);  // it was reachable at admission
+    std::vector<std::uint32_t> links = link_ids(w.links);
+    if (links != f.links) {
+      f.links = std::move(links);
+      f.deflected = w.deflections > 0;
+      ++rec.path_switches;
+      rec.used_alternative = rec.used_alternative || f.deflected;
+      if (shard_) shard_->add(m_reroutes_);
+      moved = true;
+    }
+  }
+  // Re-charge the (possibly moved) flow so later flows in this tick see
+  // the shifted load.
+  for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
+  return moved;
 }
 
 void FluidSim::take_sample(SimTime t) {
@@ -290,17 +299,7 @@ std::vector<FlowRecord> FluidSim::run(std::vector<traffic::FlowSpec> specs) {
 
   warm_route_cache(specs);
 
-  active_.clear();
-  // Completions tear allocations down flow by flow, which can leave tiny
-  // floating-point residues behind; start every run from exact zeros.
-  std::fill(alloc_.begin(), alloc_.end(), 0.0);
-  // Chaos capacity events mutate capacity_ mid-run; start from a clean slate
-  // so back-to-back run() calls on one sim are independent.
-  std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
-  std::stable_sort(cap_events_.begin(), cap_events_.end(),
-                   [](const CapacityEvent& a, const CapacityEvent& b) {
-                     return a.t < b.t;
-                   });
+  reset_run_state();
   std::size_t ci = 0;
   samples_.clear();
   next_sample_ = sample_interval_;
@@ -370,41 +369,17 @@ std::vector<FlowRecord> FluidSim::run(std::vector<traffic::FlowSpec> specs) {
     }
 
     // Arrivals.
-    while (ai < specs.size() && specs[ai].arrival <= t + kTimeEps) {
-      const auto& spec = specs[ai];
-      core::WalkResult w = route_flow(spec.src, spec.dst);
-      if (!w.reachable) {
-        records[ai].unreachable = true;
-        if (shard_) shard_->add(m_unreachable_);
-        ++ai;
-        continue;
+    for (; ai < specs.size() && specs[ai].arrival <= t + kTimeEps; ++ai) {
+      if (auto f = admit_path(records[ai], static_cast<std::uint32_t>(ai))) {
+        active_.push_back(std::move(*f));
+        changed = true;
       }
-      if (shard_) shard_->add(m_arrivals_);
-      ActiveFlow f;
-      f.record = static_cast<std::uint32_t>(ai);
-      f.dest_as = spec.dst.value();
-      f.links.reserve(w.links.size());
-      for (const LinkId l : w.links) f.links.push_back(l.value());
-      const auto& routes = routes_for(spec.dst);
-      const auto def = core::bgp_walk(g_, routes, spec.src);
-      f.deflt.reserve(def.links.size());
-      for (const LinkId l : def.links) f.deflt.push_back(l.value());
-      f.remaining_mb = to_megabits(spec.size);
-      f.deflected = w.deflections > 0;
-      if (f.deflected) {
-        // The initial deflection is the flow's first path switch.
-        records[ai].path_switches = 1;
-        records[ai].used_alternative = true;
-      }
-      active_.push_back(std::move(f));
-      changed = true;
-      ++ai;
     }
 
     // Re-evaluation tick.
     if (t_tick < kInf && t >= t_tick - kTimeEps) {
       if (shard_) shard_->add(m_ticks_);
-      reevaluate_paths(records);
+      for (ActiveFlow& f : active_) reevaluate_flow(f, records[f.record]);
       changed = true;
       while (next_tick <= t + kTimeEps) next_tick += cfg_.reeval_interval;
     }
@@ -449,15 +424,7 @@ StreamResult FluidSim::run_stream_impl(
   MIFO_EXPECTS(sc.epoch > 0.0);
   StreamResult res;
 
-  // Same clean slate as run(): exact zero allocations, pristine capacities,
-  // chaos events sorted and pending.
-  active_.clear();
-  std::fill(alloc_.begin(), alloc_.end(), 0.0);
-  std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
-  std::stable_sort(cap_events_.begin(), cap_events_.end(),
-                   [](const CapacityEvent& a, const CapacityEvent& b) {
-                     return a.t < b.t;
-                   });
+  reset_run_state();
   std::size_t ci = 0;
 
   IncrementalMaxMin solver(capacity_, cfg_.flow_rate_cap);
@@ -465,18 +432,10 @@ StreamResult FluidSim::run_stream_impl(
   // Streaming flow table, indexed by solver slot. Fluid state settles
   // lazily (remaining_mb is exact as of update_t), so an event only touches
   // the flows whose rates actually moved, not the whole population.
-  struct SFlow {
-    std::uint32_t record = 0;
-    std::vector<std::uint32_t> links;
-    std::vector<std::uint32_t> deflt;
-    double remaining_mb = 0.0;
+  struct SFlow : ActiveFlow {
     SimTime update_t = 0.0;
-    double rate = 0.0;
     std::uint32_t gen = 0;  ///< bumps on every rate change / reuse / death
-    bool deflected = false;
     bool live = false;
-    AsId src;
-    AsId dst;
   };
   std::vector<SFlow> sflows;
 
@@ -568,101 +527,20 @@ StreamResult FluidSim::run_stream_impl(
 
   const auto admit = [&](const traffic::FlowSpec& spec) {
     const auto rec_idx = static_cast<std::uint32_t>(res.records.size());
-    FlowRecord rec;
-    rec.spec = spec;
-    res.records.push_back(rec);
-    const core::WalkResult w = route_flow(spec.src, spec.dst);
-    if (!w.reachable) {
-      res.records[rec_idx].unreachable = true;
-      if (shard_) shard_->add(m_unreachable_);
-      return;
-    }
-    if (shard_) shard_->add(m_arrivals_);
-    std::vector<std::uint32_t> links;
-    links.reserve(w.links.size());
-    for (const LinkId l : w.links) links.push_back(l.value());
+    res.records.push_back(FlowRecord{spec});
+    auto admitted = admit_path(res.records.back(), rec_idx);
+    if (!admitted) return;
     IncrementalMaxMin::Slot slot = IncrementalMaxMin::kInvalidSlot;
-    timed([&] { slot = solver.add_flow(links); });
+    timed([&] { slot = solver.add_flow(admitted->links); });
     if (sflows.size() <= slot) sflows.resize(slot + 1);
     SFlow& f = sflows[slot];
     const std::uint32_t gen = f.gen + 1;  // orphan the slot's stale entries
-    f = SFlow{};
-    f.gen = gen;
-    f.record = rec_idx;
-    f.src = spec.src;
-    f.dst = spec.dst;
-    const std::span<const std::uint32_t> dd = solver.links_of(slot);
-    f.links.assign(dd.begin(), dd.end());
-    const auto def = core::bgp_walk(g_, routes_for(spec.dst), spec.src);
-    f.deflt.reserve(def.links.size());
-    for (const LinkId l : def.links) f.deflt.push_back(l.value());
-    f.remaining_mb = to_megabits(spec.size);
-    f.update_t = t;
-    f.live = true;
-    f.deflected = w.deflections > 0;
-    if (f.deflected) {
-      res.records[rec_idx].path_switches = 1;
-      res.records[rec_idx].used_alternative = true;
-    }
+    f = SFlow{std::move(*admitted), t, gen, true};
     ++active;
     ++epoch_arrivals;
     res.peak_active = std::max<std::uint64_t>(res.peak_active, active);
     apply_changes();
     MIFO_ASSERT(f.rate > 0.0);  // nonempty path ⇒ positive max–min share
-  };
-
-  // The MIFO/MIRO re-evaluation tick, streaming edition: identical
-  // discipline to reevaluate_paths (measure congestion without the flow's
-  // own rate; deflect-once / return-once hysteresis) but path moves go
-  // through the incremental solver instead of a global re-solve.
-  const auto reevaluate_stream = [&] {
-    for (std::uint32_t slot = 0; slot < sflows.size(); ++slot) {
-      SFlow& f = sflows[slot];
-      if (!f.live) continue;
-      FlowRecord& rec = res.records[f.record];
-      for (const std::uint32_t l : f.links) alloc_[l] -= f.rate;
-
-      bool should_reroute = false;
-      if (!f.deflected) {
-        for (const std::uint32_t l : f.links) {
-          if (utilization(l) >= cfg_.congest_threshold) {
-            should_reroute = true;
-            break;
-          }
-        }
-      } else {
-        bool default_clear = true;
-        for (const std::uint32_t l : f.deflt) {
-          if (utilization(l) >= cfg_.low_watermark) {
-            default_clear = false;
-            break;
-          }
-        }
-        should_reroute = default_clear;
-      }
-
-      bool moved = false;
-      if (should_reroute) {
-        const core::WalkResult w = route_flow(f.src, f.dst);
-        MIFO_ASSERT(w.reachable);  // it was reachable at admission
-        std::vector<std::uint32_t> links;
-        links.reserve(w.links.size());
-        for (const LinkId l : w.links) links.push_back(l.value());
-        if (links != f.links) {
-          timed([&] { solver.update_path(slot, links); });
-          const std::span<const std::uint32_t> dd = solver.links_of(slot);
-          f.links.assign(dd.begin(), dd.end());
-          f.deflected = w.deflections > 0;
-          ++rec.path_switches;
-          rec.used_alternative = rec.used_alternative || f.deflected;
-          if (shard_) shard_->add(m_reroutes_);
-          moved = true;
-        }
-      }
-
-      for (const std::uint32_t l : f.links) alloc_[l] += f.rate;
-      if (moved) apply_changes();
-    }
   };
 
   traffic::FlowSpec pending;
@@ -736,10 +614,16 @@ StreamResult FluidSim::run_stream_impl(
       have = source(pending);
     }
 
-    // Re-evaluation tick.
+    // Re-evaluation tick: path moves go through the incremental solver one
+    // flow at a time, so each later flow sees the re-solved rates.
     if (t_tick < kInf && t >= t_tick - kTimeEps) {
       if (shard_) shard_->add(m_ticks_);
-      reevaluate_stream();
+      for (std::uint32_t slot = 0; slot < sflows.size(); ++slot) {
+        SFlow& f = sflows[slot];
+        if (!f.live || !reevaluate_flow(f, res.records[f.record])) continue;
+        timed([&] { solver.update_path(slot, f.links); });
+        apply_changes();
+      }
       while (next_tick <= t + kTimeEps) next_tick += cfg_.reeval_interval;
     }
   }

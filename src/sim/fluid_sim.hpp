@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -141,14 +142,6 @@ class FluidSim {
   /// Converged routes towards `dest` (cached CSR store; exposed for tests).
   [[nodiscard]] const bgp::RouteStore& routes_for(AsId dest);
 
-  /// Evicts the cached route stores of `dests` (misses are ignored), so a
-  /// routing event's delta touched set (bgp::DeltaStats::touched_dests)
-  /// maps one-to-one onto cache invalidations: the next routes_for /
-  /// warm_route_cache of an evicted destination rebuilds from the current
-  /// graph instead of serving the pre-event tree. Returns how many entries
-  /// were actually dropped.
-  std::size_t invalidate_routes(std::span<const AsId> dests);
-
   // --- observability ---------------------------------------------------------
   /// Attach a metrics registry; solver counters (sim.arrivals, sim.ticks,
   /// sim.solver_runs, …) accumulate into a private shard tagged with
@@ -171,8 +164,9 @@ class FluidSim {
   void warm_route_cache(std::span<const traffic::FlowSpec> specs);
   struct ActiveFlow {
     std::uint32_t record = 0;           ///< index into records
-    std::uint32_t dest_as = 0;
-    std::vector<std::uint32_t> links;   ///< current path (directed links)
+    /// Current path (directed links). Walks are loop-free, so no link
+    /// repeats and this equals IncrementalMaxMin's deduplicated copy.
+    std::vector<std::uint32_t> links;
     std::vector<std::uint32_t> deflt;   ///< default-path links
     double remaining_mb = 0.0;          ///< megabits left
     double rate = 0.0;
@@ -188,8 +182,19 @@ class FluidSim {
       const std::function<bool(traffic::FlowSpec&)>& source,
       const std::function<double(SimTime)>& offered, const StreamConfig& sc);
   void warm_route_cache_dests(std::vector<std::uint32_t> dests);
+  /// Clean slate shared by both loops: no active flows, exact-zero
+  /// allocations, pristine capacities, capacity events in time order.
+  void reset_run_state();
+  /// Admission shared by both loops: walks `rec`'s flow and returns its
+  /// path state (an initial deflection is its first path switch), or marks
+  /// the record unreachable and returns nullopt.
+  [[nodiscard]] std::optional<ActiveFlow> admit_path(FlowRecord& rec,
+                                                     std::uint32_t record);
+  /// The re-evaluation rule shared by both loops (deflect once, return
+  /// once): re-walks `f` when the rule fires, counts the switch and
+  /// re-charges alloc_ with `f`'s rate. Returns whether the path moved.
+  bool reevaluate_flow(ActiveFlow& f, FlowRecord& rec);
   void recompute_rates();
-  void reevaluate_paths(std::vector<FlowRecord>& records);
   void take_sample(SimTime t);
 
   struct CapacityEvent {
@@ -221,7 +226,6 @@ class FluidSim {
   obs::MetricId m_solver_runs_ = 0;
   obs::MetricId m_reroutes_ = 0;
   obs::MetricId m_cache_bytes_ = 0;
-  obs::MetricId m_route_invalidations_ = 0;
   // Streaming-run metrics (gauges track the latest epoch edge; counters
   // accumulate IncrementalMaxMin work).
   obs::MetricId m_active_flows_ = 0;

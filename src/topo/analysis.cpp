@@ -115,25 +115,6 @@ bool is_connected(const AsGraph& g) {
   return visited == n;
 }
 
-std::vector<bool> customer_route_set(const AsGraph& g, AsId dst) {
-  MIFO_EXPECTS(dst.value() < g.num_ases());
-  std::vector<bool> in_set(g.num_ases(), false);
-  std::deque<std::uint32_t> queue{dst.value()};
-  in_set[dst.value()] = true;
-  while (!queue.empty()) {
-    const AsId as(queue.front());
-    queue.pop_front();
-    for (const auto& nb : g.neighbors(as)) {
-      // Walk to providers: they learn a customer route from `as`.
-      if (nb.rel == Rel::Provider && !in_set[nb.as.value()]) {
-        in_set[nb.as.value()] = true;
-        queue.push_back(nb.as.value());
-      }
-    }
-  }
-  return in_set;
-}
-
 std::vector<RelAsymmetry> relationship_asymmetries(const AsGraph& g) {
   std::vector<RelAsymmetry> out;
   for (std::size_t i = 0; i < g.num_ases(); ++i) {

@@ -40,13 +40,6 @@ struct TopologyAttributes {
 /// True iff the underlying undirected graph is connected.
 [[nodiscard]] bool is_connected(const AsGraph& g);
 
-/// ASes able to reach `dst` via a pure provider->customer (all-Down) path,
-/// i.e. the ASes holding a *customer route* to dst — the paper's most
-/// preferred class. Includes dst itself. This is the "uphill set" of dst:
-/// dst's providers, their providers, and so on.
-[[nodiscard]] std::vector<bool> customer_route_set(const AsGraph& g,
-                                                   AsId dst);
-
 /// Degree of every AS, useful for power-law checks and content-provider
 /// ranking (paper ranks by #providers + #peers).
 [[nodiscard]] std::vector<std::size_t> degrees(const AsGraph& g);

@@ -87,7 +87,6 @@ class ChangeSet {
   [[nodiscard]] std::size_t port_changes() const { return ports_.size(); }
   [[nodiscard]] std::size_t config_changes() const { return configs_.size(); }
   [[nodiscard]] std::size_t daemon_changes() const { return daemons_.size(); }
-  [[nodiscard]] std::size_t routing_changes() const { return routing_.size(); }
 
   /// One-line summary for logs: "fib=3 ports=1 configs=0 daemons=1".
   [[nodiscard]] std::string to_string() const;

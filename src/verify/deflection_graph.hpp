@@ -76,9 +76,8 @@ struct LoopCheck {
 
 /// Proves (or refutes) loop-freedom of the installed forwarding state for
 /// the given destinations. Exhaustive over states, not over packet runs.
-/// The span overload is what the sharded plane feeds: a consistent
-/// whole-network snapshot assembled by ShardedNetwork::gather_routers() at
-/// a quiescent point (DESIGN.md §6).
+/// The span overload proves any router set indexed by RouterId (the
+/// incremental verifier feeds it one destination at a time).
 [[nodiscard]] LoopCheck check_loop_freedom(std::span<const dp::Router> routers,
                                            std::span<const dp::Addr> dests);
 [[nodiscard]] LoopCheck check_loop_freedom(const dp::Network& net,

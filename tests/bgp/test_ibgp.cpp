@@ -50,18 +50,6 @@ TEST(IbgpPlan, BorderTowardsResolvesCorrectRouter) {
             plan.border_towards(AsId(1), AsId(2)));
 }
 
-TEST(IbgpPlan, IbgpPeersAreFullMeshWithinAs) {
-  const auto g = triangle();
-  const IbgpPlan plan(g, std::vector<bool>{true, false, false});
-  const auto routers = plan.routers_of(AsId(0));
-  ASSERT_EQ(routers.size(), 2u);
-  const auto peers = plan.ibgp_peers(routers[0]);
-  ASSERT_EQ(peers.size(), 1u);
-  EXPECT_EQ(peers[0], routers[1]);
-  // A collapsed AS's router has no iBGP peers.
-  EXPECT_TRUE(plan.ibgp_peers(plan.routers_of(AsId(1)).front()).empty());
-}
-
 TEST(IbgpPlan, RouterIdsAreDenseAndConsistent) {
   topo::GeneratorParams p;
   p.num_ases = 100;

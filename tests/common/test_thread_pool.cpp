@@ -68,12 +68,6 @@ TEST(ParallelFor, SumMatchesSerial) {
   EXPECT_EQ(total, 3L * 9999L * 10000L / 2L);
 }
 
-TEST(GlobalPool, IsUsable) {
-  std::atomic<int> c{0};
-  parallel_for(global_pool(), 10, [&c](std::size_t) { c.fetch_add(1); });
-  EXPECT_EQ(c.load(), 10);
-}
-
 TEST(ParallelFor, RangeOverloadCoversExactlyTheHalfOpenInterval) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
@@ -155,12 +149,13 @@ TEST(ParallelFor, NestedParallelForInsideAPoolTaskDoesNotDeadlock) {
 }
 
 TEST(ParallelFor, ConcurrentCallsOnTheSharedPoolStayIndependent) {
+  ThreadPool pool(4);
   std::atomic<int> a{0};
   std::atomic<int> b{0};
-  std::thread t([&b] {
-    parallel_for(global_pool(), 500, [&b](std::size_t) { b.fetch_add(1); });
+  std::thread t([&pool, &b] {
+    parallel_for(pool, 500, [&b](std::size_t) { b.fetch_add(1); });
   });
-  parallel_for(global_pool(), 500, [&a](std::size_t) { a.fetch_add(1); });
+  parallel_for(pool, 500, [&a](std::size_t) { a.fetch_add(1); });
   t.join();
   EXPECT_EQ(a.load(), 500);
   EXPECT_EQ(b.load(), 500);

@@ -14,7 +14,6 @@
 
 #include "common/thread_pool.hpp"
 #include "obs/artifact.hpp"
-#include "obs/exposition.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -528,43 +527,20 @@ TEST(Json, ParseUnicodeEscape) {
   EXPECT_EQ(parsed->items()[0].text(), "A\xc3\xa9");
 }
 
-// --- text exposition ---------------------------------------------------------
-
-TEST(Exposition, RendersCounterWithLabels) {
-  Registry reg;
-  const MetricId c = reg.counter("dp.drops", "reason=valley");
-  reg.create_shard().add(c, 3.0);
-  const std::string text = text_exposition(reg.snapshot());
-  EXPECT_NE(text.find("# TYPE dp_drops counter"), std::string::npos) << text;
-  EXPECT_NE(text.find("dp_drops{reason=\"valley\"} 3"), std::string::npos)
-      << text;
-}
-
-TEST(Exposition, HistogramBucketsAreCumulative) {
-  Registry reg;
-  const MetricId h = reg.histogram("test.lat", {0.0, 1.0, 2.0});
-  Registry::Shard& s = reg.create_shard();
-  s.observe(h, 0.5);
-  s.observe(h, 1.5);
-  const std::string text = text_exposition(reg.snapshot());
-  EXPECT_NE(text.find("test_lat_bucket{le=\"1\"} 1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_lat_bucket{le=\"2\"} 2"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_lat_bucket{le=\"+Inf\"} 2"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_lat_count 2"), std::string::npos) << text;
-}
-
-TEST(Exposition, DumpServiceConsumesRequests) {
-  Registry reg;
-  reg.create_shard().add(reg.counter("x"), 1.0);
-  DumpService ds(reg);
-  EXPECT_FALSE(ds.service());  // nothing requested
-  request_dump();
-  EXPECT_TRUE(dump_requested());
-  EXPECT_TRUE(ds.service());   // consumed...
-  EXPECT_FALSE(ds.service());  // ...exactly once
+TEST(Json, ParseRejectsDeepNesting) {
+  // Objects and arrays both count towards the cap; past it parse() refuses
+  // instead of recursing (200,000 '[' used to overflow the stack).
+  const auto nested = [](int depth) {
+    const auto n = static_cast<std::size_t>(depth);
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxNesting)).has_value());
+  EXPECT_FALSE(Json::parse(nested(Json::kMaxNesting + 1)).has_value());
+  EXPECT_TRUE(
+      Json::parse(R"({"a":)" + nested(Json::kMaxNesting - 1) + "}").has_value());
+  EXPECT_FALSE(
+      Json::parse(R"({"a":)" + nested(Json::kMaxNesting) + "}").has_value());
+  EXPECT_FALSE(Json::parse(std::string(200000, '[')).has_value());
 }
 
 }  // namespace

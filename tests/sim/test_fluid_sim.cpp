@@ -392,49 +392,5 @@ TEST(FluidSim, RoutesForCachesPerDestination) {
   EXPECT_EQ(a.dest(), AsId(0));
 }
 
-TEST(FluidSim, InvalidateRoutesEvictsExactlyTheDeltaRecomputeSet) {
-  // The bridge from the delta routing table to the sim's route cache: a
-  // routing event's touched_dests maps onto invalidate_routes, which
-  // must evict exactly those stores (misses ignored), roll the bytes gauge
-  // back, and count the evictions.
-  const AsGraph g = fig2a();
-  SimConfig cfg;
-  FluidSim sim(g, cfg);
-  obs::Registry reg;
-  sim.attach_registry(reg, "arm=inv");
-
-  const auto& s0 = sim.routes_for(AsId(0));
-  const auto& s1 = sim.routes_for(AsId(1));
-  const std::size_t bytes0 = s0.bytes();
-  const std::size_t both = bytes0 + s1.bytes();
-  EXPECT_DOUBLE_EQ(
-      reg.snapshot().value_or("sim.route_cache_bytes", -1.0, "arm=inv"),
-      static_cast<double>(both));
-
-  // AsId(2) is a cache miss — it must not count.
-  const std::vector<AsId> dirty{AsId(1), AsId(2)};
-  EXPECT_EQ(sim.invalidate_routes(dirty), 1u);
-  EXPECT_DOUBLE_EQ(
-      reg.snapshot().value_or("sim.route_cache_bytes", -1.0, "arm=inv"),
-      static_cast<double>(bytes0));
-  EXPECT_DOUBLE_EQ(
-      reg.snapshot().value_or("sim.route_invalidations", -1.0, "arm=inv"),
-      1.0);
-
-  // The evicted destination rebuilds on next access; the survivor's store
-  // was never touched.
-  EXPECT_EQ(&sim.routes_for(AsId(0)), &s0);
-  EXPECT_EQ(sim.routes_for(AsId(1)).dest(), AsId(1));
-  EXPECT_DOUBLE_EQ(
-      reg.snapshot().value_or("sim.route_cache_bytes", -1.0, "arm=inv"),
-      static_cast<double>(both));
-
-  // Repeated invalidation of now-missing entries is a counted no-op.
-  EXPECT_EQ(sim.invalidate_routes(std::vector<AsId>{AsId(2)}), 0u);
-  EXPECT_DOUBLE_EQ(
-      reg.snapshot().value_or("sim.route_invalidations", -1.0, "arm=inv"),
-      1.0);
-}
-
 }  // namespace
 }  // namespace mifo::sim

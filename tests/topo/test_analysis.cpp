@@ -100,28 +100,6 @@ TEST(Connectivity, SingleNodeIsConnected) {
   EXPECT_TRUE(is_connected(g));
 }
 
-TEST(CustomerRouteSet, UphillClosure) {
-  // 0 -> 1 -> 2 hierarchy plus a peer 3 of 1: only the uphill chain holds
-  // customer routes to 2.
-  AsGraph g(4);
-  g.add_provider_customer(AsId(0), AsId(1));
-  g.add_provider_customer(AsId(1), AsId(2));
-  g.add_peering(AsId(1), AsId(3));
-  const auto set = customer_route_set(g, AsId(2));
-  EXPECT_TRUE(set[2]);   // destination itself
-  EXPECT_TRUE(set[1]);   // direct provider
-  EXPECT_TRUE(set[0]);   // provider's provider
-  EXPECT_FALSE(set[3]);  // peer: no customer route
-}
-
-TEST(CustomerRouteSet, DestOnlyWhenNoProviders) {
-  AsGraph g(2);
-  g.add_provider_customer(AsId(0), AsId(1));
-  const auto set = customer_route_set(g, AsId(0));  // 0 has no providers
-  EXPECT_TRUE(set[0]);
-  EXPECT_FALSE(set[1]);
-}
-
 TEST(Degrees, MatchesGraph) {
   const AsGraph g = chain_graph();
   const auto d = degrees(g);

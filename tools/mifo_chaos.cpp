@@ -32,7 +32,6 @@
 #include "common/rng.hpp"
 #include "flags.hpp"
 #include "obs/artifact.hpp"
-#include "obs/exposition.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "testbed/emulation.hpp"
@@ -216,10 +215,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  // Live introspection: SIGUSR1 (or MIFO_OBS_DUMP=<secs>) dumps the metric
-  // registry in Prometheus text format to stderr at the next snapshot.
-  obs::install_dump_signal();
-
   topo::AsGraph g;
   if (!opt.topo_file.empty()) {
     std::ifstream in(opt.topo_file);

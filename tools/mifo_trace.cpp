@@ -1,7 +1,7 @@
 // mifo-trace — flight-recorder reader (docs/OBSERVABILITY.md).
 //
-// Renders the observability sections of a mifo.run_artifact.v1 file (or a
-// live dump on stdin via "-"): hop-by-hop flow paths reconstructed from the
+// Renders the observability sections of a mifo.run_artifact.v1 file (or an
+// artifact on stdin via "-"): hop-by-hop flow paths reconstructed from the
 // merged cross-shard timeline, per-failure recovery spans with the
 // per-class latency breakdown, and the top-N congested inter-AS links.
 //
@@ -13,7 +13,9 @@
 // Gate mode (--check) asserts the timeline is ordered epoch-major with
 // non-decreasing sim time inside each epoch (the merge invariant
 // obs::trace_order guarantees) and that every span's milestones are
-// causally ordered. Exit 0 = valid, 1 = usage/input error, 2 = violated.
+// causally ordered. Exit 0 = valid, 1 = usage/input error (malformed JSON, a
+// wrongly shaped section, an event without numeric "t" and "epoch"),
+// 2 = violated.
 // All output is a pure function of the artifact bytes, so two renderings
 // of byte-identical artifacts are themselves byte-identical.
 
@@ -130,6 +132,38 @@ std::vector<std::uint32_t> first_visit_path(const FlowTrace& ft) {
   return path;
 }
 
+/// Checks the kind of every section the readers below walk with items() or
+/// members(), so a wrongly shaped artifact is an input error naming its JSON
+/// path rather than a contract abort. Absent sections are fine.
+bool check_shape(const obs::Json& root) {
+  struct Section {
+    const obs::Json* node;
+    const char* path;
+    bool array;
+  };
+  const obs::Json* tl = root.find("timeline");
+  const obs::Json* chaos = root.find("chaos");
+  const Section sections[] = {
+      {tl, "timeline", false},
+      {tl != nullptr ? tl->find("events") : nullptr, "timeline.events", true},
+      {chaos, "chaos", false},
+      {chaos != nullptr ? chaos->find("spans") : nullptr, "chaos.spans", true},
+      {chaos != nullptr ? chaos->find("recovery_by_class") : nullptr,
+       "chaos.recovery_by_class", false},
+      {root.find("links"), "links", true},
+  };
+  for (const Section& s : sections) {
+    if (s.node == nullptr ||
+        (s.array ? s.node->is_array() : s.node->is_object())) {
+      continue;
+    }
+    std::fprintf(stderr, "mifo-trace: %s: expected an %s\n", s.path,
+                 s.array ? "array" : "object");
+    return false;
+  }
+  return true;
+}
+
 int check_artifact(const obs::Json& root) {
   const obs::Json* tl = root.find("timeline");
   if (tl == nullptr || tl->find("events") == nullptr) {
@@ -141,8 +175,18 @@ int check_artifact(const obs::Json& root) {
   double prev_t = -1.0;
   std::size_t idx = 0;
   for (const obs::Json& e : tl->find("events")->items()) {
-    const double epoch = num_of(e, "epoch", 0.0);
-    const double t = num_of(e, "t", 0.0);
+    const obs::Json* ej = e.find("epoch");
+    const obs::Json* tj = e.find("t");
+    if (ej == nullptr || !ej->is_number() || tj == nullptr ||
+        !tj->is_number()) {
+      std::fprintf(stderr,
+                   "mifo-trace: timeline.events[%zu]: expected an object "
+                   "with numeric \"t\" and \"epoch\"\n",
+                   idx);
+      return 1;
+    }
+    const double epoch = ej->number();
+    const double t = tj->number();
     if (epoch < prev_epoch ||
         (epoch == prev_epoch && t < prev_t)) {
       std::fprintf(stderr,
@@ -343,6 +387,7 @@ int main(int argc, char** argv) {
                  schema.c_str());
     if (schema.empty()) return 1;
   }
+  if (!check_shape(root)) return 1;
 
   if (opt.check) return check_artifact(root);
 
