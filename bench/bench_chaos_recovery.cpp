@@ -9,7 +9,7 @@
 // egress queue saturate and deflect (customer-tagged, so Eq. 3 permits
 // it) onto the second provider, so the goodput dip is shallower and
 // recovery does not wait for the repair. Arms (mode x seed) are
-// independent emulations and fan out on the shared thread pool; every arm
+// independent emulations and fan out through bench::run_arms; every arm
 // also carries the full safety-under-churn verification, so the
 // comparison doubles as a chaos-engine soak test.
 

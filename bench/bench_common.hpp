@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "obs/artifact.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
@@ -61,12 +61,7 @@ inline Scale load_scale(std::size_t topo_n, std::size_t flows,
 /// Each arm owns its FluidSim, so arms only share const topology state.
 inline void run_arms(std::size_t threads,
                      const std::vector<std::function<void()>>& arms) {
-  if (threads <= 1 || arms.size() < 2) {
-    for (const auto& arm : arms) arm();
-    return;
-  }
-  ThreadPool pool(std::min(threads, arms.size()));
-  parallel_for(pool, arms.size(), [&arms](std::size_t i) { arms[i](); });
+  parallel_for(threads, arms.size(), [&arms](std::size_t i) { arms[i](); });
 }
 
 inline topo::AsGraph make_topology(const Scale& s) {

@@ -26,7 +26,7 @@ void print_fig12() {
   params.link_sample_interval = 0.05;
 
   // The two emulation arms are independent (each owns its Network); fan
-  // them out over the shared pool like the fluid-sim benches do.
+  // them out through bench::run_arms like the fluid-sim benches do.
   testbed::Fig12Result res[2];
   std::vector<std::function<void()>> arms;
   for (const bool with_mifo : {false, true}) {

@@ -16,8 +16,8 @@ void print_fig8() {
   const auto specs = bench::make_uniform(g, s);
 
   // Ten independent deployment-sweep arms over the same const topology:
-  // fan out on the shared pool, print in deterministic order, and land the
-  // per-arm summaries in the run artifact.
+  // fan out through bench::run_arms, print in deterministic order, and
+  // land the per-arm summaries in the run artifact.
   obs::Registry reg;
   std::vector<bench::ArmResult> results(10);
   std::vector<std::function<void()>> arms;

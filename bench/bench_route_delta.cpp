@@ -1,6 +1,6 @@
 // Delta BGP route recomputation under churn (DESIGN.md §5.1b).
 //
-// `DeltaRoutingTable` maintains one epoch-swapped CSR RouteStore per
+// `DeltaRoutingTable` maintains one immutable CSR RouteStore segment per
 // tracked destination and, per routing event, re-runs Gao–Rexford only for
 // the destinations whose best-route assignment the event can change
 // (RIB-row-only changes get a view patch with no decision run). This bench

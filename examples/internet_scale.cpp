@@ -13,8 +13,8 @@
 #include <functional>
 #include <vector>
 
+#include "common/parallel_for.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/artifact.hpp"
 #include "obs/registry.hpp"
 #include "sim/fluid_sim.hpp"
@@ -75,12 +75,7 @@ int main(int argc, char** argv) {
     row.emplace_back(buf);
     rows[i] = std::move(row);
   };
-  if (default_thread_count() > 1) {
-    ThreadPool pool(std::min(default_thread_count(), modes.size()));
-    parallel_for(pool, modes.size(), run_mode);
-  } else {
-    for (std::size_t i = 0; i < modes.size(); ++i) run_mode(i);
-  }
+  parallel_for(default_thread_count(), modes.size(), run_mode);
   std::printf("\n%zu flows, %.0f%% deployment:\n%s", num_flows, 100.0 * ratio,
               format_table({"mode", "mean Mbps", "median Mbps", ">=500Mbps",
                             "offloaded"},

@@ -277,9 +277,17 @@ plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
 [[ $rc -eq 1 ]] || { echo "mifo-chaos: out-of-range plan AS exit $rc"; exit 1; }
 grep -q "ibgp-drop 99999' names an AS outside the 36-AS topology" \
   <<< "$plan_err"
+# An `every` directive that would expand without bound (a period far below
+# the duration) is an input error naming its line, not a bad_alloc abort.
+printf 'duration 1\nevery 0 1e-9 ibgp-drop 1\n' > "$artifact_dir/every_plan.txt"
+rc=0
+plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/every_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: unbounded every exit $rc"; exit 1; }
+grep -q "line 2: every: expands to more than 1000000 events" <<< "$plan_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
-     "malformed flag and out-of-range plan AS refused"
+     "malformed flag, out-of-range plan AS and unbounded every refused"
 
 echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
 # --check proves the merged timeline is epoch-monotone and every span
@@ -306,12 +314,18 @@ flag_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
 grep -q -- "--flow: invalid value '3x'" <<< "$flag_err"
 # Hostile artifacts are input errors (exit 1) with a message, never an abort
 # (134), a stack overflow (139) or a pass (0): nesting past the parser's cap,
-# a section of the wrong kind, and --check on events that are bare numbers.
+# a section of the wrong kind, --check on events that are bare numbers, a
+# number outside JSON's grammar, and an id field that is not unsigned.
 python3 -c "print('[' * 200000)" > "$artifact_dir/deep.json"
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":5}}' \
   > "$artifact_dir/bad_shape.json"
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[1,2,3]}}' \
   > "$artifact_dir/bare_events.json"
+printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
+  '{"t":inf,"epoch":0}' > "$artifact_dir/inf_time.json"
+printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
+  '{"t":0,"epoch":-1,"flow":1,"kind":"forward"}' \
+  > "$artifact_dir/negative_epoch.json"
 rc=0
 trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/deep.json" 2>&1 \
   >/dev/null)" || rc=$?
@@ -327,8 +341,19 @@ trace_err="$("$build_dir"/tools/mifo-trace --check \
   "$artifact_dir/bare_events.json" 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-trace: bare events exit $rc"; exit 1; }
 grep -q "timeline.events\[0\]" <<< "$trace_err"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace --check \
+  "$artifact_dir/inf_time.json" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: inf time exit $rc"; exit 1; }
+grep -q "malformed JSON" <<< "$trace_err"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace \
+  "$artifact_dir/negative_epoch.json" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: negative epoch exit $rc"; exit 1; }
+grep -q "timeline.events\[0\].epoch: expected an unsigned" <<< "$trace_err"
 echo "mifo-trace OK: timeline checked, rendering byte-reproducible," \
-     "malformed flag, deep nesting, wrong shape and bare events refused"
+     "malformed flag, deep nesting, wrong shape, bare events, a non-JSON" \
+     "number and a negative epoch refused"
 
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
@@ -536,19 +561,18 @@ echo "steady-state artifact byte-reproducible (timing stripped)"
 echo "=== clang-tidy (scripts/lint.sh) ==="
 scripts/lint.sh "$build_dir"
 
-echo "=== TSan: thread-pool + fluid-sim + sharded-plane + delta-route tests (${tsan_dir}) ==="
+echo "=== TSan: parallel_for + fluid-sim + sharded-plane + registry tests (${tsan_dir}) ==="
+# Every synchronisation real callers use: parallel_for's fork-join, the
+# sharded plane's barrier-ordered handoff, and the metrics registry's
+# locking (bench::run_arms arms register concurrently).
 cmake -B "$tsan_dir" -S . -DMIFO_SANITIZE=thread
 cmake --build "$tsan_dir" -j "$jobs" \
-  --target test_common test_sim test_dataplane test_integration test_bgp
-"$tsan_dir"/tests/test_common --gtest_filter='ThreadPool.*:ParallelFor.*:SpscRing.*'
+  --target test_common test_sim test_dataplane test_integration test_obs
+"$tsan_dir"/tests/test_common --gtest_filter='ParallelFor.*'
 "$tsan_dir"/tests/test_sim --gtest_filter='FluidSim.*'
 "$tsan_dir"/tests/test_dataplane --gtest_filter='ShardedNetwork.*'
 "$tsan_dir"/tests/test_integration --gtest_filter='ShardedDifferential.*:ShardedFlightRecorder.*'
-# scripts/tsan.supp masks libstdc++'s _Sp_atomic spinlock internals (a
-# known TSan happens-before blind spot); our delta-table code stays
-# instrumented.
-TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
-  "$tsan_dir"/tests/test_bgp --gtest_filter='RouteDeltaEpochSwap.*'
+"$tsan_dir"/tests/test_obs --gtest_filter='Registry.*:TimelineMerge.*'
 
 echo "=== UBSan: full test suite (${ubsan_dir}) ==="
 # -fno-sanitize-recover=all is wired in by the CMakeLists, so any UB aborts

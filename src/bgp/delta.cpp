@@ -68,7 +68,7 @@ DeltaRoutingTable::DeltaRoutingTable(const topo::AsGraph& base,
     dest_index_[dests_[i].value()] = static_cast<std::int32_t>(i);
   }
   current_ = build_masked();
-  segments_ = decltype(segments_)(dests_.size());
+  segments_.resize(dests_.size());
   for (std::size_t i = 0; i < dests_.size(); ++i) republish(i);
 }
 
@@ -96,7 +96,7 @@ std::shared_ptr<const RouteSegment> DeltaRoutingTable::segment(
     AsId dest) const {
   const std::size_t idx = index_of(dest);
   if (idx >= dests_.size()) return nullptr;
-  return segments_[idx].load(std::memory_order_acquire);
+  return segments_[idx];
 }
 
 std::shared_ptr<const topo::AsGraph> DeltaRoutingTable::build_masked() const {
@@ -145,9 +145,8 @@ bool DeltaRoutingTable::consume_stale(std::size_t idx) {
 
 void DeltaRoutingTable::republish(std::size_t idx) {
   if (consume_stale(idx)) return;
-  auto seg = std::make_shared<const RouteSegment>(
+  segments_[idx] = std::make_shared<const RouteSegment>(
       RouteSegment{current_, rebuild_full(dests_[idx]), epoch_});
-  segments_[idx].store(std::move(seg), std::memory_order_release);
 }
 
 void DeltaRoutingTable::patch(std::size_t idx) {
@@ -155,14 +154,12 @@ void DeltaRoutingTable::patch(std::size_t idx) {
   // The old best assignment is still the fixed point on the new graph (the
   // caller proved it); every view is a pure function of (graph, assignment),
   // so re-derive them without running the decision process.
-  const auto old = segments_[idx].load(std::memory_order_relaxed);
-  std::vector<Route> bests(old->store.all_best().begin(),
-                           old->store.all_best().end());
-  auto seg = std::make_shared<const RouteSegment>(RouteSegment{
+  const RouteStore& old = segments_[idx]->store;
+  std::vector<Route> bests(old.all_best().begin(), old.all_best().end());
+  segments_[idx] = std::make_shared<const RouteSegment>(RouteSegment{
       current_,
       RouteStore(*current_, DestRoutes(dests_[idx], std::move(bests))),
       epoch_});
-  segments_[idx].store(std::move(seg), std::memory_order_release);
 }
 
 bool DeltaRoutingTable::would_offer(const RouteSegment& seg, AsId importer,
@@ -231,7 +228,7 @@ DeltaStats DeltaRoutingTable::apply(const RouteEvent& ev) {
       st.epoch = ++epoch_;
       current_ = build_masked();
       for (std::size_t i = 0; i < dests_.size(); ++i) {
-        const auto seg = segments_[i].load(std::memory_order_relaxed);
+        const RouteSegment* seg = segments_[i].get();
         bool recompute;
         bool row_change;
         if (is_down) {
@@ -276,9 +273,10 @@ DeltaStats DeltaRoutingTable::apply(const RouteEvent& ev) {
 std::vector<AsId> DeltaRoutingTable::differential_check() const {
   std::vector<AsId> mismatched;
   for (std::size_t i = 0; i < dests_.size(); ++i) {
-    const auto seg = segments_[i].load(std::memory_order_acquire);
     const RouteStore fresh = rebuild_full(dests_[i]);
-    if (!stores_identical(seg->store, fresh)) mismatched.push_back(dests_[i]);
+    if (!stores_identical(segments_[i]->store, fresh)) {
+      mismatched.push_back(dests_[i]);
+    }
   }
   return mismatched;
 }

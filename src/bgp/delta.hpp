@@ -11,15 +11,15 @@
 // across the toggled edge (dis)appears get a cheap view-only patch, and
 // every other destination keeps its existing segment, pointer-identical.
 //
-// Publication is epoch-swapped: each destination's converged state lives in
-// an immutable `RouteSegment` behind a `std::atomic<std::shared_ptr<...>>`.
-// A writer applying an event builds fresh segments off to the side and swaps
-// them in one atomic store per destination, so concurrent readers (walk,
-// MIRO, FluidSim route cache, verifier, sharded daemons) always observe a
-// complete, internally consistent store — either wholly pre-event or wholly
-// post-event for that destination. Cross-destination mixes of epochs are
-// possible by design; every consumer in this codebase partitions its work
-// per destination, which is exactly the granularity the swap protects.
+// Publication: each destination's converged state lives in an immutable
+// `RouteSegment` held by `std::shared_ptr`. Applying an event builds fresh
+// segments and replaces the affected pointers, so a reader that still holds
+// a segment keeps a complete pre-event store (and the graph version it was
+// computed against) for as long as it holds it.
+//
+// Threading: none. The table is single-threaded — `apply`, `plant_stale`
+// and every reader must run on one thread (the chaos engine's); nothing
+// here synchronises.
 //
 // Per event each destination falls into one of three buckets, decided by
 // O(1) tests against the pre-event segment (proofs in DESIGN.md §5.1b):
@@ -66,7 +66,6 @@
 // every event of seeded churn sequences across 100 topologies.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -145,10 +144,6 @@ struct RouteSegment {
 
 /// Delta-maintained converged routing state for a fixed set of destination
 /// ASes over a base topology with live prefix/session churn.
-///
-/// Threading: single writer (`apply`, `plant_stale`), any number of
-/// concurrent readers through `segment()`. All other accessors are
-/// writer-thread-only (they read the mutable withdrawn/disabled bookkeeping).
 class DeltaRoutingTable {
  public:
   /// `base` must outlive the table. `dests` are the tracked destination
@@ -157,14 +152,14 @@ class DeltaRoutingTable {
   DeltaRoutingTable(const topo::AsGraph& base, std::vector<AsId> dests);
 
   /// Applies one routing event: computes the affected destinations against
-  /// the pre-event segments, recomputes only those, and epoch-swaps the new
-  /// segments in. Idempotent on duplicates (withdraw of a withdrawn origin,
+  /// the pre-event segments, recomputes only those, and publishes the new
+  /// segments. Idempotent on duplicates (withdraw of a withdrawn origin,
   /// down of a downed session) — those return applied = false.
   DeltaStats apply(const RouteEvent& ev);
 
-  /// Lock-free reader entry point: the currently published segment for
-  /// `dest` (nullptr when `dest` is not tracked). The shared_ptr keeps the
-  /// segment and its graph version alive for as long as the reader holds it.
+  /// The currently published segment for `dest` (nullptr when `dest` is
+  /// not tracked). The shared_ptr keeps the segment and its graph version
+  /// alive for as long as the caller holds it, across later apply() calls.
   [[nodiscard]] std::shared_ptr<const RouteSegment> segment(AsId dest) const;
 
   [[nodiscard]] std::span<const AsId> destinations() const { return dests_; }
@@ -199,7 +194,7 @@ class DeltaRoutingTable {
   /// Consumes the planted-staleness control for dests_[idx]: true when the
   /// pending republish/patch must be skipped (leaving the stale segment).
   [[nodiscard]] bool consume_stale(std::size_t idx);
-  /// Builds and swaps in the current converged segment for dests_[idx]
+  /// Builds and publishes the current converged segment for dests_[idx]
   /// (honors the planted-staleness control).
   void republish(std::size_t idx);
   /// View-only republish: rebuilds dests_[idx]'s segment on the current
@@ -222,7 +217,7 @@ class DeltaRoutingTable {
   std::shared_ptr<const topo::AsGraph> current_;
   std::vector<AsId> dests_;
   std::vector<std::int32_t> dest_index_;  ///< AS id -> dests_ index or -1
-  std::vector<std::atomic<std::shared_ptr<const RouteSegment>>> segments_;
+  std::vector<std::shared_ptr<const RouteSegment>> segments_;
   std::vector<AsId> withdrawn_;
   std::vector<std::pair<AsId, AsId>> disabled_;  ///< normalized (min,max)
   std::uint64_t epoch_ = 0;

@@ -181,6 +181,7 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
     SimTime start;
     SimTime period;
     Event ev;
+    std::size_t lineno;
   };
   std::vector<Every> repeats;
 
@@ -205,7 +206,7 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
         plan.events.push_back(ev);
       }
     } else if (word == "every") {
-      Every rep{};
+      Every rep{0.0, 0.0, {}, lineno};
       if (!(ls >> rep.start >> rep.period) || rep.period <= 0.0) {
         sub_error = "every: expected START PERIOD";
       } else if (parse_event(ls, rep.start, rep.ev, sub_error)) {
@@ -257,7 +258,14 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
   }
 
   for (const auto& rep : repeats) {
+    std::size_t n = 0;
     for (SimTime t = rep.start; t <= plan.duration; t += rep.period) {
+      if (n++ == kMaxEveryEvents) {
+        error = "line " + std::to_string(rep.lineno) +
+                ": every: expands to more than " +
+                std::to_string(kMaxEveryEvents) + " events";
+        return std::nullopt;
+      }
       Event ev = rep.ev;
       ev.t = t;
       plan.events.push_back(ev);

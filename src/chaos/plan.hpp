@@ -10,6 +10,7 @@
 // pair reproduces an experiment bit-for-bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -68,6 +69,10 @@ struct Plan {
   void normalize();
 };
 
+/// Most events one `every` directive may expand to; a plan past it is an
+/// input error rather than an unbounded allocation.
+inline constexpr std::size_t kMaxEveryEvents = 1'000'000;
+
 /// Parses the plan DSL. Grammar (one directive per line, `#` comments):
 ///
 ///   duration T
@@ -79,7 +84,7 @@ struct Plan {
 ///   at T burst SRC DST COUNT SIZE_MB
 ///   at T plant-valley
 ///   at T plant-stale-route
-///   every START PERIOD <event...>          (expanded until `duration`)
+///   every START PERIOD <event...>          (until `duration`; capped above)
 ///   fail T mttr M link A B                 (link-down @T, link-up @T+M)
 ///   fail T mttr M prefix A                 (withdraw / reannounce)
 ///   fail T mttr M ibgp A                   (ibgp-drop / ibgp-restore)

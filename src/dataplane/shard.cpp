@@ -53,7 +53,8 @@ ShardedNetwork::ShardedNetwork(std::size_t num_shards, ShardConfig cfg)
         s, &router_shard_, &host_shard_,
         [this, s](RemoteEvent&& ev) { on_remote(s, std::move(ev)); });
   }
-  slots_.resize(num_shards);
+  rings_.resize(num_shards * num_shards);
+  next_event_.resize(num_shards);
   drain_scratch_.resize(num_shards);
   worker_stats_.resize(num_shards);
 }
@@ -199,25 +200,27 @@ void ShardedNetwork::add_periodic(AsId as, SimTime interval,
 void ShardedNetwork::on_remote(std::uint32_t from, RemoteEvent&& ev) {
   const std::uint32_t to =
       ev.to_router ? router_shard_[ev.node] : host_shard_[ev.node];
+  MIFO_ASSERT(to != from);
   RingSlot& slot = ring_slot(from, to);
-  MIFO_ASSERT(slot.ring != nullptr);
-  if (!slot.ring->try_push(std::move(ev))) {
+  if (slot.buffer.size() >= cfg_.ring_capacity) {
     ++slot.overflow;  // bounded handoff: the packet is dropped, accounted
     return;
   }
+  slot.buffer.push_back(std::move(ev));
   ++slot.pushed;
-  slot.peak = std::max(slot.peak, slot.ring->size());
+  slot.peak = std::max(slot.peak, slot.buffer.size());
 }
 
 void ShardedNetwork::drain_into(std::uint32_t s) {
   std::vector<RemoteEvent>& batch = drain_scratch_[s];
   batch.clear();
   for (std::uint32_t from = 0; from < num_shards(); ++from) {
-    if (from == s) continue;
-    ring_slot(from, s).ring->drain_into(batch);
+    std::vector<RemoteEvent>& buffer = ring_slot(from, s).buffer;
+    for (RemoteEvent& ev : buffer) batch.push_back(std::move(ev));
+    buffer.clear();
   }
   if (batch.empty()) return;
-  // Ring arrival order depends on which producer ran when; restore the
+  // Batch order depends on which producer sent what; restore the
   // content-derived total order so injection (which assigns event_seq_, the
   // same-timestamp tie-break) is deterministic. (t, from_node, from_port) is
   // unique: a port's transmissions are serialized and tx time is non-zero.
@@ -237,15 +240,6 @@ void ShardedNetwork::drain_into(std::uint32_t s) {
 void ShardedNetwork::freeze() {
   if (frozen_) return;
   frozen_ = true;
-  const std::uint32_t n = num_shards();
-  rings_.resize(static_cast<std::size_t>(n) * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      ring_slot(i, j).ring =
-          std::make_unique<SpscRing<RemoteEvent>>(cfg_.ring_capacity);
-    }
-  }
 
   // The conservative window is the minimum propagation delay of any link
   // whose endpoints hash to different shards (in practice: eBGP links, since
@@ -286,9 +280,9 @@ void ShardedNetwork::run_epochs(SimTime t_end) {
     }
     ctl.compute = false;
     SimTime m = kInf;
-    for (const ShardSlot& slot : slots_) m = std::min(m, slot.next_event);
+    for (const SimTime t : next_event_) m = std::min(m, t);
     if (m > t_end) {
-      // Nothing anywhere within the run bound (and the rings were drained
+      // Nothing anywhere within the run bound (and the buffers were drained
       // right before this barrier, with no worker running in between that
       // could refill them): the epoch loop is finished.
       ctl.done = true;
@@ -308,7 +302,7 @@ void ShardedNetwork::run_epochs(SimTime t_end) {
     SimTime prev_horizon = net.now();
     while (true) {
       drain_into(s);
-      slots_[s].next_event = net.next_event_time();
+      next_event_[s] = net.next_event_time();
       const auto w0 = std::chrono::steady_clock::now();
       bar.arrive_and_wait();  // completion computes horizon / done
       ws.barrier_wait.add(wall_seconds_since(w0));
@@ -331,18 +325,17 @@ void ShardedNetwork::run_epochs(SimTime t_end) {
     }
   };
 
-  std::vector<std::thread> threads;
+  std::vector<std::jthread> threads;
   threads.reserve(n - 1);
   for (std::uint32_t s = 1; s < n; ++s) threads.emplace_back(worker, s);
   worker(0);
-  for (std::thread& t : threads) t.join();
 }
 
 void ShardedNetwork::run_until(SimTime t_end) {
   freeze();
   if (num_shards() == 1) {
     // Single shard: plain serial execution (the shard-mode hooks are active
-    // but every node is self-owned, so nothing ever diverts to a ring).
+    // but every node is self-owned, so nothing ever diverts to a buffer).
     nets_[0]->run_until(t_end);
     return;
   }
@@ -350,7 +343,7 @@ void ShardedNetwork::run_until(SimTime t_end) {
 }
 
 void ShardedNetwork::run_to_completion(SimTime t_cap) {
-  // The epoch loop already terminates as soon as every queue and ring is
+  // The epoch loop already terminates as soon as every queue and buffer is
   // empty (m == +inf), so completion-capped and bound-capped runs coincide;
   // unlike the serial engine the clock always lands on the cap.
   run_until(t_cap);
@@ -361,7 +354,7 @@ bool ShardedNetwork::idle() const {
     if (!net->idle()) return false;
   }
   for (const RingSlot& slot : rings_) {
-    if (slot.ring != nullptr && !slot.ring->empty()) return false;
+    if (!slot.buffer.empty()) return false;
   }
   return true;
 }

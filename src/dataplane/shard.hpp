@@ -4,8 +4,9 @@
 // across cores the way MW-NFD scales NFD (SNIPPETS.md §3): per-core
 // forwarding workers that each own a disjoint slice of the network — their
 // routers' event queues, FIBs and per-port tx queues — with no locks on the
-// forwarding path, and bounded SPSC rings carrying the packets that cross
-// slices.
+// forwarding path, and bounded handoff buffers carrying the packets that
+// cross slices. MW-NFD's free-running threads need lock-free rings; here the
+// barrier puts a buffer's writer and reader in alternate phases.
 //
 // Partitioning. Routers are partitioned by FNV-1a hash of their AS id (each
 // AS's prefixes — and therefore its FIB rows, iBGP mesh, deflection encaps
@@ -19,10 +20,10 @@
 // W is the minimum cross-shard link delay, then each worker dispatches its
 // local events up to the horizon. Any packet emitted during the window
 // arrives at least tx_time + W after its emission, i.e. strictly beyond the
-// horizon, so draining the rings at the next barrier can never deliver an
+// horizon, so draining the buffers at the next barrier can never deliver an
 // event into a shard's past — event ordering within a shard stays exactly
 // the serial engine's (t, event_seq) order, and a run is deterministic for
-// a given shard count. Drained ring batches are injected in the
+// a given shard count. Drained handoff batches are injected in the
 // content-derived order (t, from_node, from_port), which is unique because
 // per-port transmissions are serialized.
 //
@@ -39,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "dataplane/network.hpp"
@@ -47,18 +47,18 @@
 namespace mifo::dp {
 
 struct ShardConfig {
-  /// Capacity (entries) of each cross-shard ring. A full ring drops the
-  /// packet — accounted as `ring_overflow` in drop_breakdown(), never
-  /// silent — so size this above the worst per-window burst.
+  /// Entries each cross-shard handoff buffer takes per window. A full one
+  /// drops the packet — accounted as `ring_overflow` in drop_breakdown(),
+  /// never silent — so size this above the worst per-window burst.
   std::size_t ring_capacity = 1u << 12;
 };
 
-/// Occupancy/drop statistics of one directed shard-pair ring.
+/// Occupancy/drop statistics of one directed shard-pair handoff buffer.
 struct RingStats {
   std::uint32_t from = 0;
   std::uint32_t to = 0;
   std::uint64_t pushed = 0;
-  std::uint64_t overflow = 0;   ///< packets dropped: ring full
+  std::uint64_t overflow = 0;   ///< packets dropped: buffer full
   std::size_t peak = 0;         ///< high-water occupancy
 };
 
@@ -130,7 +130,7 @@ class ShardedNetwork {
   /// (set_port_up, FIB edits via router()) is safe — that is the sharded
   /// plane's management-thread moment.
   void run_until(SimTime t_end);
-  /// Runs until every queue and ring drains, capped at `t_cap`.
+  /// Runs until every queue and handoff buffer drains, capped at `t_cap`.
   void run_to_completion(SimTime t_cap);
   [[nodiscard]] bool idle() const;
   [[nodiscard]] SimTime now() const { return nets_[0]->now(); }
@@ -153,7 +153,7 @@ class ShardedNetwork {
   [[nodiscard]] std::uint64_t stale_flow_pkts() const;
   [[nodiscard]] RouterCounters total_counters() const;
   /// Serial buckets plus `ring_overflow` (packets dropped because a
-  /// cross-shard ring was full). Conservation under the sharded plane:
+  /// cross-shard handoff was full). Conservation under the sharded plane:
   ///   injected == delivered + misdelivered + stale_flow + router drops
   ///             + port drops + ring_overflow            once drained.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
@@ -185,7 +185,7 @@ class ShardedNetwork {
   }
 
   /// Publishes every shard replica's dp.* metrics (one registry shard each;
-  /// they merge at snapshot) plus ring occupancy gauges
+  /// they merge at snapshot) plus handoff occupancy gauges
   /// (dp.ring_occupancy_peak / dp.ring_pushed / dp.ring_overflow per
   /// directed shard pair), dp.shard_window, per-worker epoch counts and the
   /// epoch-window / barrier-wait histograms. Re-publishing with the same
@@ -193,17 +193,14 @@ class ShardedNetwork {
   void publish_metrics(obs::Registry& reg, const std::string& labels) const;
 
  private:
+  /// Handoff of one directed shard pair: the source worker appends inside
+  /// its window, the destination worker drains between the window's closing
+  /// rendezvous and the next one; the counters are read only while parked.
   struct RingSlot {
-    std::unique_ptr<SpscRing<RemoteEvent>> ring;
-    // Producer-written (its worker thread); read only while parked.
+    std::vector<RemoteEvent> buffer;
     std::uint64_t pushed = 0;
     std::uint64_t overflow = 0;
     std::size_t peak = 0;
-  };
-
-  /// Padded per-shard slot the barrier completion reduces over.
-  struct alignas(kCacheLine) ShardSlot {
-    SimTime next_event = 0.0;
   };
 
   void freeze();
@@ -215,7 +212,7 @@ class ShardedNetwork {
                                           std::uint32_t to) const {
     return rings_[from * nets_.size() + to];
   }
-  /// Drains every ring destined to shard `s`, restores the deterministic
+  /// Drains every buffer destined to shard `s`, restores the deterministic
   /// (t, from_node, from_port) order, and injects into the replica's queue.
   void drain_into(std::uint32_t s);
   void run_epochs(SimTime t_end);
@@ -238,8 +235,10 @@ class ShardedNetwork {
   std::vector<std::uint32_t> host_shard_;
   std::vector<AsId> router_as_;
   std::vector<RouterId> host_router_;
+  /// from * num_shards + to; created with the plane.
   std::vector<RingSlot> rings_;
-  std::vector<ShardSlot> slots_;
+  /// Per shard: its earliest pending event, for the barrier completion.
+  std::vector<SimTime> next_event_;
   /// Scratch batch per shard for barrier drains (worker-owned).
   std::vector<std::vector<RemoteEvent>> drain_scratch_;
   SimTime window_ = 0.0;

@@ -1,6 +1,6 @@
 #include "obs/artifact.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -286,6 +286,40 @@ struct JsonParser {
     return consume('"');
   }
 
+  bool digits() {
+    const char* const from = p;
+    while (p < end && *p >= '0' && *p <= '9') ++p;
+    return p > from;
+  }
+
+  /// One RFC 8259 number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?. A
+  /// literal without fraction or exponent must fit int64 (and round-trips
+  /// without a decimal point); any other must be finite. Else ok=false.
+  Json parse_number() {
+    const char* const start = p;
+    if (p < end && *p == '-') ++p;
+    const char* const lead = p;
+    ok = digits() && (*lead != '0' || p == lead + 1);  // no leading zeros
+    const bool integral = p == end || (*p != '.' && *p != 'e' && *p != 'E');
+    if (ok && p < end && *p == '.') {
+      ++p;
+      ok = digits();
+    }
+    if (ok && p < end && (*p == 'e' || *p == 'E')) {
+      if (++p < end && (*p == '+' || *p == '-')) ++p;
+      ok = digits();
+    }
+    if (ok && integral) {
+      std::int64_t v = 0;
+      ok = std::from_chars(start, p, v).ec == std::errc();
+      return ok ? Json::num(v) : Json();
+    }
+    char* num_end = nullptr;
+    const double v = ok ? std::strtod(start, &num_end) : 0.0;
+    ok = ok && num_end == p && std::isfinite(v);
+    return ok ? Json::num(v) : Json();
+  }
+
   /// `depth` counts the containers enclosing the value; sets ok=false on
   /// malformed input.
   Json parse_value(int depth);
@@ -349,22 +383,8 @@ Json JsonParser::parse_value(int depth) {
       if (literal("null")) return {};
       ok = false;
       return {};
-    default: {
-      char* num_end = nullptr;
-      const double v = std::strtod(p, &num_end);
-      if (num_end == p || num_end > end) {
-        ok = false;
-        return {};
-      }
-      // Integer-looking input round-trips without a decimal point.
-      const bool integral =
-          std::find_if(p, static_cast<const char*>(num_end), [](char c) {
-            return c == '.' || c == 'e' || c == 'E';
-          }) == num_end;
-      p = num_end;
-      return integral ? Json::num(static_cast<std::int64_t>(v))
-                      : Json::num(v);
-    }
+    default:
+      return parse_number();
   }
 }
 }  // namespace

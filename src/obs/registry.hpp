@@ -1,9 +1,10 @@
 // Metrics registry: named, label-tagged counters, gauges and histograms.
 //
-// Accumulation is sharded: every producer (a FluidSim arm on a pool worker,
-// a dp::Network event loop, a bench thread) owns one Shard and increments
-// dense per-shard slots with no synchronization — safe under
-// ThreadPool::parallel_for as long as a shard has a single writer.
+// Accumulation is sharded: every producer (a FluidSim arm on a
+// parallel_for thread, a dp::Network event loop, a bench thread) owns one
+// Shard and increments dense per-shard slots with no synchronization —
+// safe as long as a shard has a single writer. Registration and shard
+// creation lock, because bench::run_arms arms register concurrently.
 // Aggregation happens only at snapshot() time, after producers quiesce
 // (benches snapshot after the arms join), by summing shards through
 // common/stats (RunningStats/Histogram merge).

@@ -7,7 +7,7 @@
 #include <queue>
 
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 
 namespace mifo::sim {
 
@@ -94,8 +94,7 @@ void FluidSim::warm_route_cache_dests(std::vector<std::uint32_t> dests) {
   // compute_routes is pure per destination, so each slot is independent;
   // the cache itself is only touched from this thread, after the join.
   std::vector<std::unique_ptr<bgp::RouteStore>> computed(dests.size());
-  ThreadPool pool(std::min(threads, dests.size()));
-  parallel_for(pool, dests.size(), [this, &dests, &computed](std::size_t i) {
+  parallel_for(threads, dests.size(), [this, &dests, &computed](std::size_t i) {
     computed[i] = std::make_unique<bgp::RouteStore>(g_, AsId(dests[i]));
   });
   for (std::size_t i = 0; i < dests.size(); ++i) {

@@ -4,8 +4,8 @@
 //   2. liveness — no stuck flows once faults are repaired,
 //   3. conservation — every injected packet delivered or in a drop bucket,
 // and the whole (topology, plan, traffic) triple must be deterministic, so
-// the seed sweep can fan out across the shared ThreadPool and still match a
-// serial run bit for bit — the chaos arms of bench_chaos_recovery rely on
+// the seed sweep can fan out across threads and still match a serial run
+// bit for bit — the chaos arms of bench_chaos_recovery rely on
 // exactly this.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/generator.hpp"
 
@@ -135,11 +135,8 @@ TEST(ChaosParallel, ThreadPoolSweepMatchesSerial) {
   // the arms may run concurrently and must reproduce the serial results
   // exactly (this is the execution model of bench_chaos_recovery).
   std::vector<RunOutcome> parallel(seeds.size());
-  {
-    ThreadPool pool(seeds.size());
-    parallel_for(pool, 0, seeds.size(),
-                 [&](std::size_t i) { parallel[i] = run_chaos(seeds[i]); });
-  }
+  parallel_for(seeds.size(), seeds.size(),
+               [&](std::size_t i) { parallel[i] = run_chaos(seeds[i]); });
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(parallel[i].report_json, serial[i].report_json) << seeds[i];

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chaos/plan.hpp"
 #include "topo/generator.hpp"
 
@@ -111,6 +113,27 @@ TEST(ChaosPlan, EveryDirectiveExpandsUntilDuration) {
     prev = e.t;
   }
   EXPECT_DOUBLE_EQ(plan->events.front().t, 0.1);
+}
+
+TEST(ChaosPlan, EveryDirectiveExpansionIsBounded) {
+  // A period far below the duration, and one too small to advance the time
+  // at all (t + period == t), are input errors naming the line.
+  const std::string expected = "line 2: every: expands to more than " +
+                               std::to_string(kMaxEveryEvents) + " events";
+  for (const char* text : {"duration 1\nevery 0 1e-9 ibgp-drop 1\n",
+                           "duration 1e18\nevery 1e17 1 ibgp-drop 1\n"}) {
+    std::string error;
+    EXPECT_FALSE(parse_plan(text, error).has_value()) << text;
+    EXPECT_EQ(error, expected) << text;
+  }
+  // Exactly at the cap, the directive still expands in full.
+  std::string error;
+  const auto plan = parse_plan("duration " +
+                                   std::to_string(kMaxEveryEvents - 1) +
+                                   "\nevery 0 1 ibgp-drop 1\n",
+                               error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->events.size(), kMaxEveryEvents);
 }
 
 TEST(ChaosPlan, MalformedInputYieldsErrorNotPlan) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataplane/network.hpp"
@@ -318,6 +319,34 @@ TEST(ShardedNetwork, PublishMetricsMergesReplicaShardsAndExportsRingGauges) {
   }
   EXPECT_GT(expected_pushed, 0u);
   EXPECT_EQ(pushed, static_cast<double>(expected_pushed));
+}
+
+TEST(ShardedNetwork, RingStatsAndMetricsBeforeFirstRun) {
+  // The handoff buffers exist from construction, so the stats views work
+  // on a plane that has never run.
+  ShardedNetwork net(2);
+  net.add_router(AsId(1));
+  net.add_router(AsId(2));
+
+  const std::vector<RingStats> stats = net.ring_stats();
+  ASSERT_EQ(stats.size(), 2u);  // one per directed shard pair
+  for (const RingStats& rs : stats) {
+    EXPECT_NE(rs.from, rs.to);
+    EXPECT_EQ(rs.pushed, 0u);
+    EXPECT_EQ(rs.overflow, 0u);
+    EXPECT_EQ(rs.peak, 0u);
+  }
+  EXPECT_EQ(net.drop_breakdown().back(),
+            (std::pair<std::string, std::uint64_t>{"ring_overflow", 0}));
+  EXPECT_TRUE(net.idle());
+
+  obs::Registry reg;
+  net.publish_metrics(reg, "");
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.value_or("dp.num_shards", -1.0), 2.0);
+  EXPECT_EQ(snap.value_or("dp.ring_pushed", -1.0, "from=0,to=1"), 0.0);
+  EXPECT_EQ(snap.value_or("dp.ring_occupancy_peak", -1.0, "from=1,to=0"),
+            0.0);
 }
 
 }  // namespace

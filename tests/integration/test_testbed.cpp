@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/routing.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "testbed/fig11.hpp"
 
 namespace mifo::testbed {
@@ -132,7 +132,7 @@ TEST(Fig12, ThroughputTraceSumsToTransferredBytes) {
 TEST(Fig12, ParallelArmsAreIdenticalToSerial) {
   // bench_fig12_testbed runs the BGP and MIFO arms concurrently through
   // bench::run_arms; each arm owns its emulation, so running the same
-  // experiment on pool workers must reproduce the serial results exactly.
+  // experiment on parallel threads must reproduce the serial results exactly.
   Fig12Params params;
   params.flow_size = kMegaByte;
   params.flows_per_pair = 3;
@@ -145,8 +145,7 @@ TEST(Fig12, ParallelArmsAreIdenticalToSerial) {
     p.mifo = i == 1;
     serial[i] = run_fig12(p);
   }
-  ThreadPool pool(2);
-  parallel_for(pool, std::size_t{2}, [&](std::size_t i) {
+  parallel_for(2, 2, [&](std::size_t i) {
     Fig12Params p = params;
     p.mifo = i == 1;
     parallel[i] = run_fig12(p);

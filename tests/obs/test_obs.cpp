@@ -11,8 +11,10 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "obs/artifact.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -103,8 +105,7 @@ TEST(Registry, OneShardPerWorkerUnderParallelFor) {
   for (std::size_t i = 0; i < kWorkers; ++i) {
     shards.push_back(&reg.create_shard());
   }
-  ThreadPool pool(kWorkers);
-  parallel_for(pool, kWorkers, [&](std::size_t w) {
+  parallel_for(kWorkers, kWorkers, [&](std::size_t w) {
     for (std::size_t i = 0; i < kPerWorker; ++i) shards[w]->add(c);
   });
   EXPECT_DOUBLE_EQ(reg.snapshot().value_or("par.count", -1.0),
@@ -116,8 +117,7 @@ TEST(Registry, ConcurrentRegistrationAndShardCreationIsSafe) {
   // pattern) must not race; every arm's count survives.
   Registry reg;
   constexpr std::size_t kArms = 8;
-  ThreadPool pool(kArms);
-  parallel_for(pool, kArms, [&](std::size_t a) {
+  parallel_for(kArms, kArms, [&](std::size_t a) {
     const MetricId id =
         reg.counter("arm.count", "arm=" + std::to_string(a));
     Registry::Shard& s = reg.create_shard();
@@ -469,8 +469,7 @@ TEST(TimelineMerge, ConcurrentAppendUnderParallelForStaysOrdered) {
     tracers.push_back(std::make_unique<Tracer>(kCapacity));
     tracers.back()->set_shard(static_cast<std::uint32_t>(w));
   }
-  ThreadPool pool(kWorkers);
-  parallel_for(pool, kWorkers, [&](std::size_t w) {
+  parallel_for(kWorkers, kWorkers, [&](std::size_t w) {
     for (std::size_t i = 0; i < kPerWorker; ++i) {
       TraceEvent ev;
       ev.kind = TraceKind::Forward;
@@ -519,6 +518,43 @@ TEST(Json, ParseRejectsMalformedAndTrailingGarbage) {
   EXPECT_FALSE(Json::parse("[1,]").has_value());
   EXPECT_FALSE(Json::parse("{} trailing").has_value());
   EXPECT_FALSE(Json::parse("").has_value());
+}
+
+TEST(Json, ParseAcceptsOnlyTheRfc8259NumberGrammar) {
+  // strtod takes every one of these; JSON takes none.
+  for (const char* bad : {"inf", "-inf", "infinity", "0x1A", "+5", "1.", ".5",
+                          "01", "-01", "-", "1e", "1e+", "1.e3", "-.5"}) {
+    EXPECT_FALSE(Json::parse(std::string("[") + bad + "]").has_value())
+        << bad;
+  }
+  const std::pair<const char*, double> good[] = {
+      {"0", 0.0},    {"-0", 0.0},     {"120", 120.0}, {"-7", -7.0},
+      {"1.5", 1.5},  {"0.25e2", 25.0}, {"2E-2", 0.02}, {"1e+3", 1000.0},
+      {"-0.0", 0.0}, {"1e-400", 0.0}};
+  for (const auto& [text, value] : good) {
+    const auto parsed = Json::parse(std::string("[") + text + "]");
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_DOUBLE_EQ(parsed->items()[0].number(), value) << text;
+  }
+}
+
+TEST(Json, ParseRejectsNonFiniteAndOutOfRangeIntegers) {
+  EXPECT_FALSE(Json::parse("1e400").has_value());
+  EXPECT_FALSE(Json::parse(R"({"t":-1e400})").has_value());
+  // Integral literals must fit int64 (casting a wider double is undefined).
+  EXPECT_FALSE(Json::parse("99999999999999999999").has_value());
+  EXPECT_FALSE(Json::parse(R"({"epoch":9223372036854775808})").has_value());
+  EXPECT_FALSE(Json::parse("-9223372036854775809").has_value());
+  const auto max = Json::parse("9223372036854775807");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->number(), 0x1p63);
+  const auto min = Json::parse("-9223372036854775808");
+  ASSERT_TRUE(min.has_value());
+  EXPECT_EQ(min->number(), -0x1p63);
+  // A fraction or exponent makes a literal a double, exempt from the bound.
+  const auto wide = Json::parse("1e19");
+  ASSERT_TRUE(wide.has_value());
+  EXPECT_EQ(wide->number(), 1e19);
 }
 
 TEST(Json, ParseUnicodeEscape) {

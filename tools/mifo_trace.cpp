@@ -14,14 +14,16 @@
 // non-decreasing sim time inside each epoch (the merge invariant
 // obs::trace_order guarantees) and that every span's milestones are
 // causally ordered. Exit 0 = valid, 1 = usage/input error (malformed JSON, a
-// wrongly shaped section, an event without numeric "t" and "epoch"),
-// 2 = violated.
+// wrongly shaped section, an event without numeric "t" and "epoch", an id
+// field that is not an unsigned integer), 2 = violated.
 // All output is a pure function of the artifact bytes, so two renderings
 // of byte-identical artifacts are themselves byte-identical.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -88,6 +90,27 @@ bool parse_args(int argc, char** argv, Options& opt) {
 double num_of(const obs::Json& obj, const char* key, double fallback) {
   const obs::Json* j = obj.find(key);
   return j != nullptr ? j->number_or(fallback) : fallback;
+}
+
+/// Reads the unsigned integer field `key` of timeline event `idx` into
+/// `out` (0 when absent). A value that is not a whole number `T` can hold
+/// is an input error naming its JSON path: false, after the message.
+template <typename T>
+bool uint_of(const obs::Json& event, std::size_t idx, const char* key,
+             T& out) {
+  const obs::Json* j = event.find(key);
+  const double v = j != nullptr ? j->number_or(-1.0) : 0.0;
+  constexpr int kBits = std::numeric_limits<T>::digits;
+  // 2^kBits is exact as a double, and every whole number below it fits T.
+  if (v >= 0.0 && v == std::floor(v) && v < std::ldexp(1.0, kBits)) {
+    out = static_cast<T>(v);
+    return true;
+  }
+  std::fprintf(stderr,
+               "mifo-trace: timeline.events[%zu].%s: expected an unsigned "
+               "%d-bit integer\n",
+               idx, key, kBits);
+  return false;
 }
 
 std::string text_of(const obs::Json& obj, const char* key) {
@@ -185,6 +208,8 @@ int check_artifact(const obs::Json& root) {
                    idx);
       return 1;
     }
+    std::uint64_t epoch_id = 0;  // range-checked; compared as a double below
+    if (!uint_of(e, idx, "epoch", epoch_id)) return 1;
     const double epoch = ej->number();
     const double t = tj->number();
     if (epoch < prev_epoch ||
@@ -223,37 +248,40 @@ int check_artifact(const obs::Json& root) {
   return 0;
 }
 
-void render_flows(const obs::Json& tl, const Options& opt) {
+/// False on an input error (already reported).
+bool render_flows(const obs::Json& tl, const Options& opt) {
   // Group timeline events by flow id, preserving merged order.
   std::map<std::uint64_t, FlowTrace> flows;
-  for (const obs::Json& e : tl.find("events")->items()) {
-    const obs::Json* f = e.find("flow");
-    if (f == nullptr) continue;  // control-plane / chaos events
-    const auto id = static_cast<std::uint64_t>(f->number_or(0.0));
+  const std::vector<obs::Json>& events = tl.find("events")->items();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const obs::Json& e = events[i];
+    if (e.find("flow") == nullptr) continue;  // control-plane / chaos events
+    std::uint64_t id = 0;
+    if (!uint_of(e, i, "flow", id)) return false;
     if (opt.have_flow && id != opt.flow) continue;
     FlowTrace& ft = flows[id];
     ++ft.events;
-    if (ft.events == 1) {
-      ft.origin_shard =
-          static_cast<std::uint32_t>(num_of(e, "origin_shard", 0.0));
-      ft.inject_epoch =
-          static_cast<std::uint64_t>(num_of(e, "inject_epoch", 0.0));
+    if (ft.events == 1 &&
+        !(uint_of(e, i, "origin_shard", ft.origin_shard) &&
+          uint_of(e, i, "inject_epoch", ft.inject_epoch))) {
+      return false;
     }
     const std::string kind = text_of(e, "kind");
     if (!is_emission(kind)) continue;
     Hop h;
     h.t = num_of(e, "t", 0.0);
-    h.epoch = static_cast<std::uint64_t>(num_of(e, "epoch", 0.0));
-    h.router = static_cast<std::uint32_t>(num_of(e, "router", 0.0));
-    h.port = static_cast<std::uint32_t>(num_of(e, "port", 0.0));
-    h.shard = static_cast<std::uint32_t>(num_of(e, "shard", 0.0));
+    if (!(uint_of(e, i, "epoch", h.epoch) &&
+          uint_of(e, i, "router", h.router) && uint_of(e, i, "port", h.port) &&
+          uint_of(e, i, "shard", h.shard))) {
+      return false;
+    }
     h.kind = kind;
     ft.hops.push_back(h);
   }
   if (flows.empty()) {
     std::printf("flows: none traced%s\n",
                 opt.have_flow ? " (flow filter excluded everything)" : "");
-    return;
+    return true;
   }
   std::printf("=== flow paths (%zu traced flow%s) ===\n", flows.size(),
               flows.size() == 1 ? "" : "s");
@@ -280,6 +308,7 @@ void render_flows(const obs::Json& tl, const Options& opt) {
       }
     }
   }
+  return true;
 }
 
 void render_spans(const obs::Json& chaos) {
@@ -398,7 +427,7 @@ int main(int argc, char** argv) {
     std::printf("timeline: %zu events, %.0f overwritten\n",
                 tl->find("events")->items().size(),
                 num_of(*tl, "overwritten", 0.0));
-    render_flows(*tl, opt);
+    if (!render_flows(*tl, opt)) return 1;
   } else {
     std::printf("timeline: absent (run without tracing)\n");
   }
