@@ -7,6 +7,7 @@
 #include <span>
 
 #include "bench_common.hpp"
+#include "oracle/maxmin_reference.hpp"
 #include "sim/maxmin.hpp"
 
 namespace {

@@ -6,8 +6,8 @@
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
 # once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), the
-# verify/chaos/topo/core/obs suites under ASan+UBSan, and the gcov coverage
-# leg (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
+# verify/chaos/topo/core/obs/sim suites under ASan+UBSan, and the gcov
+# coverage leg (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
 #
 #   scripts/check.sh [build_dir] [tsan_build_dir] [ubsan_build_dir] [cov_dir]
 #                    [asan_build_dir]
@@ -285,9 +285,27 @@ plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
   --plan "$artifact_dir/every_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-chaos: unbounded every exit $rc"; exit 1; }
 grep -q "line 2: every: expands to more than 1000000 events" <<< "$plan_err"
+# A burst the engine cannot honour (four billion flows; a per-flow size
+# whose packet count overflows the flow's 32-bit counter) is an input error
+# naming its line, not a bad_alloc or precondition abort (exit 134).
+printf 'duration 1\nat 0.1 burst 1 2 4000000000 1\n' \
+  > "$artifact_dir/burst_count_plan.txt"
+rc=0
+plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/burst_count_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: burst COUNT exit $rc"; exit 1; }
+grep -q "line 2: burst: COUNT 4000000000 is above the cap" <<< "$plan_err"
+printf 'duration 1\nat 0.1 burst 1 2 3 1e300\n' \
+  > "$artifact_dir/burst_size_plan.txt"
+rc=0
+plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/burst_size_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: burst SIZE_MB exit $rc"; exit 1; }
+grep -q "line 2: burst: SIZE_MB 1e+300 is not finite" <<< "$plan_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
-     "malformed flag, out-of-range plan AS and unbounded every refused"
+     "malformed flag, out-of-range plan AS, unbounded every and oversized" \
+     "bursts refused"
 
 echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
 # --check proves the merged timeline is epoch-monotone and every span
@@ -581,15 +599,15 @@ cmake -B "$ubsan_dir" -S . -DMIFO_SANITIZE=undefined
 cmake --build "$ubsan_dir" -j "$jobs"
 ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 
-echo "=== ASan+UBSan: verify/chaos/topo/core/obs suites (${asan_dir}) ==="
+echo "=== ASan+UBSan: verify/chaos/topo/core/obs/sim suites (${asan_dir}) ==="
 # Memory errors (use-after-free, overflow, leaks) in the verifier, the chaos
 # engine, the topology parser and the JSON parser, which take untrusted
-# input, and in the MIFO daemon, which indexes dense per-AS tables by
-# computed offsets.
+# input, and in the MIFO daemon and the max-min solver, which index dense
+# tables by computed offsets.
 cmake -B "$asan_dir" -S . -DMIFO_SANITIZE=address,undefined
 cmake --build "$asan_dir" -j "$jobs" \
-  --target test_verify test_chaos test_topo test_core test_obs
-for t in test_verify test_chaos test_topo test_core test_obs; do
+  --target test_verify test_chaos test_topo test_core test_obs test_sim
+for t in test_verify test_chaos test_topo test_core test_obs test_sim; do
   "$asan_dir"/tests/"$t"
 done
 

@@ -10,8 +10,8 @@
 // O(1) Euler-tour ancestor check instead of a best-chain walk.
 //
 // The legacy `DestRoutes` API is retained as the differential-test oracle
-// (tests/bgp/test_route_store_diff.cpp asserts element-identical views), the
-// same pattern `MaxMinWorkspace` uses against `max_min_rates_reference`.
+// (tests/bgp/test_route_store_diff.cpp asserts element-identical views), as
+// tests/oracle/ keeps the reference solver for `sim::max_min_rates`.
 #pragma once
 
 #include <cstddef>

@@ -476,7 +476,7 @@ void Engine::start_burst(const Event& ev, std::string& detail) {
     dp::FlowParams fp;
     fp.src = src;
     fp.dst = dst;
-    fp.size = static_cast<Bytes>(std::max(0.001, ev.value) * 1e6);
+    fp.size = static_cast<Bytes>(burst_flow_bytes(ev.value));
     fp.start = net.now();
     net.start_flow(fp);
     ++started;

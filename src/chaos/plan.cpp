@@ -1,11 +1,14 @@
 #include "chaos/plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "dataplane/transport.hpp"
 
 namespace mifo::chaos {
 
@@ -100,6 +103,10 @@ std::string Event::to_string() const {
   return buf;
 }
 
+double burst_flow_bytes(double size_mb) {
+  return std::max(0.001, size_mb) * 1e6;
+}
+
 void Plan::normalize() {
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& x, const Event& y) { return x.t < y.t; });
@@ -154,6 +161,22 @@ bool parse_event(std::istringstream& ls, SimTime t, Event& ev,
     ev.kind = EventKind::Burst;
     if (!(ls >> a >> b >> ev.count >> ev.value)) {
       error = "burst: expected SRC DST COUNT SIZE_MB";
+      return false;
+    }
+    if (ev.count > kMaxBurstFlows) {
+      error = "burst: COUNT " + std::to_string(ev.count) +
+              " is above the cap of " + std::to_string(kMaxBurstFlows) +
+              " flows";
+      return false;
+    }
+    // Each flow's packet count must fit dp::FlowState::total_pkts.
+    const auto max_pkts = std::numeric_limits<std::uint32_t>::max();
+    const double max_bytes = double{max_pkts} * dp::FlowParams{}.pkt_size;
+    if (!std::isfinite(ev.value) || burst_flow_bytes(ev.value) > max_bytes) {
+      std::ostringstream msg;
+      msg << "burst: SIZE_MB " << ev.value << " is not finite or needs more"
+          << " than " << max_pkts << " packets per flow";
+      error = msg.str();
       return false;
     }
     ev.a = AsId(a);

@@ -73,6 +73,13 @@ struct Plan {
 /// input error rather than an unbounded allocation.
 inline constexpr std::size_t kMaxEveryEvents = 1'000'000;
 
+/// Most flows one `burst` may start; a larger COUNT is an input error
+/// rather than an unbounded allocation.
+inline constexpr std::uint32_t kMaxBurstFlows = 100'000;
+
+/// Bytes per flow of a burst of `size_mb` MB (at least 1 kB).
+[[nodiscard]] double burst_flow_bytes(double size_mb);
+
 /// Parses the plan DSL. Grammar (one directive per line, `#` comments):
 ///
 ///   duration T
@@ -81,7 +88,7 @@ inline constexpr std::size_t kMaxEveryEvents = 1'000'000;
 ///   at T withdraw A | reannounce A
 ///   at T ibgp-drop A | ibgp-restore A
 ///   at T freeze A | restart A
-///   at T burst SRC DST COUNT SIZE_MB
+///   at T burst SRC DST COUNT SIZE_MB       (COUNT <= kMaxBurstFlows)
 ///   at T plant-valley
 ///   at T plant-stale-route
 ///   every START PERIOD <event...>          (until `duration`; capped above)

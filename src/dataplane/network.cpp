@@ -157,8 +157,9 @@ FlowId Network::register_flow(const FlowParams& params) {
   f.params = params;
   f.src_addr = host_addr(params.src);
   f.dst_addr = host_addr(params.dst);
-  f.total_pkts = static_cast<std::uint32_t>(
-      (params.size + params.pkt_size - 1) / params.pkt_size);
+  const Bytes pkts = (params.size - 1) / params.pkt_size + 1;  // size > 0
+  MIFO_EXPECTS(pkts <= std::numeric_limits<std::uint32_t>::max());
+  f.total_pkts = static_cast<std::uint32_t>(pkts);
   flows_.push_back(std::move(f));
   return flows_.back().id;
 }

@@ -91,6 +91,7 @@ class Network {
   /// Registers the flow without scheduling its FlowStart event. Shard
   /// replicas that do not own the source host need the FlowState (the
   /// receiver half lives at the destination shard) but must never send.
+  /// Expects the flow's packet count to fit FlowState::total_pkts.
   FlowId register_flow(const FlowParams& params);
   [[nodiscard]] const std::vector<FlowState>& flows() const { return flows_; }
   [[nodiscard]] FlowState& flow(FlowId id);

@@ -1,12 +1,20 @@
 #include "sim/maxmin.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <unordered_map>
 
 #include "common/contracts.hpp"
 
 namespace mifo::sim {
+
+namespace {
+
+constexpr std::uint32_t kClassBit = 0x80000000u;
+constexpr std::uint32_t kNone = 0xffffffffu;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 std::span<const double> max_min_rates(const MaxMinInput& in,
                                       MaxMinWorkspace& ws) {
@@ -28,39 +36,40 @@ std::span<const double> max_min_rates(const MaxMinInput& in,
     ws.epoch = 1;
   }
   const std::uint32_t epoch = ws.epoch;
-  ws.rem_cap.clear();
+  ws.capacity.clear();
   ws.count.clear();
-  ws.charge_stamp.clear();
+  ws.last_flow.clear();
   ws.path_begin.clear();
   ws.path_links.clear();
   ws.path_begin.push_back(0);
 
-  // Pass 1: compact touched links into first-seen local indices and build
-  // the deduplicated path CSR. A path may cross the same link at most once
-  // per direction by construction; de-duplicate defensively (charge_stamp)
-  // so capacity is not double-charged.
+  // Compact touched links into first-seen local ids and build the
+  // deduplicated path CSR. A path may cross the same link at most once per
+  // direction by construction; de-duplicate defensively (last_flow) so
+  // capacity is not double-charged.
   for (std::size_t f = 0; f < nf; ++f) {
     const std::uint32_t flow_stamp = static_cast<std::uint32_t>(f) + 1;
     for (const std::uint32_t l : in.flow_links[f]) {
       MIFO_EXPECTS(l < nl && l < in.link_capacity.size());
       if (ws.link_epoch[l] != epoch) {
         ws.link_epoch[l] = epoch;
-        ws.local_id[l] = static_cast<std::uint32_t>(ws.rem_cap.size());
-        ws.rem_cap.push_back(in.link_capacity[l]);
+        ws.local_id[l] = static_cast<std::uint32_t>(ws.capacity.size());
+        ws.capacity.push_back(in.link_capacity[l]);
         ws.count.push_back(0);
-        ws.charge_stamp.push_back(0);
+        ws.last_flow.push_back(0);
       }
       const std::uint32_t idx = ws.local_id[l];
-      if (ws.charge_stamp[idx] == flow_stamp) continue;  // duplicate in path
-      ws.charge_stamp[idx] = flow_stamp;
+      if (ws.last_flow[idx] == flow_stamp) continue;  // duplicate in path
+      ws.last_flow[idx] = flow_stamp;
       ws.path_links.push_back(idx);
       ++ws.count[idx];
     }
     ws.path_begin.push_back(static_cast<std::uint32_t>(ws.path_links.size()));
   }
-  const std::size_t n_used = ws.rem_cap.size();
+  const std::size_t n_used = ws.capacity.size();
+  MIFO_EXPECTS(n_used < kClassBit);  // row ids keep kClassBit free
 
-  // Pass 2: invert the path CSR into a flows-per-link CSR.
+  // Invert the path CSR into a flows-per-link CSR.
   ws.flows_begin.resize(n_used);
   ws.flows_cursor.resize(n_used);
   std::uint32_t cum = 0;
@@ -77,9 +86,44 @@ std::span<const double> max_min_rates(const MaxMinInput& in,
     }
   }
 
-  const double cap_level = in.flow_cap > 0.0
-                               ? in.flow_cap
-                               : std::numeric_limits<double>::infinity();
+  // The table: one row per link crossed by two or more flows (row id = its
+  // local id), and one row per distinct capacity (bit pattern) among the
+  // single-flow links (row id = class id | kClassBit). A class keeps its
+  // members in first-seen order, chained through next_member; it is found
+  // through an open-addressing map keyed by the capacity's bits.
+  const std::size_t slots = std::bit_ceil(2 * n_used);
+  ws.class_slot.assign(slots, kNone);
+  ws.class_key.resize(slots);
+  ws.next_member.resize(n_used);
+  ws.class_first.clear();
+  ws.class_last.clear();
+  ws.table.clear();
+  for (std::uint32_t l = 0; l < n_used; ++l) {
+    if (ws.count[l] != 1) {
+      ws.table.push_back({ws.capacity[l], ws.count[l], l});
+      continue;
+    }
+    const auto bits = std::bit_cast<std::uint64_t>(ws.capacity[l]);
+    std::size_t s = (bits * 0x9E3779B97F4A7C15ull) >> 32 & (slots - 1);
+    while (ws.class_slot[s] != kNone && ws.class_key[s] != bits) {
+      s = (s + 1) & (slots - 1);
+    }
+    ws.next_member[l] = kNone;
+    if (ws.class_slot[s] == kNone) {
+      const auto c = static_cast<std::uint32_t>(ws.class_first.size());
+      ws.class_slot[s] = c;
+      ws.class_key[s] = bits;
+      ws.class_first.push_back(l);
+      ws.class_last.push_back(l);
+      ws.table.push_back({ws.capacity[l], 1, c | kClassBit});
+    } else {
+      const std::uint32_t c = ws.class_slot[s];
+      ws.next_member[ws.class_last[c]] = l;
+      ws.class_last[c] = l;
+    }
+  }
+
+  const double cap_level = in.flow_cap > 0.0 ? in.flow_cap : kInf;
   std::size_t unfrozen = nf;
   double level = 0.0;
   constexpr double kEps = 1e-9;
@@ -102,76 +146,95 @@ std::span<const double> max_min_rates(const MaxMinInput& in,
       --ws.count[ws.path_links[p]];
     }
   };
-
-  // Links that still carry unfrozen flows, stably compacted each round:
-  // iteration order stays first-seen order (matching the reference solver
-  // exactly — min and per-link charging are order-exact anyway), but late
-  // rounds only touch the surviving constraint set instead of all of
-  // n_used.
-  ws.active_links.resize(n_used);
-  for (std::size_t l = 0; l < n_used; ++l) {
-    ws.active_links[l] = static_cast<std::uint32_t>(l);
-  }
-
-  while (unfrozen > 0) {
-    // Smallest uniform increment until some constraint binds.
-    double delta = cap_level - level;
-    for (const std::uint32_t l : ws.active_links) {
-      if (ws.count[l] == 0) continue;
-      delta = std::min(delta, ws.rem_cap[l] / ws.count[l]);
+  // A single-flow link's one flow.
+  auto solo_flow = [&](std::uint32_t l) { return ws.last_flow[l] - 1; };
+  // Freezes the flows of a row's links: every live member of a class, every
+  // flow crossing a link.
+  auto freeze_row = [&](std::uint32_t id) {
+    if ((id & kClassBit) != 0) {
+      for (std::uint32_t m = ws.class_first[id & ~kClassBit]; m != kNone;
+           m = ws.next_member[m]) {
+        freeze_flow(solo_flow(m));
+      }
+      return;
     }
+    for (std::uint32_t c = ws.flows_begin[id]; c < ws.flows_cursor[id]; ++c) {
+      freeze_flow(ws.flow_of[c]);
+    }
+  };
+  // A row's unfrozen-flow count, 1 for a class with a live member. Advances
+  // the class's first member past members whose flow froze.
+  auto live_count = [&](std::uint32_t id) -> std::uint32_t {
+    if ((id & kClassBit) == 0) return ws.count[id];
+    std::uint32_t& m = ws.class_first[id & ~kClassBit];
+    while (m != kNone && ws.frozen[solo_flow(m)]) m = ws.next_member[m];
+    return m != kNone ? 1 : 0;
+  };
+
+  // Pass 2: refresh each row's count, drop rows without unfrozen flows
+  // (stably) and return the next increment, min(cap_level - level,
+  // rem / count).
+  auto min_quotient = [&] {
+    double d = cap_level - level;
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < ws.table.size(); ++i) {
+      MaxMinWorkspace::Row r = ws.table[i];
+      r.count = live_count(r.id);
+      if (r.count == 0) continue;
+      ws.table[w++] = r;
+      d = std::min(d, r.rem / r.count);
+    }
+    ws.table.resize(w);
+    return d;
+  };
+
+  // Numerical backstop: freeze the flows of the first-seen link with the
+  // least remaining capacity (a class competes as its first live member,
+  // and gives up only that member's flow); false if no link qualifies.
+  auto freeze_tightest = [&] {
+    const MaxMinWorkspace::Row* tightest = nullptr;
+    std::uint32_t first_seen = kNone;
+    for (const MaxMinWorkspace::Row& r : ws.table) {
+      if (!(r.rem < kInf)) continue;
+      const std::uint32_t link = (r.id & kClassBit) != 0
+                                     ? ws.class_first[r.id & ~kClassBit]
+                                     : r.id;
+      if (tightest == nullptr || r.rem < tightest->rem ||
+          (r.rem == tightest->rem && link < first_seen)) {
+        tightest = &r;
+        first_seen = link;
+      }
+    }
+    if (tightest == nullptr) return false;
+    if ((tightest->id & kClassBit) != 0) {
+      freeze_flow(solo_flow(first_seen));
+    } else {
+      freeze_row(tightest->id);
+    }
+    return true;
+  };
+
+  double delta = min_quotient();
+  while (unfrozen > 0) {
     MIFO_ASSERT(delta >= 0.0);
     level += delta;
-
-    // Charge the increment and find saturated links.
-    const bool at_cap = level >= cap_level - kEps;
-    for (const std::uint32_t l : ws.active_links) {
-      if (ws.count[l] == 0) continue;
-      ws.rem_cap[l] -= delta * ws.count[l];
-    }
-
-    // Freeze flows on saturated links (and everyone if the cap bound).
-    if (at_cap) {
+    // The cap binds: everyone still rising freezes here. Nothing reads
+    // remaining capacities after this round, so it charges none.
+    if (level >= cap_level - kEps) {
       for (std::size_t f = 0; f < nf; ++f) {
-        if (!ws.frozen[f]) freeze_flow(static_cast<std::uint32_t>(f));
+        if (ws.frozen[f] == 0) ws.rates[f] = level;
       }
       break;
     }
-    bool froze_any = false;
-    for (const std::uint32_t l : ws.active_links) {
-      if (ws.count[l] == 0) continue;
-      if (ws.rem_cap[l] <= 1e-6) {
-        for (std::uint32_t c = ws.flows_begin[l]; c < ws.flows_cursor[l];
-             ++c) {
-          freeze_flow(ws.flow_of[c]);
-        }
-        froze_any = true;
-      }
+    // Pass 1: charge the increment and record saturated rows.
+    ws.saturated.clear();
+    for (MaxMinWorkspace::Row& r : ws.table) {
+      r.rem -= delta * r.count;
+      if (r.rem <= 1e-6) ws.saturated.push_back(r.id);
     }
-    // Numerical backstop: if nothing froze despite a positive delta, freeze
-    // the tightest link to guarantee progress.
-    if (!froze_any) {
-      std::uint32_t tightest = 0;
-      bool found = false;
-      double best = std::numeric_limits<double>::infinity();
-      for (const std::uint32_t l : ws.active_links) {
-        if (ws.count[l] == 0) continue;
-        if (ws.rem_cap[l] < best) {
-          best = ws.rem_cap[l];
-          tightest = l;
-          found = true;
-        }
-      }
-      if (!found) break;  // no constrained links remain
-      for (std::uint32_t c = ws.flows_begin[tightest];
-           c < ws.flows_cursor[tightest]; ++c) {
-        freeze_flow(ws.flow_of[c]);
-      }
-    }
-
-    // Stable compaction: drop links whose flows are all frozen.
-    std::erase_if(ws.active_links,
-                  [&ws](std::uint32_t l) { return ws.count[l] == 0; });
+    for (const std::uint32_t id : ws.saturated) freeze_row(id);
+    if (ws.saturated.empty() && !freeze_tightest()) break;
+    delta = min_quotient();
   }
 
   return ws.rates;
@@ -181,117 +244,6 @@ std::vector<double> max_min_rates(const MaxMinInput& in) {
   MaxMinWorkspace ws;
   const auto rates = max_min_rates(in, ws);
   return {rates.begin(), rates.end()};
-}
-
-std::vector<double> max_min_rates_reference(const MaxMinInput& in) {
-  const std::size_t nf = in.flow_links.size();
-  std::vector<double> rates(nf, 0.0);
-  if (nf == 0) return rates;
-
-  // Compact the used links into local indices.
-  std::unordered_map<std::uint32_t, std::uint32_t> link_index;
-  std::vector<double> rem_cap;       // remaining capacity per used link
-  std::vector<std::uint32_t> count;  // unfrozen flows per used link
-  std::vector<std::vector<std::uint32_t>> flows_on;  // flows per used link
-
-  std::vector<std::vector<std::uint32_t>> paths(nf);
-  for (std::size_t f = 0; f < nf; ++f) {
-    paths[f].reserve(in.flow_links[f].size());
-    for (const std::uint32_t l : in.flow_links[f]) {
-      auto [it, inserted] =
-          link_index.try_emplace(l, static_cast<std::uint32_t>(rem_cap.size()));
-      if (inserted) {
-        MIFO_EXPECTS(l < in.link_capacity.size());
-        rem_cap.push_back(in.link_capacity[l]);
-        count.push_back(0);
-        flows_on.emplace_back();
-      }
-      // A path may cross the same link at most once per direction by
-      // construction; de-duplicate defensively so capacity is not
-      // double-charged.
-      if (std::find(paths[f].begin(), paths[f].end(), it->second) ==
-          paths[f].end()) {
-        paths[f].push_back(it->second);
-        ++count[it->second];
-        flows_on[it->second].push_back(static_cast<std::uint32_t>(f));
-      }
-    }
-  }
-
-  const double cap_level = in.flow_cap > 0.0
-                               ? in.flow_cap
-                               : std::numeric_limits<double>::infinity();
-  std::vector<bool> frozen(nf, false);
-  std::size_t unfrozen = nf;
-  double level = 0.0;
-  constexpr double kEps = 1e-9;
-
-  // Flows with no links saturate immediately at the cap.
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (paths[f].empty()) {
-      rates[f] = in.flow_cap > 0.0 ? in.flow_cap : 0.0;
-      frozen[f] = true;
-      --unfrozen;
-    }
-  }
-
-  while (unfrozen > 0) {
-    // Smallest uniform increment until some constraint binds.
-    double delta = cap_level - level;
-    for (std::size_t l = 0; l < rem_cap.size(); ++l) {
-      if (count[l] == 0) continue;
-      delta = std::min(delta, rem_cap[l] / count[l]);
-    }
-    MIFO_ASSERT(delta >= 0.0);
-    level += delta;
-
-    // Charge the increment and find saturated links.
-    bool at_cap = level >= cap_level - kEps;
-    for (std::size_t l = 0; l < rem_cap.size(); ++l) {
-      if (count[l] == 0) continue;
-      rem_cap[l] -= delta * count[l];
-    }
-
-    // Freeze flows on saturated links (and everyone if the cap bound).
-    auto freeze_flow = [&](std::uint32_t f) {
-      if (frozen[f]) return;
-      frozen[f] = true;
-      rates[f] = level;
-      --unfrozen;
-      for (const std::uint32_t l : paths[f]) --count[l];
-    };
-    if (at_cap) {
-      for (std::size_t f = 0; f < nf; ++f) {
-        if (!frozen[f]) freeze_flow(static_cast<std::uint32_t>(f));
-      }
-      break;
-    }
-    bool froze_any = false;
-    for (std::size_t l = 0; l < rem_cap.size(); ++l) {
-      if (count[l] == 0) continue;
-      if (rem_cap[l] <= 1e-6) {
-        for (const std::uint32_t f : flows_on[l]) freeze_flow(f);
-        froze_any = true;
-      }
-    }
-    // Numerical backstop: if nothing froze despite a positive delta, freeze
-    // the tightest link to guarantee progress.
-    if (!froze_any) {
-      std::size_t tightest = rem_cap.size();
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t l = 0; l < rem_cap.size(); ++l) {
-        if (count[l] == 0) continue;
-        if (rem_cap[l] < best) {
-          best = rem_cap[l];
-          tightest = l;
-        }
-      }
-      if (tightest == rem_cap.size()) break;  // no constrained links remain
-      for (const std::uint32_t f : flows_on[tightest]) freeze_flow(f);
-    }
-  }
-
-  return rates;
 }
 
 IncrementalMaxMin::IncrementalMaxMin(std::vector<double> link_capacity,

@@ -10,6 +10,30 @@
 // is the universe), and all per-link state lives in epoch-stamped arrays
 // inside a caller-owned MaxMinWorkspace that is reused across calls. Only
 // links actually referenced by a flow are ever (re-)initialised.
+//
+// Table. A round raises every unfrozen flow by the smallest increment that
+// binds a link or the flow cap, charges it and freezes the flows of the
+// links it saturates. The live constraints sit in one compact table of
+// {remaining capacity, unfrozen-flow count, id} rows, so a round is two
+// passes: pass 1 charges and records the saturated rows; after their flows
+// freeze, pass 2 refreshes counts, drops rows without unfrozen flows
+// (stably) and computes the next increment. The at-cap round charges none.
+//
+// Classes. A link crossed by one flow keeps count 1 until that flow
+// freezes, and rem - delta * 1 and rem / 1 are exact, so single-flow links
+// of equal capacity share one remaining-capacity sequence and one row (per
+// distinct capacity, found by hashing its bits). The row lives while any
+// member's flow is unfrozen; its saturation freezes every live member.
+//
+// Exactness. Each link's arithmetic is the per-link solver's, the minimum
+// of the quotients is order-free, and so are the flows a round freezes.
+// When nothing saturates, the numerical backstop freezes the first-seen
+// link with the least remaining capacity, a class competing (and freezing)
+// as its first live member. Rates are bit-for-bit those of the per-link
+// reference solver (tests/oracle/maxmin_reference.hpp).
+//
+// Cost: O(total path length) setup, O(live rows) per round, and
+// O(path length) per frozen flow.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +60,14 @@ struct MaxMinInput {
 /// FluidSim) and pass to every call; all vectors grow to a high-water mark
 /// and are never shrunk, so steady-state calls perform no allocation.
 struct MaxMinWorkspace {
+  /// A live table row: remaining capacity, the count it charges and divides
+  /// by (1 for a class), and its id (local link id, or class id | kClassBit).
+  struct Row {
+    double rem = 0.0;
+    std::uint32_t count = 0;
+    std::uint32_t id = 0;
+  };
+
   std::vector<double> rates;  ///< per-flow output of the last call
 
   // Per-flow scratch.
@@ -48,20 +80,29 @@ struct MaxMinWorkspace {
   std::vector<std::uint32_t> local_id;
   std::vector<std::uint32_t> link_epoch;
 
-  // Compact per-used-link state, indexed by local id in first-seen order so
-  // the water-filling rounds scan memory sequentially (cleared per call,
-  // capacity retained).
-  std::vector<double> rem_cap;
-  std::vector<std::uint32_t> count;         ///< unfrozen flows crossing l
-  std::vector<std::uint32_t> charge_stamp;  ///< within-flow dedup (flow+1)
-  std::vector<std::uint32_t> flows_begin;   ///< CSR offsets into flow_of
+  // Per used link, indexed by local id in first-seen order.
+  std::vector<double> capacity;
+  std::vector<std::uint32_t> count;        ///< unfrozen flows crossing l
+  /// Last flow (+1) that crossed the link: de-duplicates a path, and names
+  /// the one flow of a single-flow link.
+  std::vector<std::uint32_t> last_flow;
+  std::vector<std::uint32_t> flows_begin;  ///< CSR offsets into flow_of
   std::vector<std::uint32_t> flows_cursor;
-  std::vector<std::uint32_t> flow_of;       ///< CSR payload: flows per link
-  std::vector<std::uint32_t> path_begin;    ///< CSR offsets, size nf+1
-  std::vector<std::uint32_t> path_links;    ///< deduplicated per-flow links
-  /// Links still carrying unfrozen flows, stably compacted every round so
-  /// late water-filling rounds scan only the surviving constraint set.
-  std::vector<std::uint32_t> active_links;
+  std::vector<std::uint32_t> flow_of;      ///< CSR payload: flows per link
+  std::vector<std::uint32_t> next_member;  ///< next link of l's class
+  std::vector<std::uint32_t> path_begin;   ///< CSR offsets, size nf+1
+  std::vector<std::uint32_t> path_links;   ///< deduplicated per-flow links
+
+  // Per class of single-flow links of equal capacity.
+  std::vector<std::uint32_t> class_first;  ///< first live member
+  std::vector<std::uint32_t> class_last;   ///< last member
+  // Capacity bits -> class id, open addressing (rebuilt per call).
+  std::vector<std::uint64_t> class_key;
+  std::vector<std::uint32_t> class_slot;
+
+  /// Live rows, stably compacted every round.
+  std::vector<Row> table;
+  std::vector<std::uint32_t> saturated;  ///< row ids, this round
 
   std::uint32_t epoch = 0;
 };
@@ -69,19 +110,13 @@ struct MaxMinWorkspace {
 /// Max–min fair rates, one per flow, written into (and viewing) `ws.rates`.
 /// Exact progressive filling: every flow's rate rises uniformly until its
 /// first bottleneck freezes it.
-/// O(#bottleneck-rounds * #used-links + total path length); allocation-free
+/// O(#bottleneck-rounds * #rows + total path length); allocation-free
 /// once `ws` has warmed up to the instance size.
 [[nodiscard]] std::span<const double> max_min_rates(const MaxMinInput& in,
                                                     MaxMinWorkspace& ws);
 
 /// Convenience overload with a throwaway workspace.
 [[nodiscard]] std::vector<double> max_min_rates(const MaxMinInput& in);
-
-/// Reference implementation (the original hash-map link-compaction solver),
-/// retained verbatim for differential property tests: the dense-workspace
-/// solver must return identical rates on every instance.
-[[nodiscard]] std::vector<double> max_min_rates_reference(
-    const MaxMinInput& in);
 
 /// Incremental max–min solver over a dynamic flow population (the open-loop
 /// streaming workload's arrival/departure event interface).

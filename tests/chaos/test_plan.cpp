@@ -136,6 +136,46 @@ TEST(ChaosPlan, EveryDirectiveExpansionIsBounded) {
   EXPECT_EQ(plan->events.size(), kMaxEveryEvents);
 }
 
+TEST(ChaosPlan, BurstFlowCountIsBounded) {
+  // COUNT 4e9 once started four billion flows and died in bad_alloc.
+  std::string error;
+  EXPECT_FALSE(parse_plan("duration 1\nat 0.1 burst 1 2 4000000000 1\n", error)
+                   .has_value());
+  EXPECT_EQ(error, "line 2: burst: COUNT 4000000000 is above the cap of " +
+                       std::to_string(kMaxBurstFlows) + " flows");
+  // The same event inside an `every` directive is refused the same way.
+  EXPECT_FALSE(parse_plan("every 0 0.5 burst 1 2 4000000000 1\n", error)
+                   .has_value());
+  EXPECT_EQ(error.rfind("line 1: burst: COUNT", 0), 0u) << error;
+  // Exactly at the cap the event still parses; one flow more does not.
+  const auto plan = parse_plan(
+      "at 0.1 burst 1 2 " + std::to_string(kMaxBurstFlows) + " 1\n", error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->events.front().count, kMaxBurstFlows);
+  EXPECT_FALSE(parse_plan("at 0.1 burst 1 2 " +
+                              std::to_string(kMaxBurstFlows + 1) + " 1\n",
+                          error)
+                   .has_value());
+}
+
+TEST(ChaosPlan, BurstSizeMustFitThePacketCounter) {
+  // SIZE_MB 1e300 once reached an out-of-range float-to-integer cast in
+  // Engine::start_burst and then a precondition abort in register_flow.
+  std::string error;
+  EXPECT_FALSE(
+      parse_plan("duration 1\nat 0.1 burst 1 2 3 1e300\n", error).has_value());
+  EXPECT_EQ(error.rfind("line 2: burst: SIZE_MB 1e+300 is not finite", 0), 0u)
+      << error;
+  // 2^32 - 1 packets of dp::FlowParams' 1,000 bytes is the largest flow;
+  // one megabyte more needs packets the counter cannot hold.
+  EXPECT_TRUE(parse_plan("at 0.1 burst 1 2 3 4294967.295\n", error)
+                  .has_value())
+      << error;
+  EXPECT_FALSE(
+      parse_plan("at 0.1 burst 1 2 3 4294968.295\n", error).has_value());
+  EXPECT_EQ(error.rfind("line 1: burst: SIZE_MB", 0), 0u) << error;
+}
+
 TEST(ChaosPlan, MalformedInputYieldsErrorNotPlan) {
   std::string error;
   EXPECT_FALSE(parse_plan("at 0.1 link-down 1\n", error).has_value());

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <set>
 #include <span>
 
 #include "common/rng.hpp"
+#include "oracle/maxmin_reference.hpp"
 
 namespace mifo::sim {
 namespace {
@@ -203,10 +206,131 @@ TEST_P(MaxMinProperty, DenseSolverMatchesReferenceAtScale) {
     const auto ref = max_min_rates_reference(in);
     ASSERT_EQ(dense.size(), ref.size());
     for (std::size_t f = 0; f < nf; ++f) {
-      // Identical arithmetic in identical order: bitwise-equal rates.
+      // Identical per-link arithmetic: bitwise-equal rates.
       EXPECT_EQ(dense[f], ref[f]) << "flow " << f << " round " << round;
     }
   }
+}
+
+// Capacity shapes random 10–1000 draws almost never produce: equal
+// capacities among single-flow links (the solver's classes), exact quotient
+// ties, magnitudes where charging leaves residues above the saturation
+// tolerance (the numerical backstop), and subnormal quotients.
+enum class CapShape { FlowCap, FewDistinct, Ties, Huge, Subnormal };
+
+struct ShapedInstance {
+  std::vector<double> caps;
+  std::vector<std::vector<std::uint32_t>> paths;
+  double flow_cap = 0.0;
+};
+
+ShapedInstance shaped_instance(Rng& rng, CapShape shape, std::size_t nl,
+                               std::size_t nf) {
+  ShapedInstance x;
+  x.caps.resize(nl);
+  const bool capped = rng.bounded(2) == 0;
+  for (double& c : x.caps) {
+    switch (shape) {
+      case CapShape::FlowCap:  // fig5_batch: every link at the flow cap
+        c = 1000.0;
+        break;
+      case CapShape::FewDistinct:
+        c = std::array{100.0, 250.0, 1000.0, 4000.0}[rng.bounded(4)];
+        break;
+      case CapShape::Ties:
+        c = 12.0 * static_cast<double>(1 + rng.bounded(8));
+        break;
+      case CapShape::Huge:
+        c = rng.uniform(1e12, 2e12);
+        break;
+      case CapShape::Subnormal:
+        c = rng.uniform(1e-312, 1e-309);
+        break;
+    }
+  }
+  switch (shape) {
+    case CapShape::FlowCap:
+      x.flow_cap = 1000.0;
+      break;
+    case CapShape::FewDistinct:
+      x.flow_cap = capped ? 1000.0 : 0.0;
+      break;
+    case CapShape::Ties:
+      x.flow_cap = capped ? 48.0 : 0.0;
+      break;
+    case CapShape::Huge:
+    case CapShape::Subnormal:
+      break;
+  }
+  x.paths.resize(nf);
+  for (auto& p : x.paths) {
+    if (rng.bounded(32) == 0) continue;
+    const std::size_t hops = 1 + rng.bounded(6);
+    for (std::size_t h = 0; h < hops; ++h) {
+      p.push_back(static_cast<std::uint32_t>(rng.bounded(nl)));
+    }
+    if (rng.bounded(8) == 0) p.push_back(p.front());
+  }
+  return x;
+}
+
+void expect_matches_reference(const ShapedInstance& x, MaxMinWorkspace& ws,
+                              const char* what) {
+  const auto views = views_of(x.paths);
+  MaxMinInput in;
+  in.flow_links = views;
+  in.link_capacity = x.caps;
+  in.flow_cap = x.flow_cap;
+  in.num_links = x.caps.size();
+  const auto rates = max_min_rates(in, ws);
+  const auto ref = max_min_rates_reference(in);
+  ASSERT_EQ(rates.size(), ref.size());
+  for (std::size_t f = 0; f < ref.size(); ++f) {
+    EXPECT_EQ(rates[f], ref[f]) << what << " flow " << f;
+  }
+}
+
+// The same bitwise differential over every capacity shape, with one
+// workspace carried across instances that grow and shrink.
+TEST_P(MaxMinProperty, SolverMatchesReferenceOnCapacityShapes) {
+  Rng rng(GetParam() * 7919 + 3);
+  MaxMinWorkspace ws;
+  const std::array shapes{CapShape::FlowCap, CapShape::FewDistinct,
+                          CapShape::Ties, CapShape::Huge,
+                          CapShape::Subnormal};
+  const std::array<const char*, 5> names{"flow-cap", "few-distinct", "ties",
+                                         "huge", "subnormal"};
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (const std::size_t scale : {40, 600, 5, 1200}) {
+      const ShapedInstance x =
+          shaped_instance(rng, shapes[s], scale + rng.bounded(scale),
+                          scale / 2 + 1 + rng.bounded(scale));
+      expect_matches_reference(x, ws, names[s]);
+    }
+  }
+}
+
+// A round where no link saturates and a single-flow link is the tightest:
+// the backstop must freeze only the first-seen such link's flow, although
+// a second link shares its capacity (and so its remaining capacity).
+TEST(MaxMin, BackstopFreezesFirstSeenSingleFlowLink) {
+  // Link 0 carries three flows; 0x1p-13 of its capacity survives charging
+  // the round's increment, above the 1e-6 saturation tolerance. Links 1
+  // and 2 carry one flow each and keep 0x1p-14 after the same round.
+  const double shared = 1025445860993.4608;
+  const double single = std::nextafter(shared / 3.0, 1e300);
+  const ShapedInstance x{{shared, single, single}, {{2}, {0}, {0}, {0}, {1}}};
+  MaxMinWorkspace ws;
+  expect_matches_reference(x, ws, "backstop");
+  const auto rates = solve(x.paths, x.caps);
+  EXPECT_EQ(rates[0], shared / 3.0);  // link 2 is seen first
+  EXPECT_GT(rates[4], rates[0]);
+
+  // Two links left with equal remaining capacity: the first-seen one goes.
+  const ShapedInstance tie{{shared, shared}, {{1}, {1}, {1}, {0}, {0}, {0}}};
+  expect_matches_reference(tie, ws, "backstop tie");
+  const auto tie_rates = solve(tie.paths, tie.caps);
+  EXPECT_LT(tie_rates[0], tie_rates[3]);  // link 1 is seen first
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinProperty,

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "oracle/maxmin_reference.hpp"
 #include "sim/maxmin.hpp"
 
 namespace mifo::sim {
