@@ -32,7 +32,6 @@
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "testbed/sharded_emulation.hpp"
-#include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
 #include "verify/lint.hpp"
@@ -105,18 +104,17 @@ struct ArmRow {
   bool match = false;  ///< incremental verdict == full-prover verdict
 };
 
-/// Drains the change log, runs the warm incremental pass, and checks the
-/// result against a from-scratch full-prover run on the same state.
+/// Runs the warm incremental pass on the change log, clears the log, and
+/// checks the result against a from-scratch full-prover run on the same
+/// state.
 ArmRow measure_arm(const std::string& name, Deployment& d,
-                   dp::ChangeLog& log, verify::ChangeSet& changes,
-                   verify::IncrementalVerifier& inc) {
+                   dp::ChangeLog& log, verify::IncrementalVerifier& inc) {
   const dp::Network& net = *d.em.net;
   ArmRow row;
-  changes.drain(log);
   auto t0 = std::chrono::steady_clock::now();
-  const auto res = inc.check(net, d.g, d.em.daemons, d.owners, changes);
+  const auto res = inc.check(net, d.g, d.em.daemons, d.owners, log);
   row.incremental_s = seconds_since(t0);
-  changes.clear();
+  log.clear();
 
   t0 = std::chrono::steady_clock::now();
   const auto full_loop = verify::check_loop_freedom(net);
@@ -150,10 +148,9 @@ void print_verify_incremental() {
   chaos::RouteController ctl(d.em, d.g);
 
   dp::ChangeLog log;
-  verify::ChangeSet changes;
   verify::IncrementalVerifier inc;
   net.attach_change_log(&log);
-  const auto cold = inc.check(net, d.g, d.em.daemons, d.owners, changes);
+  const auto cold = inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   std::printf("=== incremental verification: %zu routers, %zu destinations "
               "(cold pass: %zu states) ===\n",
@@ -186,21 +183,21 @@ void print_verify_incremental() {
       down_p = eg.port;
     }
     net.set_port_up(down_r, down_p, false);
-    arms.push_back(measure_arm("link_down", d, log, changes, inc));
+    arms.push_back(measure_arm("link_down", d, log, inc));
   }
 
   // Arm 2: the daemons reconverge on the failed link — alt ports re-elected
   // where the dead egress was the spare. Only those destinations re-prove.
   {
     for (const auto& daemon : d.em.daemons) daemon->tick(net, 0.02);
-    arms.push_back(measure_arm("link_down_reconv", d, log, changes, inc));
+    arms.push_back(measure_arm("link_down_reconv", d, log, inc));
   }
 
   // Arm 3: withdraw one origin. Exactly that prefix's proofs invalidate.
   {
     const bool ok = ctl.withdraw(d.owner_ases[dests / 2]);
-    arms.push_back(measure_arm(ok ? "withdraw" : "withdraw_noop", d, log,
-                               changes, inc));
+    arms.push_back(
+        measure_arm(ok ? "withdraw" : "withdraw_noop", d, log, inc));
   }
 
   std::printf("%-18s %7s %9s %7s %11s %10s %8s %8s %6s\n", "arm", "dirty",
@@ -289,13 +286,12 @@ BENCHMARK(BM_FullProvers)->Apply(apply_scales)->Unit(benchmark::kMicrosecond);
 
 void BM_IncrementalAllCached(benchmark::State& state) {
   Deployment d = build_deployment(48, 8, 42, /*expand=*/false);
-  verify::ChangeSet changes;
+  const dp::ChangeLog log;
   verify::IncrementalVerifier inc;
-  (void)inc.check(*d.em.net, d.g, d.em.daemons, d.owners, changes);
+  (void)inc.check(*d.em.net, d.g, d.em.daemons, d.owners, log);
   std::size_t hits = 0;
   for (auto _ : state) {
-    const auto res = inc.check(*d.em.net, d.g, d.em.daemons, d.owners,
-                               changes);
+    const auto res = inc.check(*d.em.net, d.g, d.em.daemons, d.owners, log);
     hits = res.stats.cache_hits;
     benchmark::DoNotOptimize(res.loop.loop_free);
   }
@@ -307,15 +303,14 @@ void BM_IncrementalOneDirty(benchmark::State& state) {
   Deployment d = build_deployment(static_cast<std::size_t>(state.range(0)),
                                   static_cast<std::size_t>(state.range(1)),
                                   42, /*expand=*/false);
-  verify::ChangeSet changes;
+  dp::ChangeLog log;
   verify::IncrementalVerifier inc;
-  (void)inc.check(*d.em.net, d.g, d.em.daemons, d.owners, changes);
+  (void)inc.check(*d.em.net, d.g, d.em.daemons, d.owners, log);
   std::size_t states = 0;
   for (auto _ : state) {
-    changes.note_fib(RouterId(0), d.owners.front().first);
-    const auto res = inc.check(*d.em.net, d.g, d.em.daemons, d.owners,
-                               changes);
-    changes.clear();
+    log.note_fib(RouterId(0), d.owners.front().first);
+    const auto res = inc.check(*d.em.net, d.g, d.em.daemons, d.owners, log);
+    log.clear();
     states = res.stats.states_explored;
     benchmark::DoNotOptimize(res.loop.loop_free);
   }

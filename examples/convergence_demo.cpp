@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bgp/routing.hpp"
+#include "bgp/route_store.hpp"
 #include "bgpd/session_network.hpp"
 #include "topo/analysis.hpp"
 #include "topo/generator.hpp"
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::size_t checked = 0;
   std::size_t mismatches = 0;
   for (std::uint32_t d = 0; d < g.num_ases(); d += 37) {
-    const auto analytic = bgp::compute_routes(g, AsId(d));
+    const bgp::RouteStore analytic(g, AsId(d));
     for (std::uint32_t s = 0; s < g.num_ases(); ++s) {
       if (s == d) continue;
       ++checked;

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bgp/routing.hpp"
+#include "bgp/route_store.hpp"
 #include "dataplane/network.hpp"
 #include "obs/trace.hpp"
 #include "topo/as_graph.hpp"
@@ -148,12 +148,11 @@ int main() {
   g.add_peering(as2, as3);
   g.add_peering(as3, as1);
 
-  const auto routes = bgp::compute_routes(g, as0);
+  const bgp::RouteStore routes(g, as0);
   std::printf("control plane (towards AS0):\n");
   for (const AsId as : {as1, as2, as3}) {
-    const auto rib = bgp::rib_of(g, routes, as);
     std::printf("  AS%u: default via AS%u, %zu RIB routes\n", as.value(),
-                routes.best(as).next_hop.value(), rib.size());
+                routes.best(as).next_hop.value(), routes.rib(as).size());
   }
 
   std::printf("\nall defaults congested, deflecting clockwise, no rule:\n");

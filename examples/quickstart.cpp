@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bgp/routing.hpp"
+#include "bgp/route_store.hpp"
 #include "sim/fluid_sim.hpp"
 #include "sim/metrics.hpp"
 #include "topo/analysis.hpp"
@@ -33,13 +33,12 @@ int main(int argc, char** argv) {
   // 2. BGP routes towards one destination, and the RIB alternatives MIFO
   //    taps into with zero control-plane overhead.
   const AsId dest(0);
-  const auto routes = bgp::compute_routes(g, dest);
+  const bgp::RouteStore routes(g, dest);
   const AsId src(static_cast<std::uint32_t>(num_ases - 1));
-  const auto path = bgp::as_path(g, routes, src);
   std::printf("default path AS%u -> AS%u:", src.value(), dest.value());
-  for (const AsId as : path) std::printf(" %u", as.value());
+  for (const AsId as : routes.path(src)) std::printf(" %u", as.value());
   std::printf("\n");
-  const auto rib = bgp::rib_of(g, routes, src);
+  const auto rib = routes.rib(src);
   std::printf("RIB of AS%u towards AS%u: %zu routes (", src.value(),
               dest.value(), rib.size());
   for (const auto& r : rib) {

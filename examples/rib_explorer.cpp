@@ -11,7 +11,7 @@
 #include <fstream>
 
 #include "bgp/path_count.hpp"
-#include "bgp/routing.hpp"
+#include "bgp/route_store.hpp"
 #include "topo/analysis.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialization.hpp"
@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto routes = bgp::compute_routes(g, dst);
+  const bgp::RouteStore routes(g, dst);
   std::printf("\nBGP state towards AS%u:\n", dst.value());
-  const auto path = bgp::as_path(g, routes, src);
+  const auto path = routes.path(src);
   if (path.empty()) {
     std::printf("  AS%u cannot reach AS%u\n", src.value(), dst.value());
     return 0;
@@ -72,15 +72,14 @@ int main(int argc, char** argv) {
   for (const AsId as : path) std::printf(" %u", as.value());
   std::printf("\n  RIB of AS%u (%s):\n", src.value(),
               "what each neighbor exports");
-  for (const auto& r : bgp::rib_of(g, routes, src)) {
+  for (const auto& r : routes.rib(src)) {
     std::printf("    via AS%-6u class=%-8s as-path-len=%u\n",
                 r.next_hop.value(), bgp::to_string(r.cls), r.path_len);
   }
 
   const auto order = topo::pc_topological_order(g);
   const std::vector<bool> all(g.num_ases(), true);
-  const auto counts =
-      bgp::count_mifo_paths(g, bgp::RouteStore(g, routes), order, all);
+  const auto counts = bgp::count_mifo_paths(g, routes, order, all);
   std::printf("  MIFO-realizable forwarding paths (full deployment): %.0f\n",
               counts.paths_from(src));
   return 0;

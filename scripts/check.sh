@@ -138,9 +138,16 @@ flag_err="$("$build_dir"/tools/mifo-verify --gen 40 --seed abc 2>&1 \
   >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-verify: malformed --seed exit $rc"; exit 1; }
 grep -q -- "--seed: invalid value 'abc'" <<< "$flag_err"
+# A topology smaller than the generator's 12-AS tier-1 clique is an input
+# error naming the minimum, not a precondition abort (exit 134).
+rc=0
+flag_err="$("$build_dir"/tools/mifo-verify --gen 11 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-verify: --gen 11 exit $rc"; exit 1; }
+grep -q -- "--gen: 11 ASes is below the minimum of 12" <<< "$flag_err"
 echo "verifier OK: both topologies proved loop-free, incremental mode" \
      "agreed with the full provers, planted cycle and blackhole caught," \
-     "provider cycle, unknown link kind and malformed flag refused"
+     "provider cycle, unknown link kind, malformed flag and undersized" \
+     "topology refused"
 
 echo "=== mifo-chaos: safety under churn (docs/CHAOS.md) ==="
 # A randomized chaos run must end SAFE-UNDER-CHURN (exit 0) and emit a
@@ -302,10 +309,31 @@ plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
   --plan "$artifact_dir/burst_size_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-chaos: burst SIZE_MB exit $rc"; exit 1; }
 grep -q "line 2: burst: SIZE_MB 1e+300 is not finite" <<< "$plan_err"
+# The generated plan and the background flows are bounded like `every` and
+# `burst`: a fault count (rate x duration) or flow count past those caps is
+# an input error naming the flag, not a bad_alloc abort (exit 134).
+rc=0
+flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --rate 1e300 -q \
+  2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: --rate 1e300 exit $rc"; exit 1; }
+grep -q -- "--rate x --duration: 1e+300 faults is above the cap of 1000000" \
+  <<< "$flag_err"
+rc=0
+flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --flows 100000000 \
+  -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: --flows 100000000 exit $rc"; exit 1; }
+grep -q -- "--flows: 100000000 is above the cap of 100000" <<< "$flag_err"
+# A topology smaller than the generator's tier-1 clique, as for mifo-verify.
+rc=0
+flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 11 -q 2>&1 \
+  >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: --ases 11 exit $rc"; exit 1; }
+grep -q -- "--ases: 11 ASes is below the minimum of 12" <<< "$flag_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
-     "malformed flag, out-of-range plan AS, unbounded every and oversized" \
-     "bursts refused"
+     "malformed flag, out-of-range plan AS, unbounded every, oversized" \
+     "bursts, fault and flow counts past the caps and an undersized" \
+     "topology refused"
 
 echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
 # --check proves the merged timeline is epoch-monotone and every span

@@ -206,7 +206,6 @@ DeltaStats DeltaRoutingTable::apply(const RouteEvent& ev) {
       st.epoch = ++epoch_;
       // Per-destination independence: prefix churn affects exactly the
       // origin's own destination state.
-      st.touched_dests.push_back(ev.a);
       st.recomputed = 1;
       republish(idx);
       break;
@@ -253,11 +252,9 @@ DeltaStats DeltaRoutingTable::apply(const RouteEvent& ev) {
                        would_offer(*seg, ev.b, ev.a);
         }
         if (recompute) {
-          st.touched_dests.push_back(dests_[i]);
           ++st.recomputed;
           republish(i);
         } else if (row_change) {
-          st.touched_dests.push_back(dests_[i]);
           ++st.patched;
           patch(i);
         }

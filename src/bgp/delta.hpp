@@ -121,10 +121,6 @@ struct DeltaStats {
   std::size_t patched = 0;       ///< view-only republishes (assignment reused)
   std::size_t unchanged = 0;     ///< segments kept pointer-identical
   std::uint64_t epoch = 0;       ///< table epoch after the event
-  /// Every destination whose published segment changed (recomputed ∪
-  /// patched) — for consumers that dirty verification sets
-  /// (verify::ChangeSet).
-  std::vector<AsId> touched_dests;
 };
 
 /// Immutable published unit: one destination's converged CSR store plus the

@@ -1,17 +1,18 @@
 // Compressed-sparse-row route storage for one destination.
 //
-// `DestRoutes` plus the derived views (`rib_of`, `rib_route_from`, `as_path`)
-// are the semantic reference, but they hand out a freshly allocated vector on
-// every call. `RouteStore` flattens the converged state into CSR arrays built
-// in one pass — per-AS best routes, every per-neighbor RIB row (values +
-// column indices + row offsets, rows pre-sorted best-first), and every
-// reconstructed AS path — so consumers get `std::span` views into one
-// contiguous block and the poisoning test behind `rib_route_from` becomes an
-// O(1) Euler-tour ancestor check instead of a best-chain walk.
+// `RouteStore` flattens the converged state `compute_routes` returns into
+// CSR arrays built in one pass — per-AS best routes, every per-neighbor RIB
+// row (values + column indices + row offsets, rows pre-sorted best-first),
+// and every reconstructed AS path — so consumers get `std::span` views into
+// one contiguous block, and the BGP loop-poisoning test behind a RIB row is
+// an O(1) Euler-tour ancestor check instead of a best-chain walk. It is the
+// only route view the library and the tools read.
 //
-// The legacy `DestRoutes` API is retained as the differential-test oracle
-// (tests/bgp/test_route_store_diff.cpp asserts element-identical views), as
-// tests/oracle/ keeps the reference solver for `sim::max_min_rates`.
+// The per-call reference views over `DestRoutes` (`rib_of`,
+// `rib_route_from`, `as_path`, `reachable_count`) live in
+// tests/oracle/route_reference.hpp as the differential-test oracle
+// (tests/bgp/test_route_store_diff.cpp asserts element-identical views),
+// beside the reference solver for `sim::max_min_rates`.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +50,9 @@ class RouteStore {
   [[nodiscard]] std::span<const Route> all_best() const { return best_; }
 
   /// All RIB entries of `as`, one per exporting neighbor, sorted best-first
-  /// by the decision process — element-identical to `rib_of`. The entry's
-  /// `next_hop` is the CSR column index (the exporting neighbor).
+  /// by the decision process — element-identical to the oracle's `rib_of`.
+  /// The entry's `next_hop` is the CSR column index (the exporting
+  /// neighbor).
   [[nodiscard]] std::span<const Route> rib(AsId as) const;
 
   /// The route `as` holds from `neighbor` (export rule + loop poisoning) —

@@ -2,12 +2,14 @@
 //
 // For one destination AS the converged BGP state over the whole topology is
 // computed in three linear phases (customer routes, peer routes, provider
-// routes); see DESIGN.md §5.1. From the converged best routes the per-
-// neighbor RIB view (what each neighbor exports to us — MIFO's source of
-// alternative paths) is derived with zero extra state.
+// routes); see DESIGN.md §5.1. `DestRoutes` holds only the converged best
+// routes: `RouteStore` (route_store.hpp) flattens them into the views every
+// consumer reads, and the delta routing table (delta.hpp) rebuilds from
+// them. The per-call reference views over `DestRoutes` (`rib_of`,
+// `rib_route_from`, `as_path`, `reachable_count`) live beside the tests, in
+// tests/oracle/route_reference.hpp, as RouteStore's differential oracle.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,8 +30,7 @@ class DestRoutes {
   /// and `None` where the destination is unreachable.
   [[nodiscard]] const Route& best(AsId as) const;
 
-  /// Read-only view of every AS's best route, indexed by AS id — the
-  /// static verifier's bulk-introspection hook (no copies).
+  /// Read-only view of every AS's best route, indexed by AS id (no copies).
   [[nodiscard]] std::span<const Route> all() const { return best_; }
 
   [[nodiscard]] std::size_t num_ases() const { return best_.size(); }
@@ -41,26 +42,5 @@ class DestRoutes {
 
 /// Computes converged Gao–Rexford routes towards `dest`. O(E).
 [[nodiscard]] DestRoutes compute_routes(const topo::AsGraph& g, AsId dest);
-
-/// The route `as` holds in its RIB from neighbor `neighbor` — i.e. what the
-/// neighbor exports to `as` (its best route, subject to the export rule),
-/// reclassified from `as`'s perspective. nullopt when the neighbor exports
-/// nothing for this destination.
-[[nodiscard]] std::optional<Route> rib_route_from(const topo::AsGraph& g,
-                                                  const DestRoutes& routes,
-                                                  AsId as, AsId neighbor);
-
-/// All RIB entries of `as` towards the destination, one per exporting
-/// neighbor, sorted best-first by the decision process.
-[[nodiscard]] std::vector<Route> rib_of(const topo::AsGraph& g,
-                                        const DestRoutes& routes, AsId as);
-
-/// The default forwarding path from `src` to the destination (sequence of
-/// ASes including both endpoints); empty when unreachable.
-[[nodiscard]] std::vector<AsId> as_path(const topo::AsGraph& g,
-                                        const DestRoutes& routes, AsId src);
-
-/// Convenience: number of ASes that can reach `dest` at all.
-[[nodiscard]] std::size_t reachable_count(const DestRoutes& routes);
 
 }  // namespace mifo::bgp

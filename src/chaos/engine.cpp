@@ -258,10 +258,9 @@ bool Engine::snapshot(Report& report, SimTime t) {
     last_cost_.dirty_destinations = full.loop_stats.destinations;
     last_cost_.states_explored = full.states_explored;
   } else {
-    changes_.drain(change_log_);
     const verify::IncrementalResult inc =
-        inc_.check(net, *g_, em_->daemons, owners_, changes_);
-    changes_.clear();
+        inc_.check(net, *g_, em_->daemons, owners_, change_log_);
+    change_log_.clear();
     report.last_stats = inc.loop.stats;
     clean = inc.loop.loop_free && inc.valley.valley_free && inc.lint.empty();
     std::vector<std::string> inc_cycles;
@@ -539,18 +538,6 @@ void Engine::note_route_delta(Report& report, Span& sp) {
   report.total_route_recomputed += st.recomputed;
   report.total_route_patched += st.patched;
   report.total_route_unchanged += st.unchanged;
-  if (cfg_.verify_mode != VerifyMode::Full) {
-    // The touched set (recomputed + view-patched) doubles as the verifier's
-    // routing dirty set: every destination whose published segment the
-    // delta engine swapped is re-proved at the next snapshot, even when its
-    // FIB rows happened not to move (the RoutingChange -> pfx row of the
-    // ChangeSet mapping).
-    for (const AsId dest : st.touched_dests) {
-      for (const auto& [addr, as] : owners_) {
-        if (as == dest) changes_.note_routing(addr);
-      }
-    }
-  }
 }
 
 std::pair<bool, std::string> Engine::apply(const Event& ev) {
@@ -694,8 +681,6 @@ Report Engine::run(const Plan& plan) {
     report.log.push_back(std::move(ae));
     ++ei;
     if (applied) {
-      // Route-delta accounting must precede the immediate snapshot so the
-      // recompute set lands in the verifier's dirty set for this check.
       note_route_delta(report, report.spans.back());
       report.log.back().clean_immediate = snapshot(report, ev.t);
       // The immediate snapshot's verify cost is this event's footprint.

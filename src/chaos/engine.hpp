@@ -24,7 +24,6 @@
 #include "obs/registry.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
-#include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
 #include "verify/lint.hpp"
@@ -190,8 +189,8 @@ class Engine {
   void start_burst(const Event& ev, std::string& detail);
   bool plant_valley(std::string& detail);
   bool plant_stale_route(std::string& detail);
-  /// Feeds the latest delta-recompute set into the verification dirty set
-  /// and the running report totals; fills the span's route columns.
+  /// Adds the latest delta-recompute counts to the running report totals
+  /// and the span's route columns.
   void note_route_delta(Report& report, Span& sp);
 
   /// Verification snapshot at the current time; updates report/metrics.
@@ -235,10 +234,9 @@ class Engine {
   bool planted_violation_ = false;
 
   /// Incremental verification state (unused under VerifyMode::Full): the
-  /// change log is attached to the network at construction, drained into
-  /// `changes_` at each snapshot, and resolved by the memoizing verifier.
+  /// change log is attached to the network at construction, read by the
+  /// memoizing verifier at each snapshot and cleared after it.
   dp::ChangeLog change_log_;
-  verify::ChangeSet changes_;
   verify::IncrementalVerifier inc_;
   /// Verify cost of the most recent snapshot (copied into the span of the
   /// event that triggered the immediate snapshot).

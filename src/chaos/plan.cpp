@@ -340,6 +340,8 @@ Plan generate_plan(const topo::AsGraph& g, const GenParams& params) {
   MIFO_EXPECTS(g.num_ases() >= 2);
   MIFO_EXPECTS(params.duration > 0.0);
   MIFO_EXPECTS(params.rate > 0.0);
+  MIFO_EXPECTS(params.rate * params.duration <=
+               static_cast<double>(kMaxEveryEvents));
   MIFO_EXPECTS(params.mttr > 0.0);
   Rng rng(hash_combine(params.seed, 0xc4a05));
   Plan plan;

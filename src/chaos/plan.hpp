@@ -130,7 +130,8 @@ struct GenParams {
 /// Seeded random plan over `g`: Poisson fault arrivals, uniformly chosen
 /// fault category and subject, exponential MTTR. Every failure gets its
 /// paired recovery inside the plan duration, so a clean run always ends
-/// quiescent and repaired. Deterministic in (g, params).
+/// quiescent and repaired. Deterministic in (g, params). Requires
+/// rate x duration <= kMaxEveryEvents, the bound an `every` has.
 [[nodiscard]] Plan generate_plan(const topo::AsGraph& g,
                                  const GenParams& params);
 

@@ -10,14 +10,16 @@
 // destinations (DESIGN.md §5.1b): every withdraw / reannounce / session
 // event is applied to it as a delta recompute of only the affected
 // destinations, with the from-scratch rebuild retained as the differential
-// oracle. Per-event DeltaStats feed the chaos engine's recovery spans and
-// the verifier's dirty sets.
+// oracle. Per-event DeltaStats feed the chaos engine's recovery spans.
 //
 // Re-announcement reinstalls through the builder's own install pass, fed
 // from the base graph's converged routes: FIB defaults model the
 // all-sessions-up state, exactly as the builder installed them. Session
 // events move the delta table only; the packet plane's port state is the
-// chaos engine's business.
+// chaos engine's business. The verifier therefore sees a prefix event only
+// through the FIB writes and daemon RIB updates it makes, which the
+// network's ChangeLog records, and a session event not at all: no FIB,
+// router config or daemon RIB reads the delta table's segments.
 #pragma once
 
 #include "bgp/delta.hpp"

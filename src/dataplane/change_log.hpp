@@ -14,8 +14,8 @@
 // what it wrote its next tick rewrites every election. Recording raw write
 // traffic would dirty destinations no write changed.
 //
-// The log is drained (moved out and cleared) by verify::ChangeSet at each
-// quiescent point; dataplane code only appends.
+// verify::IncrementalVerifier::check reads the log at each quiescent point
+// and its owner clears it afterwards; dataplane code only appends.
 #pragma once
 
 #include <cstddef>
@@ -72,12 +72,10 @@ struct ChangeLog {
   [[nodiscard]] std::size_t size() const {
     return fib.size() + ports.size() + configs.size() + daemons.size();
   }
-  void clear() {
-    fib.clear();
-    ports.clear();
-    configs.clear();
-    daemons.clear();
-  }
+  /// Empties the log and frees its buffers: one burst of writes (the
+  /// first daemon ticks program every election) would otherwise hold its
+  /// capacity for the rest of a run.
+  void clear() { *this = ChangeLog{}; }
 };
 
 }  // namespace mifo::dp

@@ -148,14 +148,18 @@ const char* to_string(HopKind k) {
   return "?";
 }
 
-std::string Cycle::to_string() const {
-  std::ostringstream os;
-  os << "dst=" << dst << " cycle:";
+void detail::write_walk(std::ostream& os, std::span<const Hop> hops) {
   for (const Hop& h : hops) {
     os << " r" << h.from.value() << " -[" << verify::to_string(h.kind)
        << " tag=" << (h.tag ? 1 : 0) << "]->";
   }
   if (!hops.empty()) os << " r" << hops.back().to.value();
+}
+
+std::string Cycle::to_string() const {
+  std::ostringstream os;
+  os << "dst=" << dst << " cycle:";
+  detail::write_walk(os, hops);
   return os.str();
 }
 
@@ -167,10 +171,6 @@ std::vector<dp::Addr> fib_destinations(std::span<const dp::Router> routers) {
   std::vector<dp::Addr> dests(seen.begin(), seen.end());
   std::sort(dests.begin(), dests.end());
   return dests;
-}
-
-std::vector<dp::Addr> fib_destinations(const dp::Network& net) {
-  return fib_destinations(net.routers());
 }
 
 LoopCheck check_loop_freedom(std::span<const dp::Router> routers,
@@ -236,18 +236,8 @@ LoopCheck check_loop_freedom(std::span<const dp::Router> routers,
   return result;
 }
 
-LoopCheck check_loop_freedom(const dp::Network& net,
-                             std::span<const dp::Addr> dests) {
-  return check_loop_freedom(net.routers(), dests);
-}
-
-LoopCheck check_loop_freedom(std::span<const dp::Router> routers) {
-  const auto dests = fib_destinations(routers);
-  return check_loop_freedom(routers, dests);
-}
-
 LoopCheck check_loop_freedom(const dp::Network& net) {
-  return check_loop_freedom(net.routers());
+  return check_loop_freedom(net.routers(), fib_destinations(net.routers()));
 }
 
 }  // namespace mifo::verify

@@ -72,19 +72,15 @@ struct LoopCheck {
 /// Every destination address present in any router FIB, ascending.
 [[nodiscard]] std::vector<dp::Addr> fib_destinations(
     std::span<const dp::Router> routers);
-[[nodiscard]] std::vector<dp::Addr> fib_destinations(const dp::Network& net);
 
 /// Proves (or refutes) loop-freedom of the installed forwarding state for
-/// the given destinations. Exhaustive over states, not over packet runs.
-/// The span overload proves any router set indexed by RouterId (the
-/// incremental verifier feeds it one destination at a time).
+/// the given destinations of any router set indexed by RouterId (the
+/// incremental verifier feeds it one destination at a time). Exhaustive
+/// over states, not over packet runs.
 [[nodiscard]] LoopCheck check_loop_freedom(std::span<const dp::Router> routers,
                                            std::span<const dp::Addr> dests);
-[[nodiscard]] LoopCheck check_loop_freedom(const dp::Network& net,
-                                           std::span<const dp::Addr> dests);
 
-/// Convenience: all destinations found in the FIBs.
-[[nodiscard]] LoopCheck check_loop_freedom(std::span<const dp::Router> routers);
+/// The same over every destination found in the network's FIBs.
 [[nodiscard]] LoopCheck check_loop_freedom(const dp::Network& net);
 
 }  // namespace mifo::verify

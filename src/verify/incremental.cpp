@@ -26,10 +26,42 @@ bool held_anywhere(std::span<const dp::Router> routers, dp::Addr dst) {
   });
 }
 
+void add_router_fib_dests(std::span<const dp::Router> routers, RouterId r,
+                          std::vector<dp::Addr>& out) {
+  if (!r.valid() || r.value() >= routers.size()) return;
+  for (const auto& [dst, fe] : routers[r.value()].fib()) out.push_back(dst);
+}
+
+void sort_unique(std::vector<dp::Addr>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
 }  // namespace
 
+std::vector<dp::Addr> dirty_destinations(const dp::ChangeLog& log,
+                                         std::span<const dp::Router> routers) {
+  std::vector<dp::Addr> dirty;
+  dirty.reserve(log.fib.size() + log.daemons.size());
+  for (const auto& c : log.fib) dirty.push_back(c.dst);
+  for (const auto& c : log.daemons) dirty.push_back(c.prefix);
+  for (const auto& c : log.configs) {
+    add_router_fib_dests(routers, c.router, dirty);
+  }
+  sort_unique(dirty);
+  return dirty;
+}
+
+std::vector<dp::Addr> port_dirty_destinations(
+    const dp::ChangeLog& log, std::span<const dp::Router> routers) {
+  std::vector<dp::Addr> dirty;
+  for (const auto& c : log.ports) add_router_fib_dests(routers, c.router, dirty);
+  sort_unique(dirty);
+  return dirty;
+}
+
 void IncrementalVerifier::track_universe(std::span<const dp::Router> routers,
-                                         const ChangeSet& changes) {
+                                         const dp::ChangeLog& log) {
   // An empty cache means a first check, an invalidate_all(), or an empty
   // universe (whose sweep is free): nothing to update incrementally.
   if (cache_.empty()) {
@@ -41,8 +73,7 @@ void IncrementalVerifier::track_universe(std::span<const dp::Router> routers,
   // recorded router still holding `dst` settles membership in O(1); only a
   // listed destination none of its recorded routers holds any more needs
   // the other routers scanned, once per destination.
-  std::vector<dp::ChangeLog::FibChange> fib(changes.fib_records().begin(),
-                                            changes.fib_records().end());
+  std::vector<dp::ChangeLog::FibChange> fib = log.fib;
   std::sort(fib.begin(), fib.end(),
             [](const auto& a, const auto& b) { return a.dst < b.dst; });
   for (auto it = fib.begin(); it != fib.end();) {
@@ -66,13 +97,13 @@ IncrementalResult IncrementalVerifier::check(
     const dp::Network& net, const topo::AsGraph& g,
     std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
     std::span<const std::pair<dp::Addr, AsId>> owners,
-    const ChangeSet& changes) {
+    const dp::ChangeLog& log) {
   const std::span<const dp::Router> routers = net.routers();
-  track_universe(routers, changes);
+  track_universe(routers, log);
   const std::vector<dp::Addr>& dests = universe_;
-  const std::vector<dp::Addr> dirty = changes.dirty_destinations(routers);
+  const std::vector<dp::Addr> dirty = dirty_destinations(log, routers);
   const std::vector<dp::Addr> port_dirty =
-      cfg_.blackhole ? changes.port_dirty_destinations(routers)
+      cfg_.blackhole ? port_dirty_destinations(log, routers)
                      : std::vector<dp::Addr>{};
 
   // Destinations that vanished from every FIB contribute nothing anymore.

@@ -7,17 +7,28 @@
 // entries, the router configs, the static port topology and d's RIB
 // knowledge — never on another destination's state (each full prover even
 // resets its color array per destination). So proofs memoize per
-// destination, and a ChangeSet (changeset.hpp) tells us exactly which
+// destination, and the network's dp::ChangeLog tells us exactly which
 // destinations a batch of mutations can have invalidated. Everything else
 // is served from cache, making per-event verify cost proportional to the
 // fault's footprint instead of the deployment size (Prelude's scoped
 // re-verification, PAPERS.md).
 //
+// The dirty mapping (soundness argument in docs/VERIFICATION.md):
+//   FibChange(r, dst)      -> dst
+//   DaemonChange(as, pfx)  -> pfx  (the lints read the daemon's RIB)
+//   ConfigChange(r)        -> every dst in r's current FIB (a dst that
+//                             entered or left it since has its own
+//                             FibChange record)
+//   PortChange(r, p)       -> nothing for loop/valley/lint proofs, which
+//                             never read Port::up; every dst in r's FIB for
+//                             the blackhole analysis, which does.
+// Routing-plane events have no row: what a prover reads changes only
+// through the data-plane writes they cause, and each of those is logged.
+//
 // Contract (enforced by the differential property tests and the chaos
 // engine's differential mode): the merged incremental result is verdict-,
 // counterexample- and lint-identical to a from-scratch full-prover run on
-// the same state. The full provers are retained untouched as the oracle —
-// the PR-1/PR-5 pattern.
+// the same state. The full provers are retained untouched as the oracle.
 #pragma once
 
 #include <map>
@@ -27,15 +38,26 @@
 
 #include "common/types.hpp"
 #include "core/daemon.hpp"
+#include "dataplane/change_log.hpp"
 #include "dataplane/network.hpp"
 #include "topo/as_graph.hpp"
-#include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/lint.hpp"
 #include "verify/reachability.hpp"
 #include "verify/valley.hpp"
 
 namespace mifo::verify {
+
+/// Destinations whose loop and valley proofs and lints `log`'s records can
+/// invalidate (FIB, daemon and config rows), ascending and unique. Router
+/// records resolve against the *current* FIBs in `routers`.
+[[nodiscard]] std::vector<dp::Addr> dirty_destinations(
+    const dp::ChangeLog& log, std::span<const dp::Router> routers);
+
+/// The destinations only the port-state-sensitive blackhole analysis must
+/// re-prove (PortChange rows), ascending and unique.
+[[nodiscard]] std::vector<dp::Addr> port_dirty_destinations(
+    const dp::ChangeLog& log, std::span<const dp::Router> routers);
 
 /// Loop and valley freedom and the deployment lints are re-proved for every
 /// dirty destination; the blackhole analysis is the one optional property.
@@ -72,21 +94,21 @@ class IncrementalVerifier {
  public:
   explicit IncrementalVerifier(IncrementalConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Re-proves the destinations `changes` dirtied (all destinations on the
+  /// Re-proves the destinations `log` dirtied (all destinations on the
   /// first call), serves the rest from cache, and returns the merged
   /// verdicts. Destinations that vanished from every FIB are dropped; new
   /// ones are proved fresh. The destination universe is swept from the FIBs
   /// on the first call and after invalidate_all(); later calls update it
-  /// from `changes`' FIB records, which is sound while every FIB insert and
+  /// from `log`'s FIB records, which is sound while every FIB insert and
   /// remove since the previous call is among them (a ChangeLog attached to
-  /// the network records all of them). The caller clears `changes`
-  /// afterwards (or keeps accumulating — re-proving a clean destination is
-  /// wasteful but harmless).
+  /// the network records all of them). The caller clears `log` afterwards
+  /// (or keeps accumulating — re-proving a clean destination is wasteful
+  /// but harmless).
   IncrementalResult check(const dp::Network& net, const topo::AsGraph& g,
                           std::span<const std::unique_ptr<core::MifoDaemon>>
                               daemons,
                           std::span<const std::pair<dp::Addr, AsId>> owners,
-                          const ChangeSet& changes);
+                          const dp::ChangeLog& log);
 
   /// Drops every cached proof (the next check() re-sweeps the FIBs and
   /// re-proves everything).
@@ -112,7 +134,7 @@ class IncrementalVerifier {
   /// Brings `universe_` up to date with the FIBs: a full sweep when the
   /// cache is empty, else membership tests for the recorded FIB changes.
   void track_universe(std::span<const dp::Router> routers,
-                      const ChangeSet& changes);
+                      const dp::ChangeLog& log);
 
   IncrementalConfig cfg_;
   /// Ordered: merging iterates destination-ascending, matching the full

@@ -158,7 +158,7 @@ std::vector<LintIssue> lint_deployment(
   // Every destination a lint can name: the FIB entries, plus RIB knowledge
   // for prefixes no FIB holds any more. Daemons mostly know the FIB's
   // prefixes, so only the rest are appended before the final sort.
-  std::vector<dp::Addr> dests = fib_destinations(net);
+  std::vector<dp::Addr> dests = fib_destinations(net.routers());
   const std::size_t in_fibs = dests.size();
   for (const auto& daemon : daemons) {
     if (!daemon) continue;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <sstream>
 
@@ -12,13 +11,6 @@
 namespace mifo::verify {
 
 namespace {
-
-using detail::entry_states;
-using detail::state_returned;
-using detail::state_router;
-using detail::state_tag;
-using detail::Succ;
-using detail::successors;
 
 /// Whether the programmed alternative can actually move a packet carrying
 /// `tag` onward: the port must exist, be up, lead to a router, and (for an
@@ -33,6 +25,30 @@ bool alt_usable(const dp::Router& router, const dp::FibEntry& fe, bool tag) {
     return false;
   }
   return true;
+}
+
+/// How a packet in state (router, tag, returned) is stranded at `router`,
+/// or nullopt when it can move on.
+std::optional<BlackholeKind> stranded(const dp::Router& router, dp::Addr dst,
+                                      bool tag, bool returned) {
+  const auto fe = router.fib().lookup(dst);
+  if (!fe) return BlackholeKind::NoRoute;
+  if (returned) {
+    // The default would cycle (that is what `returned` means); with the
+    // alternative structurally unusable the packet is stranded. An alt
+    // that merely fails the Tag-Check is the intended line-20 drop.
+    const bool has_alt =
+        fe->alt_port.valid() &&
+        router.port(fe->alt_port).kind != dp::PortKind::Host &&
+        router.port(fe->alt_port).peer.is_router() &&
+        router.port(fe->alt_port).up;
+    if (!has_alt) return BlackholeKind::ReturnedNoAlt;
+    return std::nullopt;
+  }
+  if (!router.port(fe->out_port).up && !alt_usable(router, *fe, tag)) {
+    return BlackholeKind::DefaultDown;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -56,11 +72,7 @@ std::string Blackhole::to_string() const {
   if (hops.empty()) {
     os << " stranded at an ingress state";
   } else {
-    for (const Hop& h : hops) {
-      os << " r" << h.from.value() << " -[" << verify::to_string(h.kind)
-         << " tag=" << (h.tag ? 1 : 0) << "]->";
-    }
-    os << " r" << hops.back().to.value();
+    detail::write_walk(os, hops);
   }
   return os.str();
 }
@@ -69,99 +81,32 @@ ReachabilityCheck check_reachability(std::span<const dp::Router> routers,
                                      std::span<const dp::Addr> dests) {
   ReachabilityCheck result;
   result.stats.destinations = dests.size();
-  const std::size_t num_states = routers.size() * 4;
-  // prev[s]: -1 unvisited, -2 entry (BFS root), otherwise predecessor state.
-  std::vector<std::int64_t> prev(num_states);
-  std::vector<Hop> prev_hop(num_states);
+  detail::WitnessSearch search(routers.size());
   std::vector<std::uint8_t> reported(routers.size());
-  std::vector<Succ> succs;
-
-  const auto witness = [&](std::uint32_t s) {
-    std::vector<Hop> hops;
-    for (std::int64_t at = s; prev[at] != -2; at = prev[at]) {
-      hops.push_back(prev_hop[at]);
-    }
-    std::reverse(hops.begin(), hops.end());
-    return hops;
-  };
 
   for (const dp::Addr dst : dests) {
-    std::fill(prev.begin(), prev.end(), -1);
     std::fill(reported.begin(), reported.end(), 0);
-    std::deque<std::uint32_t> queue;
-    for (const std::uint32_t entry : entry_states(routers, dst)) {
-      prev[entry] = -2;
-      queue.push_back(entry);
-    }
-
-    while (!queue.empty()) {
-      const std::uint32_t s = queue.front();
-      queue.pop_front();
-      const std::uint32_t r = state_router(s);
-      const bool tag = state_tag(s);
-      const bool returned = state_returned(s);
-      const dp::Router& router = routers[r];
-      ++result.stats.states;
-
-      // Classify the state before expanding it.
-      const auto fe = router.fib().lookup(dst);
-      std::optional<BlackholeKind> kind;
-      if (!fe) {
-        kind = BlackholeKind::NoRoute;
-      } else if (returned) {
-        // The default would cycle (that is what `returned` means); with the
-        // alternative structurally unusable the packet is stranded. An alt
-        // that merely fails the Tag-Check is the intended line-20 drop.
-        const bool has_alt =
-            fe->alt_port.valid() &&
-            router.port(fe->alt_port).kind != dp::PortKind::Host &&
-            router.port(fe->alt_port).peer.is_router() &&
-            router.port(fe->alt_port).up;
-        if (!has_alt) kind = BlackholeKind::ReturnedNoAlt;
-      } else {
-        const dp::Port& def = router.port(fe->out_port);
-        if (!def.up && !alt_usable(router, *fe, tag)) {
-          kind = BlackholeKind::DefaultDown;
-        }
-      }
-      if (kind && !reported[r]) {
-        reported[r] = 1;
-        Blackhole b;
-        b.dst = dst;
-        b.router = RouterId(r);
-        b.kind = *kind;
-        b.hops = witness(s);
-        result.blackholes.push_back(std::move(b));
-        result.clean = false;
-      }
-
-      succs.clear();
-      successors(routers, dst, r, tag, returned, succs);
-      result.stats.edges += succs.size();
-      for (const Succ& succ : succs) {
-        if (prev[succ.state] == -1) {
-          prev[succ.state] = s;
-          prev_hop[succ.state] = succ.hop;
-          queue.push_back(succ.state);
-        }
-      }
-    }
+    search.run(
+        routers, dst, detail::entry_states(routers, dst), result.stats,
+        [&](std::uint32_t s, std::span<const detail::Succ>) {
+          const std::uint32_t r = detail::state_router(s);
+          const std::optional<BlackholeKind> kind =
+              stranded(routers[r], dst, detail::state_tag(s),
+                       detail::state_returned(s));
+          if (kind && !reported[r]) {
+            reported[r] = 1;
+            result.blackholes.push_back(
+                Blackhole{dst, RouterId(r), *kind, search.walk_to(s)});
+            result.clean = false;
+          }
+          return true;  // every reachable state is classified
+        });
   }
   return result;
 }
 
-ReachabilityCheck check_reachability(const dp::Network& net,
-                                     std::span<const dp::Addr> dests) {
-  return check_reachability(net.routers(), dests);
-}
-
-ReachabilityCheck check_reachability(std::span<const dp::Router> routers) {
-  const auto dests = fib_destinations(routers);
-  return check_reachability(routers, dests);
-}
-
 ReachabilityCheck check_reachability(const dp::Network& net) {
-  return check_reachability(net.routers());
+  return check_reachability(net.routers(), fib_destinations(net.routers()));
 }
 
 }  // namespace mifo::verify

@@ -12,10 +12,11 @@
 // fails the Eq. 3 Tag-Check is Algorithm 1's *intended* line-20 drop (the
 // default would cycle, the alt would open a valley — dropping is the
 // theorem, not a bug), so it is not reported. This is also the one
-// analysis that reads Port::up — which is why ChangeSet keeps a separate
-// port-dirty set for it, and why the chaos engine leaves it off by
-// default: a link-down fault legitimately strands traffic until the
-// daemons reconverge, and flagging that window would drown real findings.
+// analysis that reads Port::up — which is why the incremental verifier
+// re-proves it on a separate port-dirty set, and why the chaos engine leaves
+// it off by default: a link-down fault legitimately strands traffic until
+// the daemons reconverge, and flagging that window would drown real
+// findings.
 #pragma once
 
 #include <span>
@@ -59,15 +60,12 @@ struct ReachabilityCheck {
 };
 
 /// Finds every router a destination's reachable deflection graph strands
-/// packets at. Entry states are the loop prover's (host + eBGP ingress).
+/// packets at, for the given destinations of any router set indexed by
+/// RouterId. Entry states are the loop prover's (host + eBGP ingress).
 [[nodiscard]] ReachabilityCheck check_reachability(
     std::span<const dp::Router> routers, std::span<const dp::Addr> dests);
-[[nodiscard]] ReachabilityCheck check_reachability(
-    const dp::Network& net, std::span<const dp::Addr> dests);
 
-/// Convenience: all destinations found in the FIBs.
-[[nodiscard]] ReachabilityCheck check_reachability(
-    std::span<const dp::Router> routers);
+/// The same over every destination found in the network's FIBs.
 [[nodiscard]] ReachabilityCheck check_reachability(const dp::Network& net);
 
 }  // namespace mifo::verify

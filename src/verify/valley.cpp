@@ -1,8 +1,6 @@
 #include "verify/valley.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <sstream>
 
@@ -12,14 +10,6 @@
 namespace mifo::verify {
 
 namespace {
-
-using detail::host_entry_states;
-using detail::state_id;
-using detail::state_returned;
-using detail::state_router;
-using detail::state_tag;
-using detail::Succ;
-using detail::successors;
 
 /// The inter-AS egress relationship of a hop, or nullopt for intra-AS /
 /// host-facing hops (which Eq. 3 does not constrain).
@@ -41,13 +31,10 @@ std::optional<topo::Rel> egress_rel(std::span<const dp::Router> routers,
 std::string ValleyViolation::to_string() const {
   std::ostringstream os;
   os << "dst=" << dst << " valley:";
-  for (const Hop& h : hops) {
-    os << " r" << h.from.value() << " -[" << verify::to_string(h.kind)
-       << " tag=" << (h.tag ? 1 : 0) << "]->";
-  }
+  detail::write_walk(os, hops);
   if (!hops.empty()) {
-    os << " r" << hops.back().to.value() << " (final hop exits to a "
-       << topo::to_string(rel) << " carrying tag=0, Eq. 3 violated)";
+    os << " (final hop exits to a " << topo::to_string(rel)
+       << " carrying tag=0, Eq. 3 violated)";
   }
   return os.str();
 }
@@ -56,70 +43,33 @@ ValleyCheck check_valley_freedom(std::span<const dp::Router> routers,
                                  std::span<const dp::Addr> dests) {
   ValleyCheck result;
   result.stats.destinations = dests.size();
-  const std::size_t num_states = routers.size() * 4;
-  // prev[s]: -1 unvisited, -2 entry (BFS root), otherwise predecessor state.
-  std::vector<std::int64_t> prev(num_states);
-  std::vector<Hop> prev_hop(num_states);
-  std::vector<Succ> succs;
-
+  detail::WitnessSearch search(routers.size());
   for (const dp::Addr dst : dests) {
-    std::fill(prev.begin(), prev.end(), -1);
-    std::deque<std::uint32_t> queue;
-    for (const std::uint32_t entry : host_entry_states(routers, dst)) {
-      prev[entry] = -2;
-      queue.push_back(entry);
-    }
-
-    bool violated = false;
-    while (!queue.empty() && !violated) {
-      const std::uint32_t s = queue.front();
-      queue.pop_front();
-      succs.clear();
-      successors(routers, dst, state_router(s), state_tag(s),
-                 state_returned(s), succs);
-      ++result.stats.states;
-      result.stats.edges += succs.size();
-
-      for (const Succ& succ : succs) {
-        const auto rel = egress_rel(routers, dst, succ.hop);
-        if (rel && !topo::check_bit(succ.hop.tag, *rel)) {
-          // Eq. 3 fails on this hop: reconstruct the walk from the entry.
-          ValleyViolation v;
-          v.dst = dst;
-          v.rel = *rel;
-          for (std::int64_t at = s; prev[at] != -2; at = prev[at]) {
-            v.hops.push_back(prev_hop[at]);
-          }
-          std::reverse(v.hops.begin(), v.hops.end());
-          v.hops.push_back(succ.hop);
-          result.violations.push_back(std::move(v));
-          result.valley_free = false;
-          violated = true;  // one counterexample per destination
-          break;
-        }
-        if (prev[succ.state] == -1) {
-          prev[succ.state] = s;
-          prev_hop[succ.state] = succ.hop;
-          queue.push_back(succ.state);
-        }
-      }
-    }
+    // One counterexample per destination: the first hop Eq. 3 forbids ends
+    // the search, with the walk from the entry to it.
+    search.run(routers, dst, detail::host_entry_states(routers, dst),
+               result.stats,
+               [&](std::uint32_t s, std::span<const detail::Succ> succs) {
+                 for (const detail::Succ& succ : succs) {
+                   const auto rel = egress_rel(routers, dst, succ.hop);
+                   if (!rel || topo::check_bit(succ.hop.tag, *rel)) continue;
+                   ValleyViolation v;
+                   v.dst = dst;
+                   v.rel = *rel;
+                   v.hops = search.walk_to(s);
+                   v.hops.push_back(succ.hop);
+                   result.violations.push_back(std::move(v));
+                   result.valley_free = false;
+                   return false;
+                 }
+                 return true;
+               });
   }
   return result;
 }
 
-ValleyCheck check_valley_freedom(const dp::Network& net,
-                                 std::span<const dp::Addr> dests) {
-  return check_valley_freedom(net.routers(), dests);
-}
-
-ValleyCheck check_valley_freedom(std::span<const dp::Router> routers) {
-  const auto dests = fib_destinations(routers);
-  return check_valley_freedom(routers, dests);
-}
-
 ValleyCheck check_valley_freedom(const dp::Network& net) {
-  return check_valley_freedom(net.routers());
+  return check_valley_freedom(net.routers(), fib_destinations(net.routers()));
 }
 
 }  // namespace mifo::verify

@@ -50,15 +50,13 @@ struct ValleyCheck {
 };
 
 /// Proves (or refutes) valley-freedom of every path host-origin traffic can
-/// take through the installed forwarding state, per destination.
+/// take through the installed forwarding state, for the given destinations
+/// of any router set indexed by RouterId (the incremental verifier's entry
+/// point, one destination at a time).
 [[nodiscard]] ValleyCheck check_valley_freedom(
     std::span<const dp::Router> routers, std::span<const dp::Addr> dests);
-[[nodiscard]] ValleyCheck check_valley_freedom(const dp::Network& net,
-                                               std::span<const dp::Addr> dests);
 
-/// Convenience: all destinations found in the FIBs.
-[[nodiscard]] ValleyCheck check_valley_freedom(
-    std::span<const dp::Router> routers);
+/// The same over every destination found in the network's FIBs.
 [[nodiscard]] ValleyCheck check_valley_freedom(const dp::Network& net);
 
 }  // namespace mifo::verify

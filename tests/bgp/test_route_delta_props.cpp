@@ -61,10 +61,12 @@ TEST(RouteDeltaProps, WithdrawLeavesNoSurvivingRoute) {
   DeltaRoutingTable table(g, all_ases(g));
   const AsId origin(3);
 
+  const auto before = table.segment(origin);
   const DeltaStats st = table.apply(RouteEvent::withdraw(origin));
   ASSERT_TRUE(st.applied);
   EXPECT_EQ(st.recomputed, 1u);  // per-destination independence
-  EXPECT_EQ(st.touched_dests, std::vector<AsId>{origin});
+  EXPECT_EQ(st.patched, 0u);
+  EXPECT_NE(table.segment(origin).get(), before.get());
 
   const auto seg = table.segment(origin);
   ASSERT_NE(seg, nullptr);

@@ -1,13 +1,14 @@
 // Differential-oracle harness for the CSR route store (DESIGN.md §5.1).
 //
 // `DestRoutes` and its derived views (`rib_of`, `rib_route_from`, `as_path`,
-// `reachable_count`) are retained untouched as the semantic reference;
-// `RouteStore` must be element-identical to them for every (as, neighbor,
-// dest) on seeded random topologies. On top of the view-level checks, the
-// two consumers whose migration changed iteration shape — the MIFO walk
-// (neighbor scan -> pre-sorted RIB rows) and MIRO's alternative election
-// (collect+sort -> filtered row prefix) — are re-run against in-test
-// re-implementations of their legacy DestRoutes-based code paths.
+// `reachable_count`, kept in tests/oracle/route_reference.hpp) are the
+// semantic reference; `RouteStore` must be element-identical to them for
+// every (as, neighbor, dest) on seeded random topologies. On top of the
+// view-level checks, the two consumers whose migration changed iteration
+// shape — the MIFO walk (neighbor scan -> pre-sorted RIB rows) and MIRO's
+// alternative election (collect+sort -> filtered row prefix) — are re-run
+// against in-test re-implementations of their legacy DestRoutes-based code
+// paths.
 //
 // 100 seeded topologies (see the suite instantiation at the bottom), sizes
 // cycling 20..120 ASes; small topologies sweep every destination.
@@ -25,6 +26,7 @@
 #include "common/rng.hpp"
 #include "core/walk.hpp"
 #include "miro/miro.hpp"
+#include "oracle/route_reference.hpp"
 #include "topo/generator.hpp"
 #include "topo/relationship.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/route_reference.hpp"
 #include "topo/relationship.hpp"
 
 namespace mifo::bgp {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bgp/routing.hpp"
+#include "oracle/route_reference.hpp"
 #include "topo/generator.hpp"
 #include "topo/relationship.hpp"
 

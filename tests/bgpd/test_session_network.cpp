@@ -7,6 +7,7 @@
 
 #include "bgp/routing.hpp"
 #include "bgpd/session_network.hpp"
+#include "oracle/route_reference.hpp"
 #include "topo/generator.hpp"
 
 namespace mifo::bgpd {

@@ -129,6 +129,51 @@ TEST(ChaosDifferential, IncrementalModeAgreesWithFullOnTheSamePlan) {
   EXPECT_TRUE(any_cached);
 }
 
+// A session toggle moves the delta routing table, but nothing a prover
+// reads: FIB defaults model the all-sessions-up state and the lints build
+// routes from the base graph. So a link event whose only writes at
+// injection are port flips re-proves nothing, and the full provers and the
+// route oracle still agree at every snapshot.
+TEST(ChaosDifferential, SessionTogglesDirtyNothingAtInjection) {
+  Fixture f = Fixture::make(9);
+  const auto link = [&](std::size_t host) {
+    const AsId a = f.em.hosts[host].as;
+    return std::to_string(a.value()) + " " +
+           std::to_string(f.g.neighbors(a).front().as.value()) + "\n";
+  };
+  // The first snapshot is the verifier's cold pass, so an event with no
+  // routing effect goes first; without traffic the daemons settle before
+  // each reconvergence snapshot and write nothing between events.
+  const Plan plan = parse_or_die("duration 1.0\n"
+                                 "at 0.05 ibgp-drop 0\n"
+                                 "at 0.1 link-down " + link(0) +
+                                 "at 0.3 link-up " + link(0) +
+                                 "at 0.5 link-down " + link(1) +
+                                 "at 0.7 link-up " + link(1));
+
+  EngineConfig ec;
+  ec.verify_mode = VerifyMode::Differential;
+  Engine engine(f.em, f.g, ec);
+  const Report report = engine.run(plan);
+
+  EXPECT_TRUE(report.safe);
+  EXPECT_EQ(report.differential_mismatches, 0u);
+  EXPECT_EQ(report.route_differential_mismatches, 0u);
+  ASSERT_EQ(report.events_applied, 5u);
+  std::size_t toggles = 0;
+  for (const Span& sp : report.spans) {
+    if (sp.kind != EventKind::LinkDown && sp.kind != EventKind::LinkUp) {
+      continue;
+    }
+    ++toggles;
+    ASSERT_GT(sp.route_recomputed + sp.route_patched, 0u)
+        << "event " << sp.event_index << " left the delta table unmoved";
+    EXPECT_EQ(sp.dirty_destinations, 0u) << "event " << sp.event_index;
+    EXPECT_EQ(sp.states_explored, 0u) << "event " << sp.event_index;
+  }
+  EXPECT_EQ(toggles, 4u);
+}
+
 TEST(ChaosDifferential, PlantedValleyIsCaughtWithoutDivergence) {
   Fixture f = Fixture::make(9);
   const Plan plan = parse_or_die(

@@ -4,6 +4,7 @@
 
 #include "bgp/routing.hpp"
 #include "common/parallel_for.hpp"
+#include "oracle/route_reference.hpp"
 #include "testbed/fig11.hpp"
 
 namespace mifo::testbed {

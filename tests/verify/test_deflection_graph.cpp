@@ -190,7 +190,7 @@ TEST(DeflectionGraph, RibUnbackedCustomerAltCycles) {
 
 TEST(DeflectionGraph, FibDestinationsCollectsHostPrefixes) {
   IbgpScenario sc = make_ibgp();
-  const auto dests = verify::fib_destinations(*sc.em.net);
+  const auto dests = verify::fib_destinations(sc.em.net->routers());
   // Two attached hosts -> two prefixes, ascending.
   ASSERT_EQ(dests.size(), 2u);
   EXPECT_TRUE(std::is_sorted(dests.begin(), dests.end()));

@@ -20,7 +20,6 @@
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/generator.hpp"
-#include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
 #include "verify/lint.hpp"
@@ -132,7 +131,7 @@ TEST(Incremental, FullLintIsTheDestinationOrderedConcatenation) {
   ASSERT_GE(ases.size(), 2u);
 
   std::vector<verify::LintIssue> concatenated;
-  for (const dp::Addr dst : verify::fib_destinations(net)) {
+  for (const dp::Addr dst : verify::fib_destinations(net.routers())) {
     const auto one = verify::lint_deployment(net, d.g, d.em.daemons, d.owners,
                                               std::span(&dst, 1));
     concatenated.insert(concatenated.end(), one.begin(), one.end());
@@ -147,8 +146,7 @@ TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  const auto cold = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  const auto cold = inc.check(net, d.g, d.em.daemons, d.owners, log);
   EXPECT_EQ(cold.stats.destinations, d.owners.size());
   EXPECT_EQ(cold.stats.dirty_destinations, cold.stats.destinations);
   EXPECT_EQ(cold.stats.cache_hits, 0u);
@@ -158,7 +156,7 @@ TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {
 
   // A warm pass with no changes at all is pure cache: zero exploration,
   // same merged result.
-  const auto warm = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  const auto warm = inc.check(net, d.g, d.em.daemons, d.owners, log);
   EXPECT_EQ(warm.stats.dirty_destinations, 0u);
   EXPECT_EQ(warm.stats.cache_hits, warm.stats.destinations);
   EXPECT_EQ(warm.stats.states_explored, 0u);
@@ -172,8 +170,7 @@ TEST(Incremental, PortFlipsAndNoOpTicksAreFree) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   // A steady-state tick changes no election, so the daemon writes nothing
   // and the log stays empty: the snapshot is pure cache.
@@ -189,9 +186,8 @@ TEST(Incremental, PortFlipsAndNoOpTicksAreFree) {
     }
   }
   EXPECT_FALSE(log.empty());
-  cs.drain(log);
-  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
-  cs.clear();
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, log);
+  log.clear();
   EXPECT_EQ(r.stats.dirty_destinations, 0u);
   EXPECT_EQ(r.stats.cache_hits, r.stats.destinations);
   EXPECT_EQ(r.stats.states_explored, 0u);
@@ -205,8 +201,7 @@ TEST(Incremental, VanishedDestinationIsDroppedFromTheMerge) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   // Withdraw one prefix everywhere: RIB knowledge and every FIB entry go.
   const dp::Addr gone = d.owners.front().first;
@@ -214,9 +209,8 @@ TEST(Incremental, VanishedDestinationIsDroppedFromTheMerge) {
   for (std::size_t i = 0; i < net.num_routers(); ++i) {
     net.router(RouterId(static_cast<std::uint32_t>(i))).fib().remove(gone);
   }
-  cs.drain(log);
-  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
-  cs.clear();
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, log);
+  log.clear();
   EXPECT_EQ(r.stats.destinations, d.owners.size() - 1);
   EXPECT_EQ(inc.cached_destinations(), d.owners.size() - 1);
   expect_identical(r, full_run(d), "after full withdrawal");
@@ -229,16 +223,14 @@ TEST(Incremental, RouteInstalledAfterTheColdPassIsProvedNext) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   const dp::Addr fresh = fresh_prefix(d);
   const auto* eg = some_egress(d);
   ASSERT_NE(eg, nullptr);
   net.router(eg->router).fib().set_route(fresh, eg->port);
-  cs.drain(log);
-  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
-  cs.clear();
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, log);
+  log.clear();
   EXPECT_EQ(r.stats.destinations, d.owners.size() + 1);
   EXPECT_EQ(r.stats.dirty_destinations, 1u);
   EXPECT_EQ(inc.cached_destinations(), d.owners.size() + 1);
@@ -252,17 +244,15 @@ TEST(Incremental, RemovalAtOneRouterKeepsADestinationHeldElsewhere) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   // The recorded router no longer holds the prefix; others still do.
   const dp::Addr dst = d.owners.front().first;
   const auto* eg = some_egress(d);
   ASSERT_NE(eg, nullptr);
   ASSERT_TRUE(net.router(eg->router).fib().remove(dst));
-  cs.drain(log);
-  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
-  cs.clear();
+  const auto r = inc.check(net, d.g, d.em.daemons, d.owners, log);
+  log.clear();
   EXPECT_EQ(r.stats.destinations, d.owners.size());
   EXPECT_EQ(r.stats.dirty_destinations, 1u);
   EXPECT_EQ(inc.cached_destinations(), d.owners.size());
@@ -273,8 +263,8 @@ TEST(Incremental, InvalidateAllResweepsTheFibs) {
   Deployment d = deploy(27, 20);
   dp::Network& net = *d.em.net;
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  const dp::ChangeLog log;
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   // No change log attached: the install below leaves no FibChange, so the
   // tracked universe cannot see it...
@@ -282,12 +272,12 @@ TEST(Incremental, InvalidateAllResweepsTheFibs) {
   const auto* eg = some_egress(d);
   ASSERT_NE(eg, nullptr);
   net.router(eg->router).fib().set_route(fresh, eg->port);
-  const auto unseen = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  const auto unseen = inc.check(net, d.g, d.em.daemons, d.owners, log);
   EXPECT_EQ(unseen.stats.destinations, d.owners.size());
 
   // ...until invalidate_all() drops it and the next check sweeps the FIBs.
   inc.invalidate_all();
-  const auto swept = inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  const auto swept = inc.check(net, d.g, d.em.daemons, d.owners, log);
   EXPECT_EQ(swept.stats.destinations, d.owners.size() + 1);
   EXPECT_EQ(swept.stats.dirty_destinations, swept.stats.destinations);
   expect_identical(swept, full_run(d), "after invalidate_all");
@@ -305,8 +295,7 @@ TEST_P(IncrementalProperty, RandomMutationSequenceNeverDiverges) {
   net.attach_change_log(&log);
 
   verify::IncrementalVerifier inc;
-  verify::ChangeSet cs;
-  (void)inc.check(net, d.g, d.em.daemons, d.owners, cs);
+  (void)inc.check(net, d.g, d.em.daemons, d.owners, log);
 
   Rng rng(seed * 7919 + 3);
   const std::size_t num_ases = d.em.wirings.size();
@@ -385,9 +374,8 @@ TEST_P(IncrementalProperty, RandomMutationSequenceNeverDiverges) {
     }
     ++mutations;
 
-    cs.drain(log);
-    const auto r = inc.check(net, d.g, d.em.daemons, d.owners, cs);
-    cs.clear();
+    const auto r = inc.check(net, d.g, d.em.daemons, d.owners, log);
+    log.clear();
     EXPECT_EQ(r.stats.dirty_destinations + r.stats.cache_hits,
               r.stats.destinations);
     expect_identical(r, full_run(d),

@@ -12,7 +12,8 @@
 //                                                   # expects a caught cycle
 //
 // Exit status: 0 = every snapshot safe, 1 = usage/input error (including a
-// malformed numeric flag, a --topo line topo::parse rejects and a plan
+// malformed numeric flag, a size, fault count or flow count outside the
+// bounds --help lists, a --topo line topo::parse rejects and a plan
 // event naming an AS outside the topology), 2 =
 // violation found (a counterexample cycle or lint issue, attributed to the
 // event that triggered it) or a cyclic provider hierarchy, which is outside
@@ -44,6 +45,8 @@ using namespace mifo;
 namespace {
 
 constexpr const char* kTool = "mifo-chaos";
+/// The generator's tier-1 clique: the smallest topology it can build.
+constexpr std::size_t kMinAses = topo::GeneratorParams{}.num_tier1;
 
 struct Options {
   std::string topo_file;
@@ -73,13 +76,14 @@ void usage(const char* argv0) {
       "  --plan FILE     scripted chaos plan (docs/CHAOS.md DSL)\n"
       "  --gen           seeded random plan (Poisson faults, default)\n"
       "  --topo FILE     CAIDA-style topology dump (default: generated)\n"
-      "  --ases N        generated topology size (default 40)\n"
+      "  --ases N        generated topology size (default 40, at least %zu)\n"
       "  --seed S        master seed: topology, traffic, plan (default 1)\n"
       "  --duration T    plan duration in sim seconds (default 1.0)\n"
-      "  --rate R        mean fault arrivals/sec for --gen (default 6)\n"
+      "  --rate R        mean fault arrivals/sec for --gen (default 6;\n"
+      "                  R x T at most %zu)\n"
       "  --mttr M        mean time-to-repair for --gen (default 0.15)\n"
       "  --dests K       prefix-owning ASes (default 6)\n"
-      "  --flows F       background flows (default 48)\n"
+      "  --flows F       background flows (default 48, at most %u)\n"
       "  --verify-mode MODE  full | incremental | differential (default\n"
       "                  full). incremental re-proves only the destinations\n"
       "                  each fault dirtied; differential also runs the full\n"
@@ -93,7 +97,7 @@ void usage(const char* argv0) {
       "                  segment (expects exit 2)\n"
       "  --print-plan    dump the effective plan before running\n"
       "  -q              verdict only\n",
-      argv0);
+      argv0, kMinAses, chaos::kMaxEveryEvents, chaos::kMaxBurstFlows);
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -149,8 +153,29 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return opt.ases >= 4 && opt.dests >= 2 && opt.duration > 0.0 &&
-         opt.rate > 0.0 && opt.mttr > 0.0;
+  if (opt.ases < kMinAses) {
+    std::fprintf(stderr, "%s: --ases: %zu ASes is below the minimum of %zu\n",
+                 kTool, opt.ases, kMinAses);
+    return false;
+  }
+  // A generated plan holds about rate x duration faults, and every flow is
+  // started up front: cap both where a scripted plan's `every` and `burst`
+  // are capped.
+  if (opt.plan_file.empty() &&
+      opt.rate * opt.duration > static_cast<double>(chaos::kMaxEveryEvents)) {
+    std::fprintf(stderr,
+                 "%s: --rate x --duration: %g faults is above the cap of "
+                 "%zu\n",
+                 kTool, opt.rate * opt.duration, chaos::kMaxEveryEvents);
+    return false;
+  }
+  if (opt.flows > chaos::kMaxBurstFlows) {
+    std::fprintf(stderr, "%s: --flows: %zu is above the cap of %u\n", kTool,
+                 opt.flows, chaos::kMaxBurstFlows);
+    return false;
+  }
+  return opt.dests >= 2 && opt.duration > 0.0 && opt.rate > 0.0 &&
+         opt.mttr > 0.0;
 }
 
 /// Inter-AS links ranked by bytes carried (descending, deterministic

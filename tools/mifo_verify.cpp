@@ -15,8 +15,9 @@
 //                                              # prover differential
 //
 // Exit status: 0 = loop-free, valley-free and lint-clean, 1 = usage/input
-// error (including a malformed numeric flag and a --topo line topo::parse
-// rejects), 2 = cycle / valley / blackhole found, lint issues, a cyclic
+// error (including a malformed numeric flag, a --gen size below the
+// generator's tier-1 clique and a --topo line topo::parse rejects), 2 =
+// cycle / valley / blackhole found, lint issues, a cyclic
 // provider hierarchy (outside the loop-freedom theorem's premise; verdict
 // PREMISE-VIOLATED), or (under --incremental) an incremental-vs-full
 // differential mismatch.
@@ -35,7 +36,6 @@
 #include "topo/analysis.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialization.hpp"
-#include "verify/changeset.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
 #include "verify/lint.hpp"
@@ -47,6 +47,8 @@ using namespace mifo;
 namespace {
 
 constexpr const char* kTool = "mifo-verify";
+/// The generator's tier-1 clique: the smallest topology it can build.
+constexpr std::size_t kMinAses = topo::GeneratorParams{}.num_tier1;
 
 struct Options {
   std::string topo_file;
@@ -68,7 +70,8 @@ void usage(const char* argv0) {
       "          [--expand-tier1] [--incremental] [--blackhole]\n"
       "          [--mutate-valley] [--mutate-blackhole] [-q]\n"
       "  --topo FILE      load a CAIDA-style topology dump\n"
-      "  --gen N          generate an N-AS power-law topology (default 200)\n"
+      "  --gen N          generate an N-AS power-law topology (default 200,\n"
+      "                   at least %zu)\n"
       "  --seed S         generator seed (default 1)\n"
       "  --dests K        destination prefixes to verify (default 8)\n"
       "  --expand-tier1   per-adjacency border routers in tier-1 ASes\n"
@@ -80,7 +83,7 @@ void usage(const char* argv0) {
       "  --mutate-blackhole  strand one prefix at a transit router and\n"
       "                   expect the blackhole analysis to report it\n"
       "  -q               verdict only\n",
-      argv0);
+      argv0, kMinAses);
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -119,7 +122,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return opt.gen_ases >= 4 && opt.dests >= 1;
+  if (opt.gen_ases < kMinAses) {
+    std::fprintf(stderr, "%s: --gen: %zu ASes is below the minimum of %zu\n",
+                 kTool, opt.gen_ases, kMinAses);
+    return false;
+  }
+  return opt.dests >= 1;
 }
 
 }  // namespace
@@ -199,12 +207,11 @@ int main(int argc, char** argv) {
   // let the mutation hooks record what changes; the warm pass below re-proves
   // only the dirtied destinations and must match the full provers exactly.
   dp::ChangeLog change_log;
-  verify::ChangeSet changes;
   verify::IncrementalVerifier inc(
       verify::IncrementalConfig{.blackhole = opt.blackhole});
   if (opt.incremental) {
     net.attach_change_log(&change_log);
-    const auto cold = inc.check(net, g, em.daemons, owners, changes);
+    const auto cold = inc.check(net, g, em.daemons, owners, change_log);
     if (!opt.quiet) {
       std::printf("incremental: cold pass proved %zu destinations "
                   "(%zu states explored)\n",
@@ -282,9 +289,8 @@ int main(int argc, char** argv) {
   };
 
   if (opt.incremental) {
-    changes.drain(change_log);
-    auto warm = inc.check(net, g, em.daemons, owners, changes);
-    changes.clear();
+    auto warm = inc.check(net, g, em.daemons, owners, change_log);
+    change_log.clear();
     if (!opt.quiet) {
       std::printf("incremental: warm pass re-proved %zu/%zu destinations "
                   "(%zu cache hits, %zu states explored)\n",
