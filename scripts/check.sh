@@ -173,9 +173,9 @@ latencies = [ev["recovery_latency"] for ev in c["events"]
              if "recovery_latency" in ev]
 assert latencies and all(l >= 0 for l in latencies), latencies
 assert {"drops", "metrics"} <= a.keys()
-# Flight-recorder sections (docs/OBSERVABILITY.md): structured fault spans,
-# the per-class recovery-latency table, the merged cross-shard timeline, and
-# the top-congested-links snapshot.
+# Observability sections (docs/OBSERVABILITY.md): structured fault spans,
+# the per-class recovery-latency table, the tracer's timeline, and the
+# top-congested-links snapshot.
 spans = c["spans"]
 assert spans and len(spans) == c["events_applied"], len(spans)
 for sp in spans:
@@ -191,9 +191,9 @@ for kind, row in rbc.items():
     assert row["count"] > 0 and row["min_s"] <= row["mean_s"] <= \
         row["max_s"], (kind, row)
 tl = a["timeline"]
-assert tl["events"], "empty merged timeline"
-epochs = [ev["epoch"] for ev in tl["events"]]
-assert epochs == sorted(epochs), "timeline not epoch-monotone"
+assert tl["events"], "empty timeline"
+times = [ev["t"] for ev in tl["events"]]
+assert times == sorted(times), "timeline t decreases"
 assert a["links"], "empty congested-links snapshot"
 for ln in a["links"]:
     assert {"router", "port", "bytes_sent"} <= ln.keys(), ln
@@ -309,6 +309,15 @@ plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
   --plan "$artifact_dir/burst_size_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-chaos: burst SIZE_MB exit $rc"; exit 1; }
 grep -q "line 2: burst: SIZE_MB 1e+300 is not finite" <<< "$plan_err"
+# An event past the plan's duration is an input error naming its line, not
+# a run of the emulator until that time (`at 1e6` once ran for hours).
+printf 'duration 0.5\nat 1e6 link-down 0 1\n' > "$artifact_dir/late_plan.txt"
+rc=0
+plan_err="$(timeout 20 "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/late_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-chaos: event past duration exit $rc"; exit 1; }
+grep -q "line 2: at: time 1e+06 is past the plan's duration 0.5" \
+  <<< "$plan_err"
 # The generated plan and the background flows are bounded like `every` and
 # `burst`: a fault count (rate x duration) or flow count past those caps is
 # an input error naming the flag, not a bad_alloc abort (exit 134).
@@ -332,15 +341,23 @@ grep -q -- "--ases: 11 ASes is below the minimum of 12" <<< "$flag_err"
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
      "malformed flag, out-of-range plan AS, unbounded every, oversized" \
-     "bursts, fault and flow counts past the caps and an undersized" \
-     "topology refused"
+     "bursts, an event past the duration, fault and flow counts past the" \
+     "caps and an undersized topology refused"
 
-echo "=== mifo-trace: flight-recorder rendering (docs/OBSERVABILITY.md) ==="
-# --check proves the merged timeline is epoch-monotone and every span
+echo "=== mifo-trace: timeline rendering (docs/OBSERVABILITY.md) ==="
+# --check proves the timeline's t never decreases and every span is
 # causally ordered (exit 2 otherwise), and the human rendering must be
 # byte-reproducible for the same artifact bytes.
 "$build_dir"/tools/mifo-trace --check "$artifact_dir/chaos_run.json" \
   > /dev/null
+# A timeline whose t decreases is a violation (exit 2), not a pass.
+printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
+  '{"t":1},{"t":0.5}' > "$artifact_dir/decreasing_t.json"
+rc=0
+trace_err="$("$build_dir"/tools/mifo-trace --check \
+  "$artifact_dir/decreasing_t.json" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 2 ]] || { echo "mifo-trace: decreasing t exit $rc"; exit 1; }
+grep -q "ordering violated at event 1" <<< "$trace_err"
 "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   > "$artifact_dir/trace_render.first.txt"
 "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
@@ -368,10 +385,10 @@ printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":5}}' \
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[1,2,3]}}' \
   > "$artifact_dir/bare_events.json"
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
-  '{"t":inf,"epoch":0}' > "$artifact_dir/inf_time.json"
+  '{"t":inf}' > "$artifact_dir/inf_time.json"
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
-  '{"t":0,"epoch":-1,"flow":1,"kind":"forward"}' \
-  > "$artifact_dir/negative_epoch.json"
+  '{"t":0,"router":-1,"flow":1,"kind":"forward"}' \
+  > "$artifact_dir/negative_router.json"
 rc=0
 trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/deep.json" 2>&1 \
   >/dev/null)" || rc=$?
@@ -386,7 +403,8 @@ rc=0
 trace_err="$("$build_dir"/tools/mifo-trace --check \
   "$artifact_dir/bare_events.json" 2>&1 >/dev/null)" || rc=$?
 [[ $rc -eq 1 ]] || { echo "mifo-trace: bare events exit $rc"; exit 1; }
-grep -q "timeline.events\[0\]" <<< "$trace_err"
+grep -q 'timeline.events\[0\]: expected an object with numeric "t"' \
+  <<< "$trace_err"
 rc=0
 trace_err="$("$build_dir"/tools/mifo-trace --check \
   "$artifact_dir/inf_time.json" 2>&1 >/dev/null)" || rc=$?
@@ -394,12 +412,12 @@ trace_err="$("$build_dir"/tools/mifo-trace --check \
 grep -q "malformed JSON" <<< "$trace_err"
 rc=0
 trace_err="$("$build_dir"/tools/mifo-trace \
-  "$artifact_dir/negative_epoch.json" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: negative epoch exit $rc"; exit 1; }
-grep -q "timeline.events\[0\].epoch: expected an unsigned" <<< "$trace_err"
-echo "mifo-trace OK: timeline checked, rendering byte-reproducible," \
-     "malformed flag, deep nesting, wrong shape, bare events, a non-JSON" \
-     "number and a negative epoch refused"
+  "$artifact_dir/negative_router.json" 2>&1 >/dev/null)" || rc=$?
+[[ $rc -eq 1 ]] || { echo "mifo-trace: negative router exit $rc"; exit 1; }
+grep -q "timeline.events\[0\].router: expected an unsigned" <<< "$trace_err"
+echo "mifo-trace OK: timeline checked, decreasing t caught, rendering" \
+     "byte-reproducible, malformed flag, deep nesting, wrong shape, bare" \
+     "events, a non-JSON number and a negative router id refused"
 
 echo "=== sharded plane: sharded-vs-serial differential gate ==="
 # The scaling bench doubles as the full-scale differential: every worker
@@ -617,8 +635,8 @@ cmake --build "$tsan_dir" -j "$jobs" \
 "$tsan_dir"/tests/test_common --gtest_filter='ParallelFor.*'
 "$tsan_dir"/tests/test_sim --gtest_filter='FluidSim.*'
 "$tsan_dir"/tests/test_dataplane --gtest_filter='ShardedNetwork.*'
-"$tsan_dir"/tests/test_integration --gtest_filter='ShardedDifferential.*:ShardedFlightRecorder.*'
-"$tsan_dir"/tests/test_obs --gtest_filter='Registry.*:TimelineMerge.*'
+"$tsan_dir"/tests/test_integration --gtest_filter='ShardedDifferential.*'
+"$tsan_dir"/tests/test_obs --gtest_filter='Registry.*'
 
 echo "=== UBSan: full test suite (${ubsan_dir}) ==="
 # -fno-sanitize-recover=all is wired in by the CMakeLists, so any UB aborts

@@ -207,6 +207,15 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
     std::size_t lineno;
   };
   std::vector<Every> repeats;
+  // The engine advances the emulator to every event's time, so an `at` time
+  // or a `fail` recovery past `duration` would run it that long. Checked
+  // once the whole file is read, like `every`.
+  struct Deadline {
+    SimTime t;
+    const char* what;
+    std::size_t lineno;
+  };
+  std::vector<Deadline> deadlines;
 
   while (std::getline(in, line)) {
     ++lineno;
@@ -227,6 +236,7 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
         sub_error = "at: expected a non-negative time";
       } else if (parse_event(ls, t, ev, sub_error)) {
         plan.events.push_back(ev);
+        deadlines.push_back({t, "at: time", lineno});
       }
     } else if (word == "every") {
       Every rep{0.0, 0.0, {}, lineno};
@@ -269,6 +279,7 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
           rec.t = t + mttr;
           rec.kind = *recovery_of(fail.kind);
           plan.events.push_back(rec);
+          deadlines.push_back({rec.t, "fail: recovery time", lineno});
         }
       }
     } else {
@@ -280,6 +291,15 @@ std::optional<Plan> parse_plan(std::istream& in, std::string& error) {
     }
   }
 
+  for (const Deadline& d : deadlines) {
+    if (d.t > plan.duration) {
+      std::ostringstream msg;
+      msg << "line " << d.lineno << ": " << d.what << " " << d.t
+          << " is past the plan's duration " << plan.duration;
+      error = msg.str();
+      return std::nullopt;
+    }
+  }
   for (const auto& rep : repeats) {
     std::size_t n = 0;
     for (SimTime t = rep.start; t <= plan.duration; t += rep.period) {

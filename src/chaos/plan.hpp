@@ -97,7 +97,9 @@ inline constexpr std::uint32_t kMaxBurstFlows = 100'000;
 ///   fail T mttr M ibgp A                   (ibgp-drop / ibgp-restore)
 ///   fail T mttr M router A                 (freeze / restart)
 ///
-/// Returns nullopt and fills `error` on the first malformed line.
+/// An `at` time or a `fail` recovery time (T + M) past `duration` is
+/// refused, wherever the `duration` line stands. Returns nullopt and fills
+/// `error` ("line N: ...") on the first malformed line.
 [[nodiscard]] std::optional<Plan> parse_plan(std::istream& in,
                                              std::string& error);
 [[nodiscard]] std::optional<Plan> parse_plan(const std::string& text,

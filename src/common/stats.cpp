@@ -106,35 +106,18 @@ std::vector<std::pair<double, double>> Cdf::table(double lo, double hi,
   return rows;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  MIFO_EXPECTS(hi > lo);
-  MIFO_EXPECTS(bins > 0);
-}
-
-Histogram::Histogram(std::vector<double> edges)
-    : lo_(0.0), hi_(0.0), edges_(std::move(edges)) {
+Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
   MIFO_EXPECTS(edges_.size() >= 2);
-  MIFO_EXPECTS(std::is_sorted(edges_.begin(), edges_.end()));
   for (std::size_t i = 1; i < edges_.size(); ++i) {
     MIFO_EXPECTS(edges_[i] > edges_[i - 1]);
   }
-  lo_ = edges_.front();
-  hi_ = edges_.back();
   counts_.assign(edges_.size() - 1, 0);
 }
 
 void Histogram::add(double x) {
-  long idx;
-  if (edges_.empty()) {
-    const double span = hi_ - lo_;
-    idx = static_cast<long>((x - lo_) / span *
-                            static_cast<double>(counts_.size()));
-  } else {
-    // First edge strictly greater than x; bin i covers [edges[i], edges[i+1]).
-    idx = std::upper_bound(edges_.begin(), edges_.end(), x) -
-          edges_.begin() - 1;
-  }
+  // First edge strictly greater than x; bin i covers [edges[i], edges[i+1]).
+  long idx =
+      std::upper_bound(edges_.begin(), edges_.end(), x) - edges_.begin() - 1;
   idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
   ++counts_[static_cast<std::size_t>(idx)];
   ++total_;
@@ -147,22 +130,16 @@ std::uint64_t Histogram::bin_count(std::size_t i) const {
 
 double Histogram::bin_low(std::size_t i) const {
   MIFO_EXPECTS(i < counts_.size());
-  if (!edges_.empty()) return edges_[i];
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
+  return edges_[i];
 }
 
 double Histogram::bin_high(std::size_t i) const {
   MIFO_EXPECTS(i < counts_.size());
-  if (!edges_.empty()) return edges_[i + 1];
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                   static_cast<double>(counts_.size());
+  return edges_[i + 1];
 }
 
 void Histogram::merge(const Histogram& other) {
-  MIFO_EXPECTS(lo_ == other.lo_ && hi_ == other.hi_);
   MIFO_EXPECTS(edges_ == other.edges_);
-  MIFO_EXPECTS(counts_.size() == other.counts_.size());
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }

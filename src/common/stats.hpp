@@ -57,17 +57,13 @@ class Cdf {
   mutable bool sorted_ = false;
 };
 
-/// Fixed-bin histogram. Two binning modes:
-///  * uniform — `bins` equal-width bins over [lo, hi);
-///  * explicit — caller-supplied ascending bucket edges, so skewed
-///    populations (e.g. 10 ms–1 s recovery latencies) get resolution where
-///    the mass is instead of a uniform grid.
-/// Out-of-range samples clamp to the edge bins in both modes.
+/// Fixed-bin histogram over caller-supplied ascending bucket edges, so
+/// skewed populations (e.g. 10 ms–1 s recovery latencies) get resolution
+/// where the mass is. Out-of-range samples clamp to the edge bins.
 class Histogram {
  public:
-  Histogram(double lo, double hi, std::size_t bins);
-  /// Explicit bucket edges: bin i covers [edges[i], edges[i+1]). Needs at
-  /// least two strictly ascending edges.
+  /// Bin i covers [edges[i], edges[i+1]). Needs at least two strictly
+  /// ascending edges.
   explicit Histogram(std::vector<double> edges);
 
   void add(double x);
@@ -78,18 +74,15 @@ class Histogram {
   /// Exclusive upper edge of bin i (== bin_low(i + 1) for inner bins).
   [[nodiscard]] double bin_high(std::size_t i) const;
   [[nodiscard]] double fraction(std::size_t i) const;
-  [[nodiscard]] double low() const { return lo_; }
-  [[nodiscard]] double high() const { return hi_; }
-  /// Explicit edges (empty for uniform binning).
+  [[nodiscard]] double low() const { return edges_.front(); }
+  [[nodiscard]] double high() const { return edges_.back(); }
   [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
 
   /// Accumulate another histogram's counts; the binning must match.
   void merge(const Histogram& other);
 
  private:
-  double lo_;
-  double hi_;
-  std::vector<double> edges_;  ///< empty: uniform mode
+  std::vector<double> edges_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };

@@ -327,9 +327,9 @@ void Network::begin_tx(NodeRef node, Port& port, std::uint32_t port_index) {
   const SimTime arrive_t = now_ + tx + port.delay;
 
   // Shard mode: an arrival owned by another shard leaves this event queue
-  // entirely and crosses over the shard pair's SPSC ring instead. tx > 0
-  // guarantees arrive_t strictly exceeds the conservative window horizon,
-  // so the receiving shard can never see it in its past.
+  // entirely and crosses over the shard pair's handoff buffer instead.
+  // tx > 0 guarantees arrive_t strictly exceeds the conservative window
+  // horizon, so the receiving shard can never see it in its past.
   if (router_shard_ != nullptr) {
     const std::uint32_t owner = port.peer.is_router()
                                     ? (*router_shard_)[port.peer.id]
@@ -420,11 +420,6 @@ void Network::transmit_host(HostId h, Packet p) {
   Host& hh = host(h);
   MIFO_EXPECTS(hh.connected);
   ++injected_pkts_;
-  // Flight-recorder context: every host-injected packet names the shard and
-  // epoch it entered the plane in (0/0 on the serial engine). Travels with
-  // the packet across RemoteEvent handoffs; never touches wire_bytes().
-  p.origin_shard = router_shard_ != nullptr ? self_shard_ : 0;
-  p.inject_epoch = worker_epoch_;
   enqueue_on(NodeRef::host(h), hh.uplink, 0, std::move(p));
 }
 
@@ -479,12 +474,6 @@ void Network::enable_link_sampling(SimTime interval) {
       std::make_shared<std::unordered_map<std::uint64_t, std::uint64_t>>();
   add_periodic(interval, [snapshots, interval](Network& net, SimTime now) {
     for (std::size_t r = 0; r < net.routers_.size(); ++r) {
-      // Shard replicas sample only the routers they own; the merged series
-      // (ShardedNetwork::link_samples) then covers each link exactly once.
-      if (net.router_shard_ != nullptr &&
-          (*net.router_shard_)[r] != net.self_shard_) {
-        continue;
-      }
       Router& router = net.routers_[r];
       for (std::size_t pi = 0; pi < router.num_ports(); ++pi) {
         const Port& port = router.port(PortId(static_cast<std::uint32_t>(pi)));
@@ -548,18 +537,7 @@ void Network::publish_metrics(obs::Registry& reg,
   // Exactly-once per (registry, labels): re-publishing overwrites the same
   // shard (set() is idempotent) instead of stacking a second one, so a
   // snapshot racing a later publish cannot double-count this network.
-  obs::Registry::Shard* cached = nullptr;
-  for (const PublishSlot& slot : pub_shards_) {
-    if (slot.reg == &reg && slot.labels == labels) {
-      cached = slot.shard;
-      break;
-    }
-  }
-  if (cached == nullptr) {
-    cached = &reg.create_shard();
-    pub_shards_.push_back(PublishSlot{&reg, labels, cached});
-  }
-  obs::Registry::Shard& shard = *cached;
+  obs::Registry::Shard& shard = reg.publish_shard(this, labels);
   const RouterCounters c = total_counters();
   const auto set = [&](const char* name, std::uint64_t v) {
     shard.set(reg.counter(name, labels), static_cast<double>(v));

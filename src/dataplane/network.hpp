@@ -21,14 +21,15 @@
 
 namespace mifo::dp {
 
-/// A packet arrival whose destination node lives on another shard of a
-/// ShardedNetwork (src/dataplane/shard.hpp). Produced by `begin_tx` when
-/// shard mode is enabled; carried over an SPSC ring and re-injected into the
-/// owning shard's event queue at the next epoch barrier. The (from_node,
-/// from_port) pair keys the deterministic merge order: per-port transmissions
-/// are serialized (tx time > 0), so (t, from_node, from_port) is unique.
 struct ChangeLog;
 
+/// A packet arrival whose destination node lives on another shard of a
+/// ShardedNetwork (src/dataplane/shard.hpp). Produced by `begin_tx` when
+/// shard mode is enabled; carried in the shard pair's handoff buffer and
+/// re-injected into the owning shard's event queue at the next epoch
+/// barrier. The (from_node, from_port) pair keys the deterministic merge
+/// order: per-port transmissions are serialized (tx time > 0), so
+/// (t, from_node, from_port) is unique.
 struct RemoteEvent {
   SimTime t = 0.0;
   bool to_router = true;
@@ -122,26 +123,16 @@ class Network {
   /// Marks this network as shard `self` of a sharded plane. `router_shard`
   /// and `host_shard` map node id -> owning shard (not owned; must outlive
   /// the network). Arrivals whose destination is owned elsewhere are handed
-  /// to `sink` instead of the local event queue; link sampling skips
-  /// non-owned routers. Disabled (the default) this costs nothing — the
-  /// serial engine's behaviour is bit-for-bit unchanged.
+  /// to `sink` instead of the local event queue. Disabled (the default)
+  /// this costs nothing — the serial engine's behaviour is bit-for-bit
+  /// unchanged.
   void enable_shard_mode(std::uint32_t self,
                          const std::vector<std::uint32_t>* router_shard,
                          const std::vector<std::uint32_t>* host_shard,
                          std::function<void(RemoteEvent&&)> sink);
-  /// Re-injects a cross-shard arrival drained from a ring. Must not be in
-  /// this shard's past.
+  /// Re-injects a cross-shard arrival drained from a handoff buffer. Must
+  /// not be in this shard's past.
   void inject_remote(RemoteEvent&& ev);
-
-  /// Current conservative epoch window of the owning shard worker (stays 0
-  /// on the serial engine). Stamped into the flight-recorder context of
-  /// every packet injected by transmit_host and mirrored into the attached
-  /// tracer, so trace events and packets agree on the epoch.
-  void set_worker_epoch(std::uint64_t epoch) {
-    worker_epoch_ = epoch;
-    if (tracer_ != nullptr) tracer_->set_epoch(epoch);
-  }
-  [[nodiscard]] std::uint64_t worker_epoch() const { return worker_epoch_; }
 
   // --- data-plane services (used by Router and transport) --------------------
   /// Enqueue `p` on router r's port, honouring queue capacity; starts
@@ -288,15 +279,6 @@ class Network {
   obs::Tracer* tracer_ = nullptr;
   ChangeLog* change_log_ = nullptr;
   obs::LinkSeries link_samples_;
-  std::uint64_t worker_epoch_ = 0;
-  /// publish_metrics() exactly-once state: one registry shard per
-  /// (registry, labels) pair ever published to, reused on re-publish.
-  struct PublishSlot {
-    obs::Registry* reg;
-    std::string labels;
-    obs::Registry::Shard* shard;
-  };
-  mutable std::vector<PublishSlot> pub_shards_;
   std::uint64_t injected_pkts_ = 0;
   std::uint64_t delivered_pkts_ = 0;
   std::uint64_t misdelivered_pkts_ = 0;

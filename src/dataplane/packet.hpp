@@ -39,14 +39,6 @@ struct Packet {
   Addr outer_src = kInvalidAddr;
   Addr outer_dst = kInvalidAddr;
 
-  // ---- flight-recorder trace context (obs/trace.hpp) ----------------------
-  // Stamped at host injection, carried across RemoteEvent handoffs so a
-  // trace hook on any shard can attribute the packet to the shard/epoch
-  // that injected it. Simulation metadata, not a header: excluded from
-  // wire_bytes() and from the outcome digest.
-  std::uint32_t origin_shard = 0;
-  std::uint64_t inject_epoch = 0;
-
   [[nodiscard]] std::uint32_t wire_bytes() const {
     // 20-byte outer header overhead when encapsulated.
     return size_bytes + (encapsulated ? 20u : 0u);

@@ -30,10 +30,6 @@ void record_trace(obs::Tracer& tr, const Network& net, RouterId router,
   ev.tag = p.mifo_tag;
   if (port.valid()) ev.port = port.value();
   ev.rel = rel;
-  // Flight-recorder context carried by the packet from its injection point
-  // (possibly on another shard); the recording tracer adds shard/epoch/seq.
-  ev.origin_shard = p.origin_shard;
-  ev.inject_epoch = p.inject_epoch;
   tr.record(ev);
 }
 

@@ -310,12 +310,7 @@ void ShardedNetwork::run_epochs(SimTime t_end) {
         net.run_until(t_end);  // no events left <= t_end; advances the clock
         return;
       }
-      // New conservative epoch window: stamp the worker epoch (flight-
-      // recorder context for injected packets and trace events) before any
-      // event of the window executes. The epoch count is a pure function of
-      // the simulated event set, so it is identical across same-seed runs.
       ++ws.epochs;
-      net.set_worker_epoch(net.worker_epoch() + 1);
       ws.epoch_window.add(ctl.horizon - prev_horizon);
       prev_horizon = ctl.horizon;
       net.run_until(ctl.horizon);
@@ -366,41 +361,6 @@ void ShardedNetwork::set_port_up(RouterId r, PortId port, bool up) {
 }
 
 // --- observability ------------------------------------------------------------
-
-void ShardedNetwork::enable_delivery_trace(SimTime bucket_width) {
-  for (auto& net : nets_) net->enable_delivery_trace(bucket_width);
-}
-
-std::vector<Bytes> ShardedNetwork::delivery_buckets() const {
-  std::vector<Bytes> merged;
-  for (const auto& net : nets_) {
-    const std::vector<Bytes>& b = net->delivery_buckets();
-    if (b.size() > merged.size()) merged.resize(b.size(), 0);
-    for (std::size_t i = 0; i < b.size(); ++i) merged[i] += b[i];
-  }
-  return merged;
-}
-
-void ShardedNetwork::enable_link_sampling(SimTime interval) {
-  // Every replica samples (the sampler skips routers it does not own), so
-  // the merged series covers each eBGP port exactly once.
-  for (auto& net : nets_) net->enable_link_sampling(interval);
-}
-
-obs::LinkSeries ShardedNetwork::link_samples() const {
-  obs::LinkSeries merged;
-  for (const auto& net : nets_) {
-    const obs::LinkSeries& s = net->link_samples();
-    merged.insert(merged.end(), s.begin(), s.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const obs::LinkSample& a, const obs::LinkSample& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.router != b.router) return a.router < b.router;
-              return a.port < b.port;
-            });
-  return merged;
-}
 
 std::uint64_t ShardedNetwork::injected_pkts() const {
   std::uint64_t n = 0;
@@ -468,32 +428,6 @@ std::uint64_t ShardedNetwork::queued_pkts() const {
   return n;
 }
 
-void ShardedNetwork::enable_tracing(std::size_t capacity_per_shard) {
-  if (!tracers_.empty()) return;
-  tracers_.reserve(num_shards());
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    tracers_.push_back(std::make_unique<obs::Tracer>(capacity_per_shard));
-    tracers_.back()->set_shard(s);
-    nets_[s]->set_tracer(tracers_.back().get());
-  }
-}
-
-void ShardedNetwork::set_trace_flow(std::uint64_t flow) {
-  for (auto& t : tracers_) t->set_flow_filter(flow);
-}
-
-const obs::Tracer* ShardedNetwork::tracer(std::uint32_t s) const {
-  if (s >= tracers_.size()) return nullptr;
-  return tracers_[s].get();
-}
-
-obs::Timeline ShardedNetwork::timeline() const {
-  std::vector<const obs::Tracer*> ts;
-  ts.reserve(tracers_.size());
-  for (const auto& t : tracers_) ts.push_back(t.get());
-  return obs::merge_timelines(ts);
-}
-
 std::vector<RingStats> ShardedNetwork::ring_stats() const {
   std::vector<RingStats> out;
   const std::uint32_t n = num_shards();
@@ -511,21 +445,8 @@ void ShardedNetwork::publish_metrics(obs::Registry& reg,
                                      const std::string& labels) const {
   for (const auto& net : nets_) net->publish_metrics(reg, labels);
 
-  // Exactly-once per (registry, labels) — same idempotent-overwrite scheme
-  // as Network::publish_metrics, so a snapshot between two publishes (e.g.
-  // racing a barrier rendezvous) never sees this plane's gauges twice.
-  obs::Registry::Shard* cached = nullptr;
-  for (const PublishSlot& slot : pub_shards_) {
-    if (slot.reg == &reg && slot.labels == labels) {
-      cached = slot.shard;
-      break;
-    }
-  }
-  if (cached == nullptr) {
-    cached = &reg.create_shard();
-    pub_shards_.push_back(PublishSlot{&reg, labels, cached});
-  }
-  obs::Registry::Shard& shard = *cached;
+  // Exactly-once per (registry, labels), as in Network::publish_metrics.
+  obs::Registry::Shard& shard = reg.publish_shard(this, labels);
   shard.set(reg.gauge("dp.num_shards", labels),
             static_cast<double>(num_shards()));
   if (window_ < kInf) {

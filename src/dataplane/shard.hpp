@@ -141,12 +141,6 @@ class ShardedNetwork {
   void set_port_up(RouterId r, PortId port, bool up);
 
   // --- observability (parked only) --------------------------------------------
-  void enable_delivery_trace(SimTime bucket_width);
-  [[nodiscard]] std::vector<Bytes> delivery_buckets() const;
-  void enable_link_sampling(SimTime interval);
-  /// Every shard's samples of its owned links, merged on (t, router, port).
-  [[nodiscard]] obs::LinkSeries link_samples() const;
-
   [[nodiscard]] std::uint64_t injected_pkts() const;
   [[nodiscard]] std::uint64_t delivered_pkts() const;
   [[nodiscard]] std::uint64_t misdelivered_pkts() const;
@@ -160,18 +154,6 @@ class ShardedNetwork {
   drop_breakdown() const;
   [[nodiscard]] std::uint64_t queued_pkts() const;
   [[nodiscard]] std::vector<RingStats> ring_stats() const;
-
-  // --- flight recorder (docs/OBSERVABILITY.md) --------------------------------
-  /// Creates one Tracer per worker (shard context pre-stamped) and attaches
-  /// it to that worker's replica. Call before the first run; parked only.
-  void enable_tracing(std::size_t capacity_per_shard = 4096);
-  /// Per-flow filter applied to every worker tracer (parked only).
-  void set_trace_flow(std::uint64_t flow);
-  /// Worker tracer for shard `s` (nullptr until enable_tracing).
-  [[nodiscard]] const obs::Tracer* tracer(std::uint32_t s) const;
-  /// Snapshot-time causal merge of every worker tracer into one
-  /// deterministically ordered timeline (obs::trace_order; parked only).
-  [[nodiscard]] obs::Timeline timeline() const;
 
   /// Per-worker shard-runtime instrumentation, read while parked.
   struct WorkerStats {
@@ -219,17 +201,8 @@ class ShardedNetwork {
 
   ShardConfig cfg_;
   std::vector<std::unique_ptr<Network>> nets_;
-  /// Flight recorder: one per worker, attached to that worker's replica.
-  std::vector<std::unique_ptr<obs::Tracer>> tracers_;
   /// One per worker; written only by its worker thread, read parked.
   std::vector<WorkerStats> worker_stats_;
-  /// publish_metrics() exactly-once state (mirrors Network::PublishSlot).
-  struct PublishSlot {
-    obs::Registry* reg;
-    std::string labels;
-    obs::Registry::Shard* shard;
-  };
-  mutable std::vector<PublishSlot> pub_shards_;
   /// Node id -> owning shard. Address-stable (Network keeps pointers).
   std::vector<std::uint32_t> router_shard_;
   std::vector<std::uint32_t> host_shard_;

@@ -460,11 +460,9 @@ Json to_json(const Snapshot& snap) {
     m.set("lo", Json::num(h.hist.low()));
     m.set("hi", Json::num(h.hist.high()));
     m.set("total", Json::num(h.hist.total()));
-    if (!h.hist.edges().empty()) {
-      Json bounds = Json::array();
-      for (const double e : h.hist.edges()) bounds.push(Json::num(e));
-      m.set("bounds", std::move(bounds));
-    }
+    Json bounds = Json::array();
+    for (const double e : h.hist.edges()) bounds.push(Json::num(e));
+    m.set("bounds", std::move(bounds));
     Json bins = Json::array();
     for (std::size_t i = 0; i < h.hist.bins(); ++i) {
       bins.push(Json::num(h.hist.bin_count(i)));
@@ -522,25 +520,19 @@ Json to_json(const LoadSeries& series) {
   return arr;
 }
 
-Json to_json(const Timeline& tl) {
+Json to_json(const Tracer& tracer) {
   Json root = Json::object();
-  root.set("overwritten", Json::num(tl.overwritten));
+  root.set("overwritten", Json::num(tracer.overwritten()));
   Json evs = Json::array();
-  for (const TraceEvent& e : tl.events) {
+  for (const TraceEvent& e : tracer.events()) {
     Json m = Json::object();
-    m.set("epoch", Json::num(e.epoch));
     m.set("t", Json::num(e.t));
     m.set("kind", Json::str(to_string(e.kind)));
     m.set("router", Json::num(static_cast<std::uint64_t>(e.router)));
     if (e.flow != kNoTraceFlow) m.set("flow", Json::num(e.flow));
-    m.set("shard", Json::num(static_cast<std::uint64_t>(e.shard)));
-    m.set("seq", Json::num(e.seq));
     m.set("port", Json::num(static_cast<std::uint64_t>(e.port)));
     m.set("dst", Json::num(static_cast<std::uint64_t>(e.dst)));
     m.set("tag", Json::boolean(e.tag));
-    m.set("origin_shard",
-          Json::num(static_cast<std::uint64_t>(e.origin_shard)));
-    m.set("inject_epoch", Json::num(e.inject_epoch));
     if (e.value != 0.0) m.set("value", Json::num(e.value));
     evs.push(std::move(m));
   }

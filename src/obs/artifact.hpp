@@ -101,10 +101,10 @@ std::string write_csv(const std::string& name,
 [[nodiscard]] Json to_json(const UtilSeries& series);
 [[nodiscard]] Json to_json(const LinkSeries& series);
 [[nodiscard]] Json to_json(const LoadSeries& series);
-/// Flight-recorder timeline: {"overwritten": N, "events": [...]} with one
-/// object per event carrying the full trace context (deterministic — only
-/// sim-time values, byte-identical across same-seed runs).
-[[nodiscard]] Json to_json(const Timeline& tl);
+/// The tracer's ring as a timeline: {"overwritten": N, "events": [...]},
+/// oldest event first (deterministic — only sim-time values, byte-identical
+/// across same-seed runs).
+[[nodiscard]] Json to_json(const Tracer& tracer);
 
 /// Drop-reason breakdown ({reason -> count}) as a JSON object.
 [[nodiscard]] Json drops_json(

@@ -27,20 +27,12 @@ void Registry::Shard::observe(MetricId id, double sample) {
   hists_[static_cast<std::size_t>(h)].add(sample);
 }
 
-void Registry::Shard::merge_histogram(MetricId id, const Histogram& h) {
-  if (id >= hist_index_.size()) grow_to_fit();
-  const std::int32_t idx = hist_index_[id];
-  MIFO_EXPECTS(idx >= 0);  // merge_histogram() on a non-histogram metric
-  hists_[static_cast<std::size_t>(idx)].merge(h);
-}
-
 void Registry::Shard::set_histogram(MetricId id, const Histogram& h) {
   if (id >= hist_index_.size()) grow_to_fit();
   const std::int32_t idx = hist_index_[id];
   MIFO_EXPECTS(idx >= 0);  // set_histogram() on a non-histogram metric
   Histogram& slot = hists_[static_cast<std::size_t>(idx)];
-  MIFO_EXPECTS(slot.bins() == h.bins() && slot.low() == h.low() &&
-               slot.high() == h.high() && slot.edges() == h.edges());
+  MIFO_EXPECTS(slot.edges() == h.edges());
   slot = h;
 }
 
@@ -54,13 +46,12 @@ void Registry::Shard::grow_to_fit() {
     const MetricDef& d = owner_->defs_[i];
     if (d.kind != MetricKind::Histogram) continue;
     hist_index_[i] = static_cast<std::int32_t>(hists_.size());
-    hists_.push_back(d.make_histogram());
+    hists_.emplace_back(d.hist_bounds);
   }
 }
 
 MetricId Registry::intern(std::string name, std::string labels,
-                          MetricKind kind, double lo, double hi,
-                          std::size_t bins, std::vector<double> bounds) {
+                          MetricKind kind, std::vector<double> bounds) {
   std::lock_guard lock(mutex_);
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     if (defs_[i].name == name && defs_[i].labels == labels) {
@@ -72,42 +63,24 @@ MetricId Registry::intern(std::string name, std::string labels,
   d.name = std::move(name);
   d.labels = std::move(labels);
   d.kind = kind;
-  if (kind == MetricKind::Histogram) {
-    d.hist_ordinal = num_histograms_++;
-    d.hist_lo = lo;
-    d.hist_hi = hi;
-    d.hist_bins = bins;
-    d.hist_bounds = std::move(bounds);
-  }
+  d.hist_bounds = std::move(bounds);
   defs_.push_back(std::move(d));
   return static_cast<MetricId>(defs_.size() - 1);
 }
 
 MetricId Registry::counter(std::string name, std::string labels) {
-  return intern(std::move(name), std::move(labels), MetricKind::Counter, 0, 1,
-                1);
+  return intern(std::move(name), std::move(labels), MetricKind::Counter);
 }
 
 MetricId Registry::gauge(std::string name, std::string labels) {
-  return intern(std::move(name), std::move(labels), MetricKind::Gauge, 0, 1,
-                1);
-}
-
-MetricId Registry::histogram(std::string name, double lo, double hi,
-                             std::size_t bins, std::string labels) {
-  MIFO_EXPECTS(hi > lo && bins > 0);
-  return intern(std::move(name), std::move(labels), MetricKind::Histogram, lo,
-                hi, bins);
+  return intern(std::move(name), std::move(labels), MetricKind::Gauge);
 }
 
 MetricId Registry::histogram(std::string name, std::vector<double> bounds,
                              std::string labels) {
   MIFO_EXPECTS(bounds.size() >= 2);
-  const double lo = bounds.front();
-  const double hi = bounds.back();
-  const std::size_t bins = bounds.size() - 1;
-  return intern(std::move(name), std::move(labels), MetricKind::Histogram, lo,
-                hi, bins, std::move(bounds));
+  return intern(std::move(name), std::move(labels), MetricKind::Histogram,
+                std::move(bounds));
 }
 
 Registry::Shard& Registry::create_shard() {
@@ -116,9 +89,17 @@ Registry::Shard& Registry::create_shard() {
   return shards_.back();
 }
 
-std::size_t Registry::num_metrics() const {
+Registry::Shard& Registry::publish_shard(const void* publisher,
+                                         const std::string& labels) {
   std::lock_guard lock(mutex_);
-  return defs_.size();
+  for (const PublishSlot& slot : publish_slots_) {
+    if (slot.publisher == publisher && slot.labels == labels) {
+      return *slot.shard;
+    }
+  }
+  shards_.push_back(Shard(*this));
+  publish_slots_.push_back(PublishSlot{publisher, labels, &shards_.back()});
+  return shards_.back();
 }
 
 Snapshot Registry::snapshot() const {
@@ -127,10 +108,7 @@ Snapshot Registry::snapshot() const {
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     const MetricDef& d = defs_[i];
     if (d.kind == MetricKind::Histogram) {
-      SnapshotHistogram sh;
-      sh.name = d.name;
-      sh.labels = d.labels;
-      sh.hist = d.make_histogram();
+      SnapshotHistogram sh{d.name, d.labels, Histogram(d.hist_bounds)};
       for (const Shard& s : shards_) {
         if (i < s.hist_index_.size() && s.hist_index_[i] >= 0) {
           sh.hist.merge(s.hists_[static_cast<std::size_t>(s.hist_index_[i])]);

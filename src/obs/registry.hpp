@@ -53,7 +53,7 @@ struct SnapshotEntry {
 struct SnapshotHistogram {
   std::string name;
   std::string labels;
-  Histogram hist{0.0, 1.0, 1};
+  Histogram hist;
 };
 
 struct Snapshot {
@@ -80,10 +80,6 @@ class Registry {
     void add(MetricId id, double delta = 1.0) { slot(id) += delta; }
     void set(MetricId id, double value) { slot(id) = value; }
     void observe(MetricId id, double sample);
-    /// Fold an externally accumulated histogram into this shard's slot (e.g.
-    /// a worker-local barrier-wait histogram published at snapshot time).
-    /// The binning must match the registered metric's exactly.
-    void merge_histogram(MetricId id, const Histogram& h);
     /// Replace the slot's histogram with `h` (the histogram analogue of
     /// set(): idempotent, so re-publishing a still-growing worker-local
     /// histogram never double-counts). Binning must match.
@@ -109,50 +105,49 @@ class Registry {
   /// Register (or look up) a metric family member. Thread-safe.
   MetricId counter(std::string name, std::string labels = {});
   MetricId gauge(std::string name, std::string labels = {});
-  MetricId histogram(std::string name, double lo, double hi, std::size_t bins,
-                     std::string labels = {});
-  /// Histogram with explicit (ascending) bucket bounds — for skewed
-  /// populations like chaos recovery latencies (10 ms–1 s) where uniform
-  /// bins waste resolution. Bin i covers [bounds[i], bounds[i+1]).
+  /// Histogram over ascending bucket bounds (common/stats.hpp Histogram):
+  /// bin i covers [bounds[i], bounds[i+1]).
   MetricId histogram(std::string name, std::vector<double> bounds,
                      std::string labels = {});
 
   /// Create a new shard; the reference stays valid for the registry's
   /// lifetime. Thread-safe (producers can register themselves lazily).
   Shard& create_shard();
+  /// The shard `publisher` publishes into under `labels`: created by the
+  /// first call, returned again by every later one. A publisher that writes
+  /// only through set()/set_histogram() therefore counts exactly once per
+  /// snapshot however often it re-publishes, while distinct publishers or
+  /// labels still get distinct shards. `publisher` is a key, never read; a
+  /// later object at the same address would take over the shard.
+  /// Thread-safe.
+  Shard& publish_shard(const void* publisher, const std::string& labels);
 
   /// Sum every shard into one view. Call after producers quiesce; counters
   /// sum, gauges sum (producers own disjoint gauges — use one shard per
   /// logical gauge writer), histogram bins sum.
   [[nodiscard]] Snapshot snapshot() const;
 
-  [[nodiscard]] std::size_t num_metrics() const;
-
  private:
   struct MetricDef {
     std::string name;
     std::string labels;
     MetricKind kind;
-    std::uint32_t hist_ordinal = 0;  ///< valid for Histogram kind
-    double hist_lo = 0.0, hist_hi = 1.0;
-    std::size_t hist_bins = 1;
-    std::vector<double> hist_bounds;  ///< non-empty: explicit-bounds binning
-
-    [[nodiscard]] Histogram make_histogram() const {
-      return hist_bounds.empty() ? Histogram(hist_lo, hist_hi, hist_bins)
-                                 : Histogram(hist_bounds);
-    }
+    std::vector<double> hist_bounds;  ///< Histogram kind only
+  };
+  struct PublishSlot {
+    const void* publisher;
+    std::string labels;
+    Shard* shard;
   };
 
   MetricId intern(std::string name, std::string labels, MetricKind kind,
-                  double lo, double hi, std::size_t bins,
                   std::vector<double> bounds = {});
 
   mutable std::mutex mutex_;
   std::vector<MetricDef> defs_;
-  std::uint32_t num_histograms_ = 0;
   /// deque: stable element addresses as shards are added.
   std::deque<Shard> shards_;
+  std::vector<PublishSlot> publish_slots_;
 };
 
 }  // namespace mifo::obs

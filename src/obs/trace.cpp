@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/contracts.hpp"
@@ -52,19 +51,10 @@ void Tracer::set_flow_filter(std::uint64_t flow) {
   filter_flow_ = flow;
 }
 
-void Tracer::clear_flow_filter() {
-  filtered_ = false;
-  filter_flow_ = kNoTraceFlow;
-}
-
 void Tracer::record(const TraceEvent& ev) {
   if (!wants(ev.flow)) return;
   if (!keep_spare_ && ev.kind == TraceKind::SpareAdvert) return;
-  TraceEvent& slot = ring_[head_];
-  slot = ev;
-  slot.shard = shard_;
-  slot.epoch = epoch_;
-  slot.seq = seq_++;
+  ring_[head_] = ev;
   head_ = (head_ + 1) % ring_.size();
   ++recorded_;
 }
@@ -85,49 +75,6 @@ std::vector<TraceEvent> Tracer::events() const {
 
 std::uint64_t Tracer::overwritten() const {
   return recorded_ < ring_.size() ? 0 : recorded_ - ring_.size();
-}
-
-void Tracer::clear() {
-  head_ = 0;
-  recorded_ = 0;
-  seq_ = 0;
-}
-
-bool trace_order(const TraceEvent& a, const TraceEvent& b) {
-  if (a.epoch != b.epoch) return a.epoch < b.epoch;
-  if (a.t != b.t) return a.t < b.t;
-  if (a.router != b.router) return a.router < b.router;
-  if (a.flow != b.flow) return a.flow < b.flow;
-  if (a.shard != b.shard) return a.shard < b.shard;
-  return a.seq < b.seq;
-}
-
-bool Timeline::epoch_monotone() const {
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    if (events[i].epoch < events[i - 1].epoch) return false;
-  }
-  return true;
-}
-
-Timeline merge_timelines(const std::vector<const Tracer*>& tracers) {
-  Timeline tl;
-  std::size_t total = 0;
-  for (const Tracer* t : tracers) {
-    if (t == nullptr) continue;
-    total += t->capacity();
-    tl.overwritten += t->overwritten();
-  }
-  tl.events.reserve(total);
-  for (const Tracer* t : tracers) {
-    if (t == nullptr) continue;
-    std::vector<TraceEvent> evs = t->events();
-    tl.events.insert(tl.events.end(), evs.begin(), evs.end());
-  }
-  // stable_sort: trace_order is already a total order over distinct events
-  // (shard, seq) is unique per tracer, but stability keeps equal-key
-  // duplicates (same event recorded twice) in input order regardless.
-  std::stable_sort(tl.events.begin(), tl.events.end(), trace_order);
-  return tl;
 }
 
 std::string Tracer::describe(const TraceEvent& ev) {

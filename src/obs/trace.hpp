@@ -52,17 +52,6 @@ struct TraceEvent {
   bool tag = false;             ///< valley-free tag at event time
   topo::Rel rel = topo::Rel::Peer;  ///< neighbor relationship (tag checks)
   double value = 0.0;           ///< kind-specific (spare Mbps, pin count…)
-
-  // Flight-recorder context (docs/OBSERVABILITY.md). `shard`/`epoch`/`seq`
-  // locate the *recording*: which worker tracer, during which conservative
-  // epoch window, at which per-tracer ordinal. `origin_shard`/`inject_epoch`
-  // travel with the packet from its injection point across RemoteEvent
-  // handoffs, so a hop on shard 3 still names the shard that injected it.
-  std::uint32_t shard = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t origin_shard = 0;
-  std::uint64_t inject_epoch = 0;
 };
 
 class Tracer {
@@ -72,22 +61,11 @@ class Tracer {
   /// Only record packet-scoped events for this flow (control-plane events
   /// like SpareAdvert always pass). Call before the run.
   void set_flow_filter(std::uint64_t flow);
-  void clear_flow_filter();
-
-  /// Flight-recorder context stamped onto every subsequent record(): which
-  /// shard this tracer belongs to (0 for the serial engine). Call once at
-  /// setup; single-writer like the rest of the tracer.
-  void set_shard(std::uint32_t shard) { shard_ = shard; }
-  [[nodiscard]] std::uint32_t shard() const { return shard_; }
-  /// Current conservative epoch window; the shard worker loop bumps this at
-  /// every rendezvous (the serial engine leaves it at 0).
-  void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Drop SpareAdvert events at record time. They arrive at daemon-tick
   /// rate on every link, so over a long run they evict entire packet walks
-  /// from the ring; flight-recorder users that care about paths rather
-  /// than control chatter turn them off.
+  /// from the ring; users that care about paths rather than control
+  /// chatter turn them off.
   void set_keep_spare_adverts(bool keep) { keep_spare_ = keep; }
 
   /// Cheap pre-check so hook sites can skip event construction.
@@ -97,12 +75,11 @@ class Tracer {
 
   void record(const TraceEvent& ev);
 
-  /// Events oldest-to-newest (at most `capacity` of them).
+  /// Events oldest-to-newest (at most `capacity` of them), in recording
+  /// order: the order the event loop dispatched them in.
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// How many recorded events the ring has already overwritten.
   [[nodiscard]] std::uint64_t overwritten() const;
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  void clear();
 
   /// One-line human-readable rendering (loop_demo's annotated walk).
   [[nodiscard]] static std::string describe(const TraceEvent& ev);
@@ -114,32 +91,6 @@ class Tracer {
   bool filtered_ = false;
   bool keep_spare_ = true;
   std::uint64_t filter_flow_ = kNoTraceFlow;
-  std::uint32_t shard_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t seq_ = 0;  ///< monotonic per-tracer stamp (never wraps back)
 };
-
-/// Deterministic total order over flight-recorder events from any number of
-/// per-worker tracers: epoch-major, then the same (t, router, …) tie-break
-/// the sharded injection sort uses, then (shard, seq) — which preserves each
-/// tracer's own recording order for same-packet hook bursts at one router.
-/// Cross-router events at equal t are causally independent (every link has
-/// positive delay), so ordering them by router id is safe and reproducible.
-[[nodiscard]] bool trace_order(const TraceEvent& a, const TraceEvent& b);
-
-/// Snapshot-time causal merge: gathers every tracer's surviving events into
-/// one timeline sorted by trace_order. Serial and sharded runs of the same
-/// scenario merge to comparable timelines (the serial run is the single-
-/// tracer special case).
-struct Timeline {
-  std::vector<TraceEvent> events;
-  std::uint64_t overwritten = 0;  ///< summed ring overwrites (gap warning)
-
-  /// True when events are epoch-major monotone (always, post-merge).
-  [[nodiscard]] bool epoch_monotone() const;
-};
-
-[[nodiscard]] Timeline merge_timelines(
-    const std::vector<const Tracer*>& tracers);
 
 }  // namespace mifo::obs

@@ -176,6 +176,30 @@ TEST(ChaosPlan, BurstSizeMustFitThePacketCounter) {
   EXPECT_EQ(error.rfind("line 1: burst: SIZE_MB", 0), 0u) << error;
 }
 
+TEST(ChaosPlan, EventTimesMustFallInsideTheDuration) {
+  // The engine advances the emulator to each event's time: `at 1e6` and a
+  // repair 1e9 s out were still running, daemons ticking, after 20 s.
+  std::string error;
+  EXPECT_FALSE(
+      parse_plan("duration 0.5\nat 1e6 link-down 0 1\n", error).has_value());
+  EXPECT_EQ(error, "line 2: at: time 1e+06 is past the plan's duration 0.5");
+  EXPECT_FALSE(parse_plan("duration 0.5\nfail 0.1 mttr 1e9 link 0 1\n", error)
+                   .has_value());
+  EXPECT_EQ(error,
+            "line 2: fail: recovery time 1e+09 is past the plan's duration "
+            "0.5");
+  // `duration` may come last: the check uses its final value.
+  EXPECT_FALSE(
+      parse_plan("at 0.8 link-down 0 1\nduration 0.5\n", error).has_value());
+  EXPECT_EQ(error, "line 1: at: time 0.8 is past the plan's duration 0.5");
+  // An event exactly at the duration is inside the plan.
+  EXPECT_TRUE(parse_plan("at 0.8 link-down 0 1\nfail 0.5 mttr 0.5 prefix 3\n"
+                         "duration 1\n",
+                         error)
+                  .has_value())
+      << error;
+}
+
 TEST(ChaosPlan, MalformedInputYieldsErrorNotPlan) {
   std::string error;
   EXPECT_FALSE(parse_plan("at 0.1 link-down 1\n", error).has_value());

@@ -150,7 +150,7 @@ TEST(Cdf, AddAllMatchesIndividualAdds) {
 }
 
 TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
+  Histogram h({0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0});
   h.add(0.5);   // bin 0
   h.add(9.5);   // bin 9
   h.add(-5.0);  // clamps to bin 0
@@ -163,8 +163,8 @@ TEST(Histogram, BinningAndClamping) {
 }
 
 TEST(Histogram, MergeSumsBins) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram b(0.0, 10.0, 5);
+  Histogram a({0.0, 2.0, 4.0, 6.0, 8.0, 10.0});
+  Histogram b({0.0, 2.0, 4.0, 6.0, 8.0, 10.0});
   a.add(1.0);
   a.add(9.0);
   b.add(1.5);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/trace.hpp"
+
 namespace mifo::core {
 namespace {
 
@@ -70,6 +74,25 @@ TEST_F(DaemonFixture, ElectsAlternativeAndProgramsAllFibs) {
             wiring.intra_port(ra, rb));
   EXPECT_EQ(net.router(rc).fib().lookup(kPrefix)->alt_port,
             wiring.intra_port(rc, rb));
+}
+
+TEST_F(DaemonFixture, TickAdvertisesEachEgressSpareToTheTracer) {
+  // Section III-C's spare-capacity exchange, made visible: one SpareAdvert
+  // per egress link per tick, outside any flow.
+  obs::Tracer tracer(16);
+  net.set_tracer(&tracer);
+  MifoDaemon daemon(wiring, prefixes());
+  daemon.tick(net, 0.01);
+  const std::vector<obs::TraceEvent> evs = tracer.events();
+  ASSERT_EQ(evs.size(), wiring.egresses.size());
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    EXPECT_EQ(evs[i].kind, obs::TraceKind::SpareAdvert);
+    EXPECT_EQ(evs[i].flow, obs::kNoTraceFlow);
+    EXPECT_DOUBLE_EQ(evs[i].t, 0.01);
+    EXPECT_EQ(evs[i].router, wiring.egresses[i].router.value());
+    EXPECT_EQ(evs[i].port, wiring.egresses[i].port.value());
+    EXPECT_GT(evs[i].value, 0.0);  // idle links: all spare
+  }
 }
 
 TEST_F(DaemonFixture, EqualSpareElectsLowestIdWhateverTheOrder) {

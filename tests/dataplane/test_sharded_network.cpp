@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -77,6 +78,12 @@ std::uint64_t drop_total(
   return n;
 }
 
+/// A router's Algorithm-1 counters as one comparable row.
+std::array<std::uint64_t, 8> counter_row(const RouterCounters& c) {
+  return {c.forwarded,    c.deflected,     c.encapsulated, c.returned_detected,
+          c.valley_drops, c.no_route_drops, c.ttl_drops,   c.flow_switches};
+}
+
 // AS ids chosen so a 4-shard FNV partition splits the chain (asserted below).
 const std::vector<std::uint32_t> kChainAses = {11, 23, 37, 41, 53, 67};
 
@@ -131,8 +138,9 @@ TEST(ShardedNetwork, CrossShardFlowCompletes) {
 
 TEST(ShardedNetwork, MatchesSerialOracleAtEveryThreadCount) {
   // The serial engine is the oracle: delivered/injected totals, per-flow
-  // receiver counts, completion times (bit-exact) and the full drop
-  // breakdown must agree at every shard count.
+  // receiver counts, completion times (bit-exact), every router's counters
+  // (owner replica) and the full drop breakdown must agree at every shard
+  // count.
   Network oracle;
   Chain oc = Chain::build(oracle, kChainAses);
   const auto oracle_ids = start_chain_flows(oracle, oc, 4, 30 * 1000);
@@ -157,6 +165,11 @@ TEST(ShardedNetwork, MatchesSerialOracleAtEveryThreadCount) {
       EXPECT_EQ(net.sender_flow(ids[i]).end_time, of.end_time);
       EXPECT_EQ(net.sender_flow(ids[i]).retransmits, of.retransmits);
       EXPECT_EQ(net.receiver_flow(ids[i]).expected, of.total_pkts);
+    }
+    for (const RouterId r : c.routers) {
+      EXPECT_EQ(counter_row(net.router(r).counters()),
+                counter_row(oracle.router(r).counters()))
+          << "r" << r.value();
     }
     const auto ob = oracle.drop_breakdown();
     const auto sb = net.drop_breakdown();

@@ -1,16 +1,20 @@
 // Serial-vs-sharded differential: the retained serial dp::Network is the
 // oracle (docs/VERIFICATION.md); the sharded plane must reproduce its
-// delivered-packet sets, drop breakdowns and conservation accounting
-// bit-for-bit at every worker count. Run under TSan by scripts/check.sh.
+// delivered-packet sets, per-router counters, drop breakdowns and
+// conservation accounting bit-for-bit at every worker count, and publish
+// its shard-runtime metrics exactly once. Run under TSan by
+// scripts/check.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bgp/ibgp.hpp"
+#include "obs/registry.hpp"
 #include "testbed/fig11.hpp"
 #include "testbed/sharded_emulation.hpp"
 #include "topo/generator.hpp"
@@ -172,6 +176,58 @@ TEST(ShardedDifferential, BuilderWiresBothEnginesIdentically) {
   }
 }
 
+/// A router's Algorithm-1 counters as one comparable row.
+std::array<std::uint64_t, 8> counter_row(const dp::RouterCounters& c) {
+  return {c.forwarded,    c.deflected,     c.encapsulated, c.returned_detected,
+          c.valley_drops, c.no_route_drops, c.ttl_drops,   c.flow_switches};
+}
+
+TEST(ShardedDifferential, SingleFlowRouterCountersMatchSerial) {
+  // One uncongested Fig. 11 flow, no timestamp ties: every router's owner
+  // replica must count the same forwards, deflections and drops as the
+  // serial engine, so the flow crossed the same routers on both.
+  const Fig11Ids ids;
+  const topo::AsGraph g = fig11_graph();
+  std::vector<bool> expand(g.num_ases(), false);
+  expand[ids.as3.value()] = true;
+  expand[ids.as4.value()] = true;
+  expand[ids.as6.value()] = true;
+  EmulationBuilder builder(g, expand);
+  builder.attach_host(ids.as1);
+  builder.attach_host(ids.as5);
+  const auto run_one = [](auto& net, const std::vector<HostAttachment>& h) {
+    dp::FlowParams fp;
+    fp.src = h[0].host;
+    fp.dst = h[1].host;
+    fp.size = 100 * 1000;
+    fp.start = 1e-3;
+    const FlowId id = net.start_flow(fp);
+    net.run_until(30.0);
+    return id;
+  };
+
+  Emulation se = builder.finalize();
+  ASSERT_TRUE(se.net->flow(run_one(*se.net, se.hosts)).done);
+  std::size_t on_path = 0;
+  for (const dp::Router& r : se.net->routers()) {
+    on_path += r.counters().forwarded > 0 ? 1 : 0;
+  }
+  ASSERT_GE(on_path, 2u);
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedEmulation pe = builder.finalize(shards);
+    ASSERT_TRUE(pe.net->sender_flow(run_one(*pe.net, pe.hosts)).done);
+    ASSERT_EQ(pe.net->num_routers(), se.net->num_routers());
+    for (std::size_t r = 0; r < se.net->num_routers(); ++r) {
+      const RouterId id(static_cast<std::uint32_t>(r));
+      EXPECT_EQ(counter_row(pe.net->router(id).counters()),
+                counter_row(se.net->router(id).counters()))
+          << "r" << r;
+    }
+  }
+}
+
 TEST(ShardedDifferential, ShardedRunsAreReproducible) {
   ScaledParams p = small_scaled_params();
   p.num_shards = 4;
@@ -277,6 +333,100 @@ TEST(ShardedDifferential, Fig11DeflectionMatchesSerialUnderMifo) {
         << pc.forwarded << " vs " << sc.forwarded;
     EXPECT_TRUE(near(pc.deflected, sc.deflected, 0.15))
         << pc.deflected << " vs " << sc.deflected;
+  }
+}
+
+TEST(ShardedDifferential, WorkerStatsAndHistogramsPublish) {
+  const Fig11Ids ids;
+  const topo::AsGraph g = fig11_graph();
+  std::vector<bool> expand(g.num_ases(), false);
+  expand[ids.as3.value()] = true;
+  EmulationBuilder builder(g, expand);
+  builder.attach_host(ids.as1);
+  builder.attach_host(ids.as5);
+  ShardedEmulation em = builder.finalize(4);
+  dp::FlowParams fp;
+  fp.src = em.hosts[0].host;
+  fp.dst = em.hosts[1].host;
+  fp.size = 200 * 1000;
+  fp.start = 1e-3;
+  em.net->start_flow(fp);
+  em.net->run_until(30.0);
+
+  // Every worker ran epochs and recorded window/barrier samples.
+  ASSERT_EQ(em.net->worker_stats().size(), 4u);
+  for (const auto& ws : em.net->worker_stats()) {
+    EXPECT_GT(ws.epochs, 0u);
+    EXPECT_GT(ws.epoch_window.total(), 0u);
+    EXPECT_GT(ws.barrier_wait.total(), 0u);
+  }
+
+  obs::Registry reg;
+  em.net->publish_metrics(reg, "engine=sharded");
+  const obs::Snapshot snap = reg.snapshot();
+  bool window_hist = false;
+  bool wait_hist = false;
+  for (const auto& h : snap.histograms) {
+    window_hist = window_hist || h.name == "dp.epoch_window_seconds";
+    wait_hist = wait_hist || h.name == "dp.barrier_wait_seconds";
+  }
+  EXPECT_TRUE(window_hist);
+  EXPECT_TRUE(wait_hist);
+  // Per-worker epoch counters, one label per shard.
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_GT(snap.value_or("dp.epochs", -1.0,
+                            "engine=sharded,shard=" + std::to_string(s)),
+              0.0)
+        << "shard " << s;
+  }
+}
+
+TEST(ShardedDifferential, PublishTwiceDoesNotDoubleCount) {
+  // The exactly-once regression: a snapshot taken right after a republish
+  // (the barrier-rendezvous race the fix pins down) must equal the network
+  // counters, and sharded totals must equal the serial oracle's.
+  ScaledParams p = small_scaled_params();
+  const auto totals = [](std::size_t shards, ScaledParams params) {
+    params.num_shards = shards;
+    return run_scaled(params);
+  };
+  const ScaledResult serial = totals(0, p);
+  const ScaledResult sharded = totals(4, p);
+  EXPECT_EQ(serial.outcome_digest, sharded.outcome_digest);
+
+  // Direct publish-twice check on a live sharded network.
+  const Fig11Ids ids;
+  const topo::AsGraph g = fig11_graph();
+  std::vector<bool> expand(g.num_ases(), false);
+  EmulationBuilder builder(g, expand);
+  builder.attach_host(ids.as1);
+  builder.attach_host(ids.as5);
+  ShardedEmulation em = builder.finalize(4);
+  dp::FlowParams fp;
+  fp.src = em.hosts[0].host;
+  fp.dst = em.hosts[1].host;
+  fp.size = 100 * 1000;
+  fp.start = 1e-3;
+  em.net->start_flow(fp);
+  em.net->run_until(30.0);
+
+  obs::Registry reg;
+  em.net->publish_metrics(reg, "phase=x");
+  const double once = reg.snapshot().value_or("dp.delivered", -1.0,
+                                              "phase=x");
+  em.net->publish_metrics(reg, "phase=x");  // republish: must overwrite
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(snap.value_or("dp.delivered", -1.0, "phase=x"), once);
+  EXPECT_DOUBLE_EQ(snap.value_or("dp.delivered", -1.0, "phase=x"),
+                   static_cast<double>(em.net->delivered_pkts()));
+  // Histograms must not double either.
+  for (const auto& h : snap.histograms) {
+    if (h.name != "dp.epoch_window_seconds") continue;
+    std::uint64_t worker_total = 0;
+    for (const auto& ws : em.net->worker_stats()) {
+      worker_total += ws.epoch_window.total();
+    }
+    EXPECT_EQ(h.hist.total(), worker_total);
   }
 }
 

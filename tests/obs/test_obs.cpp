@@ -9,10 +9,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/parallel_for.hpp"
 #include "obs/artifact.hpp"
@@ -43,7 +43,7 @@ TEST(Registry, SameNameAndLabelsShareAnId) {
   const MetricId c = reg.counter("x", "k=2");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(reg.num_metrics(), 2u);
+  EXPECT_EQ(reg.snapshot().scalars.size(), 2u);
 }
 
 TEST(Registry, LabelsKeepFamiliesApartInSnapshots) {
@@ -70,7 +70,8 @@ TEST(Registry, GaugeSetAndSnapshot) {
 
 TEST(Registry, HistogramObserveMergesBins) {
   Registry reg;
-  const MetricId h = reg.histogram("test.lat", 0.0, 10.0, 5);
+  const MetricId h =
+      reg.histogram("test.lat", {0.0, 2.0, 4.0, 6.0, 8.0, 10.0});
   Registry::Shard& s1 = reg.create_shard();
   Registry::Shard& s2 = reg.create_shard();
   s1.observe(h, 1.0);   // bin 0
@@ -90,6 +91,22 @@ TEST(Registry, MetricRegisteredAfterShardCreationStillCounts) {
   const MetricId late = reg.counter("test.late");
   s.add(late, 2.0);  // shard grows lazily to fit the new id
   EXPECT_DOUBLE_EQ(reg.snapshot().value_or("test.late", -1.0), 2.0);
+}
+
+TEST(Registry, PublishShardIsOnePerPublisherAndLabels) {
+  Registry reg;
+  const int a = 0;
+  const int b = 0;
+  Registry::Shard& first = reg.publish_shard(&a, "phase=x");
+  EXPECT_EQ(&reg.publish_shard(&a, "phase=x"), &first);
+  EXPECT_NE(&reg.publish_shard(&a, "phase=y"), &first);
+  EXPECT_NE(&reg.publish_shard(&b, "phase=x"), &first);
+  // Re-publishing through set() overwrites, so the publisher counts once.
+  const MetricId c = reg.counter("pub.count");
+  reg.publish_shard(&a, "phase=x").set(c, 3.0);
+  reg.publish_shard(&a, "phase=x").set(c, 3.0);
+  reg.publish_shard(&b, "phase=x").set(c, 4.0);
+  EXPECT_DOUBLE_EQ(reg.snapshot().value_or("pub.count", -1.0), 7.0);
 }
 
 TEST(Registry, OneShardPerWorkerUnderParallelFor) {
@@ -166,16 +183,18 @@ TEST(Tracer, FlowFilter) {
   EXPECT_TRUE(tr.wants(1));
   EXPECT_FALSE(tr.wants(2));
   EXPECT_TRUE(tr.wants(kNoTraceFlow));  // control-plane events always pass
-  tr.clear_flow_filter();
-  EXPECT_TRUE(tr.wants(2));
 }
 
-TEST(Tracer, ClearResets) {
-  Tracer tr(4);
-  for (int i = 0; i < 6; ++i) tr.record(ev_for_flow(1));
-  tr.clear();
-  EXPECT_TRUE(tr.events().empty());
-  EXPECT_EQ(tr.overwritten(), 0u);
+TEST(Tracer, EveryKindHasANameThatDescribeRenders) {
+  // The artifact timeline and mifo-trace key on these names.
+  for (int k = static_cast<int>(TraceKind::TagSet);
+       k <= static_cast<int>(TraceKind::ChaosEvent); ++k) {
+    TraceEvent ev;
+    ev.kind = static_cast<TraceKind>(k);
+    const std::string name = to_string(ev.kind);
+    EXPECT_NE(name, "?") << k;
+    EXPECT_NE(Tracer::describe(ev).find(name), std::string::npos) << name;
+  }
 }
 
 TEST(Tracer, DescribeMentionsTheKind) {
@@ -273,6 +292,22 @@ TEST_F(ArtifactTest, DashDisablesEmission) {
   EXPECT_TRUE(write_csv("nope", {"a"}, {}).empty());
 }
 
+TEST_F(ArtifactTest, TimelineIsTheRingOldestFirst) {
+  Tracer tr(2);
+  for (int i = 1; i <= 3; ++i) {
+    TraceEvent ev = ev_for_flow(7);
+    ev.t = i;
+    tr.record(ev);
+  }
+  const Json tl = to_json(tr);
+  EXPECT_DOUBLE_EQ(tl.find("overwritten")->number(), 1.0);
+  const std::vector<Json>& evs = tl.find("events")->items();
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_DOUBLE_EQ(evs[0].find("t")->number(), 2.0);
+  EXPECT_DOUBLE_EQ(evs[1].find("t")->number(), 3.0);
+  EXPECT_DOUBLE_EQ(evs[1].find("flow")->number(), 7.0);
+}
+
 TEST_F(ArtifactTest, SnapshotToJsonCarriesLabelsAndKinds) {
   Registry reg;
   const MetricId c = reg.counter("x", "k=v");
@@ -354,44 +389,6 @@ TEST(Registry, SetHistogramReplacesInsteadOfAccumulating) {
   EXPECT_EQ(snap.histograms[0].hist.total(), 2u);
 }
 
-TEST(Registry, MergeHistogramAccumulatesAcrossCalls) {
-  Registry reg;
-  const MetricId id = reg.histogram("test.acc", {0.0, 1.0, 2.0});
-  Registry::Shard& s = reg.create_shard();
-  Histogram h(std::vector<double>{0.0, 1.0, 2.0});
-  h.add(0.5);
-  s.merge_histogram(id, h);
-  s.merge_histogram(id, h);
-  EXPECT_EQ(reg.snapshot().histograms[0].hist.total(), 2u);
-}
-
-// --- flight-recorder trace context ------------------------------------------
-
-TEST(Tracer, StampsShardEpochAndSeq) {
-  Tracer tr(8);
-  tr.set_shard(3);
-  tr.set_epoch(7);
-  tr.record(ev_for_flow(1));
-  tr.set_epoch(8);
-  tr.record(ev_for_flow(2));
-  const auto evs = tr.events();
-  ASSERT_EQ(evs.size(), 2u);
-  EXPECT_EQ(evs[0].shard, 3u);
-  EXPECT_EQ(evs[0].epoch, 7u);
-  EXPECT_EQ(evs[0].seq, 0u);
-  EXPECT_EQ(evs[1].epoch, 8u);
-  EXPECT_EQ(evs[1].seq, 1u);
-}
-
-TEST(Tracer, SeqSurvivesRingWraparound) {
-  Tracer tr(4);
-  for (std::uint64_t i = 0; i < 10; ++i) tr.record(ev_for_flow(i));
-  const auto evs = tr.events();
-  ASSERT_EQ(evs.size(), 4u);
-  // seq is the per-tracer recording ordinal, not a ring slot index.
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(evs[i].seq, 6 + i);
-}
-
 TEST(Tracer, SpareAdvertSuppression) {
   Tracer tr(8);
   tr.set_keep_spare_adverts(false);
@@ -402,94 +399,6 @@ TEST(Tracer, SpareAdvertSuppression) {
   const auto evs = tr.events();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].kind, TraceKind::Forward);
-}
-
-TEST(TimelineMerge, EpochMajorOrderAcrossTracers) {
-  // Tracer A records epochs {0, 2}, tracer B epoch 1 with an *earlier*
-  // sim time: the merge must still be epoch-major (the conservative-window
-  // guarantee makes epoch the causal unit, not raw t).
-  Tracer a(8);
-  Tracer b(8);
-  a.set_shard(0);
-  b.set_shard(1);
-  TraceEvent ev;
-  ev.kind = TraceKind::Forward;
-  ev.flow = 1;
-  ev.t = 1.0;
-  a.set_epoch(0);
-  a.record(ev);
-  ev.t = 0.5;
-  b.set_epoch(1);
-  b.record(ev);
-  ev.t = 2.0;
-  a.set_epoch(2);
-  a.record(ev);
-  const Timeline tl = merge_timelines({&a, &b});
-  ASSERT_EQ(tl.events.size(), 3u);
-  EXPECT_TRUE(tl.epoch_monotone());
-  EXPECT_EQ(tl.events[0].epoch, 0u);
-  EXPECT_EQ(tl.events[1].epoch, 1u);
-  EXPECT_EQ(tl.events[1].shard, 1u);
-  EXPECT_EQ(tl.events[2].epoch, 2u);
-}
-
-TEST(TimelineMerge, SameEpochTieBreaksOnTimeThenRouter) {
-  Tracer a(8);
-  Tracer b(8);
-  b.set_shard(1);
-  TraceEvent ev;
-  ev.kind = TraceKind::Forward;
-  ev.flow = 1;
-  ev.t = 2.0;
-  ev.router = 9;
-  a.record(ev);
-  ev.t = 2.0;
-  ev.router = 4;
-  b.record(ev);
-  ev.t = 1.0;
-  ev.router = 30;
-  b.record(ev);
-  const Timeline tl = merge_timelines({&a, &b});
-  ASSERT_EQ(tl.events.size(), 3u);
-  EXPECT_DOUBLE_EQ(tl.events[0].t, 1.0);
-  EXPECT_EQ(tl.events[1].router, 4u);  // same t: lower router first
-  EXPECT_EQ(tl.events[2].router, 9u);
-}
-
-TEST(TimelineMerge, ConcurrentAppendUnderParallelForStaysOrdered) {
-  // Satellite coverage for the TSan leg: one tracer per worker (the
-  // single-writer contract), concurrent appends with ring wraparound, then
-  // a snapshot merge. The merged timeline must be deterministically ordered
-  // and account for every overwrite.
-  constexpr std::size_t kWorkers = 4;
-  constexpr std::size_t kPerWorker = 1000;
-  constexpr std::size_t kCapacity = 256;  // forces wraparound
-  std::vector<std::unique_ptr<Tracer>> tracers;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    tracers.push_back(std::make_unique<Tracer>(kCapacity));
-    tracers.back()->set_shard(static_cast<std::uint32_t>(w));
-  }
-  parallel_for(kWorkers, kWorkers, [&](std::size_t w) {
-    for (std::size_t i = 0; i < kPerWorker; ++i) {
-      TraceEvent ev;
-      ev.kind = TraceKind::Forward;
-      ev.flow = w;
-      ev.t = static_cast<SimTime>(i);
-      ev.router = static_cast<std::uint32_t>(w);
-      tracers[w]->set_epoch(i / 100);
-      tracers[w]->record(ev);
-    }
-  });
-  std::vector<const Tracer*> ptrs;
-  for (const auto& tr : tracers) ptrs.push_back(tr.get());
-  const Timeline tl = merge_timelines(ptrs);
-  EXPECT_EQ(tl.events.size(), kWorkers * kCapacity);
-  EXPECT_EQ(tl.overwritten, kWorkers * (kPerWorker - kCapacity));
-  EXPECT_TRUE(tl.epoch_monotone());
-  for (std::size_t i = 1; i < tl.events.size(); ++i) {
-    EXPECT_FALSE(trace_order(tl.events[i], tl.events[i - 1]))
-        << "order violated at " << i;
-  }
 }
 
 // --- Json parser -------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/engine.hpp"
@@ -367,9 +368,9 @@ int main(int argc, char** argv) {
   engine.attach_registry(reg, "");
   const chaos::Report report = engine.run(plan);
 
-  // Snapshot the flight recorder now: the ring must reflect the churn
-  // window, not the daemon chatter of the long drain below.
-  const obs::Timeline timeline = obs::merge_timelines({&tracer});
+  // Snapshot the tracer now: the ring must reflect the churn window, not
+  // the daemon chatter of the long drain below.
+  obs::Json timeline = obs::to_json(tracer);
 
   // Drain remaining traffic so the drop accounting below is final.
   net.run_to_completion(plan.duration + 30.0);
@@ -442,7 +443,7 @@ int main(int argc, char** argv) {
   root.set("scale", std::move(scale));
   root.set("chaos", report.to_json());
   root.set("drops", obs::drops_json(net.drop_breakdown()));
-  root.set("timeline", obs::to_json(timeline));
+  root.set("timeline", std::move(timeline));
   root.set("links", links_json(net, 64));
   root.set("metrics", obs::to_json(reg.snapshot()));
   const std::string path = obs::write_artifact("chaos_run", root);

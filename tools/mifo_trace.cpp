@@ -1,21 +1,20 @@
-// mifo-trace — flight-recorder reader (docs/OBSERVABILITY.md).
+// mifo-trace — timeline and recovery-span reader (docs/OBSERVABILITY.md).
 //
 // Renders the observability sections of a mifo.run_artifact.v1 file (or an
 // artifact on stdin via "-"): hop-by-hop flow paths reconstructed from the
-// merged cross-shard timeline, per-failure recovery spans with the
-// per-class latency breakdown, and the top-N congested inter-AS links.
+// tracer's timeline, per-failure recovery spans with the per-class latency
+// breakdown, and the top-N congested inter-AS links.
 //
 //   mifo-trace chaos_run.json                 # everything
 //   mifo-trace chaos_run.json --flow 3        # one flow's annotated walk
 //   mifo-trace chaos_run.json --links 10      # top-10 congested links
 //   mifo-trace chaos_run.json --check         # gate mode: validate ordering
 //
-// Gate mode (--check) asserts the timeline is ordered epoch-major with
-// non-decreasing sim time inside each epoch (the merge invariant
-// obs::trace_order guarantees) and that every span's milestones are
-// causally ordered. Exit 0 = valid, 1 = usage/input error (malformed JSON, a
-// wrongly shaped section, an event without numeric "t" and "epoch", an id
-// field that is not an unsigned integer), 2 = violated.
+// Gate mode (--check) asserts the timeline's sim time never decreases (the
+// tracer's ring holds events in dispatch order) and that every span's
+// milestones are causally ordered. Exit 0 = valid, 1 = usage/input error
+// (malformed JSON, a wrongly shaped section, an event without numeric "t",
+// an id field that is not an unsigned integer), 2 = violated.
 // All output is a pure function of the artifact bytes, so two renderings
 // of byte-identical artifacts are themselves byte-identical.
 
@@ -121,10 +120,8 @@ std::string text_of(const obs::Json& obj, const char* key) {
 /// A packet-emission hop reconstructed from one timeline event.
 struct Hop {
   double t = 0.0;
-  std::uint64_t epoch = 0;
   std::uint32_t router = 0;
   std::uint32_t port = 0;
-  std::uint32_t shard = 0;
   std::string kind;
 };
 
@@ -132,8 +129,6 @@ struct Hop {
 struct FlowTrace {
   std::vector<Hop> hops;
   std::size_t events = 0;
-  std::uint32_t origin_shard = 0;
-  std::uint64_t inject_epoch = 0;
 };
 
 bool is_emission(const std::string& kind) {
@@ -193,34 +188,26 @@ int check_artifact(const obs::Json& root) {
     std::fprintf(stderr, "mifo-trace: no timeline section\n");
     return 2;
   }
-  // Merge invariant: epoch-major, sim time non-decreasing within an epoch.
-  double prev_epoch = -1.0;
-  double prev_t = -1.0;
+  // Dispatch order: sim time never decreases.
+  double prev_t = -std::numeric_limits<double>::infinity();
   std::size_t idx = 0;
   for (const obs::Json& e : tl->find("events")->items()) {
-    const obs::Json* ej = e.find("epoch");
     const obs::Json* tj = e.find("t");
-    if (ej == nullptr || !ej->is_number() || tj == nullptr ||
-        !tj->is_number()) {
+    if (tj == nullptr || !tj->is_number()) {
       std::fprintf(stderr,
                    "mifo-trace: timeline.events[%zu]: expected an object "
-                   "with numeric \"t\" and \"epoch\"\n",
+                   "with numeric \"t\"\n",
                    idx);
       return 1;
     }
-    std::uint64_t epoch_id = 0;  // range-checked; compared as a double below
-    if (!uint_of(e, idx, "epoch", epoch_id)) return 1;
-    const double epoch = ej->number();
     const double t = tj->number();
-    if (epoch < prev_epoch ||
-        (epoch == prev_epoch && t < prev_t)) {
+    if (t < prev_t) {
       std::fprintf(stderr,
                    "mifo-trace: ordering violated at event %zu "
-                   "(epoch %.0f t %.9f after epoch %.0f t %.9f)\n",
-                   idx, epoch, t, prev_epoch, prev_t);
+                   "(t %.9f after t %.9f)\n",
+                   idx, t, prev_t);
       return 2;
     }
-    prev_epoch = epoch;
     prev_t = t;
     ++idx;
   }
@@ -250,7 +237,7 @@ int check_artifact(const obs::Json& root) {
 
 /// False on an input error (already reported).
 bool render_flows(const obs::Json& tl, const Options& opt) {
-  // Group timeline events by flow id, preserving merged order.
+  // Group timeline events by flow id, preserving timeline order.
   std::map<std::uint64_t, FlowTrace> flows;
   const std::vector<obs::Json>& events = tl.find("events")->items();
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -261,18 +248,12 @@ bool render_flows(const obs::Json& tl, const Options& opt) {
     if (opt.have_flow && id != opt.flow) continue;
     FlowTrace& ft = flows[id];
     ++ft.events;
-    if (ft.events == 1 &&
-        !(uint_of(e, i, "origin_shard", ft.origin_shard) &&
-          uint_of(e, i, "inject_epoch", ft.inject_epoch))) {
-      return false;
-    }
     const std::string kind = text_of(e, "kind");
     if (!is_emission(kind)) continue;
     Hop h;
     h.t = num_of(e, "t", 0.0);
-    if (!(uint_of(e, i, "epoch", h.epoch) &&
-          uint_of(e, i, "router", h.router) && uint_of(e, i, "port", h.port) &&
-          uint_of(e, i, "shard", h.shard))) {
+    if (!(uint_of(e, i, "router", h.router) &&
+          uint_of(e, i, "port", h.port))) {
       return false;
     }
     h.kind = kind;
@@ -293,18 +274,15 @@ bool render_flows(const obs::Json& tl, const Options& opt) {
       break;
     }
     const std::vector<std::uint32_t> path = first_visit_path(ft);
-    std::printf("flow %llu (origin shard %u, inject epoch %llu): ",
-                static_cast<unsigned long long>(id), ft.origin_shard,
-                static_cast<unsigned long long>(ft.inject_epoch));
+    std::printf("flow %llu: ", static_cast<unsigned long long>(id));
     for (std::size_t i = 0; i < path.size(); ++i) {
       std::printf("%sr%u", i == 0 ? "" : " -> ", path[i]);
     }
     std::printf("  [%zu events, %zu emissions]\n", ft.events, ft.hops.size());
     if (opt.have_flow) {
       for (const Hop& h : ft.hops) {
-        std::printf("  t=%.6f epoch=%llu shard=%u r%u:p%u %s\n", h.t,
-                    static_cast<unsigned long long>(h.epoch), h.shard,
-                    h.router, h.port, h.kind.c_str());
+        std::printf("  t=%.6f r%u:p%u %s\n", h.t, h.router, h.port,
+                    h.kind.c_str());
       }
     }
   }
