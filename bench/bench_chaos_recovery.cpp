@@ -20,6 +20,7 @@
 #include "bench_common.hpp"
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
+#include "common/stats.hpp"
 #include "testbed/emulation.hpp"
 
 namespace {
@@ -288,27 +289,13 @@ void print_chaos_recovery() {
 
   // Verified recovery latency (failure -> first clean verify after repair)
   // pooled across arms, broken down by failure class and mode.
-  struct ClassAgg {
-    std::size_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  std::map<std::string, ClassAgg> by_class;
+  std::map<std::string, RunningStats> by_class;
   for (const auto& r : results) {
     for (const auto& ae : r.report.log) {
-      if (ae.recovery_latency < 0.0) continue;
-      const std::string key = std::string(r.mifo ? "MIFO/" : "BGP/") +
-                              chaos::to_string(ae.event.kind);
-      ClassAgg& agg = by_class[key];
-      if (agg.count == 0 || ae.recovery_latency < agg.min) {
-        agg.min = ae.recovery_latency;
-      }
-      if (agg.count == 0 || ae.recovery_latency > agg.max) {
-        agg.max = ae.recovery_latency;
-      }
-      ++agg.count;
-      agg.sum += ae.recovery_latency;
+      if (ae.t_verified < 0.0) continue;
+      by_class[std::string(r.mifo ? "MIFO/" : "BGP/") +
+               chaos::to_string(ae.event.kind)]
+          .add(ae.recovery_latency());
     }
   }
   if (!by_class.empty()) {
@@ -316,8 +303,9 @@ void print_chaos_recovery() {
     std::printf("%-20s %6s %9s %9s %9s\n", "mode/class", "count", "mean(s)",
                 "min(s)", "max(s)");
     for (const auto& [key, agg] : by_class) {
-      std::printf("%-20s %6zu %9.4f %9.4f %9.4f\n", key.c_str(), agg.count,
-                  agg.sum / static_cast<double>(agg.count), agg.min, agg.max);
+      std::printf("%-20s %6zu %9.4f %9.4f %9.4f\n", key.c_str(), agg.count(),
+                  agg.sum() / static_cast<double>(agg.count()), agg.min(),
+                  agg.max());
     }
   }
 

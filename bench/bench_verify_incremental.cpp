@@ -32,10 +32,7 @@
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "testbed/sharded_emulation.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace {
 
@@ -80,13 +77,6 @@ Deployment build_deployment(std::size_t num_ases, std::size_t dests,
   return d;
 }
 
-std::vector<std::string> rendered(const auto& items) {
-  std::vector<std::string> out;
-  out.reserve(items.size());
-  for (const auto& item : items) out.push_back(item.to_string());
-  return out;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -105,8 +95,7 @@ struct ArmRow {
 };
 
 /// Runs the warm incremental pass on the change log, clears the log, and
-/// checks the result against a from-scratch full-prover run on the same
-/// state.
+/// checks the verdict against the from-scratch run on the same state.
 ArmRow measure_arm(const std::string& name, Deployment& d,
                    dp::ChangeLog& log, verify::IncrementalVerifier& inc) {
   const dp::Network& net = *d.em.net;
@@ -117,24 +106,18 @@ ArmRow measure_arm(const std::string& name, Deployment& d,
   log.clear();
 
   t0 = std::chrono::steady_clock::now();
-  const auto full_loop = verify::check_loop_freedom(net);
-  const auto full_valley = verify::check_valley_freedom(net);
-  const auto full_lint =
-      verify::lint_deployment(net, d.g, d.em.daemons, d.owners);
+  const verify::Verdict full = verify::check_from_scratch(
+      net, d.g, d.em.daemons, d.owners, inc.config());
   row.full_s = seconds_since(t0);
 
   row.name = name;
   row.dirty = res.stats.dirty_destinations;
   row.states = res.stats.states_explored;
   row.cache_hits = res.stats.cache_hits;
-  row.full_states = full_loop.stats.states + full_valley.stats.states;
+  row.full_states = full.stats.states_explored;
   row.reduction = static_cast<double>(row.full_states) /
                   static_cast<double>(std::max<std::size_t>(1, row.states));
-  row.match =
-      full_loop.loop_free == res.loop.loop_free &&
-      rendered(full_loop.cycles) == rendered(res.loop.cycles) &&
-      rendered(full_valley.violations) == rendered(res.valley.violations) &&
-      rendered(full_lint) == rendered(res.lint);
+  row.match = verify::same_findings(res, full);
   return row;
 }
 
@@ -273,12 +256,10 @@ void BM_FullProvers(benchmark::State& state) {
   const dp::Network& net = *d.em.net;
   std::size_t states = 0;
   for (auto _ : state) {
-    const auto lc = verify::check_loop_freedom(net);
-    const auto vc = verify::check_valley_freedom(net);
-    const auto lint = verify::lint_deployment(net, d.g, d.em.daemons,
-                                              d.owners);
-    states = lc.stats.states + vc.stats.states;
-    benchmark::DoNotOptimize(lc.loop_free && vc.valley_free && lint.empty());
+    const verify::Verdict v =
+        verify::check_from_scratch(net, d.g, d.em.daemons, d.owners);
+    states = v.stats.states_explored;
+    benchmark::DoNotOptimize(v.clean());
   }
   state.counters["states"] = static_cast<double>(states);
 }

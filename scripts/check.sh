@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 suite in the default build, the end-to-end
+# Full verification: the tier-1 suite in the default build (warnings are
+# errors, -DMIFO_WERROR=ON), the end-to-end
 # benchmark's self-test, example smoke tests (including run-artifact schema
 # validation), the static
 # forwarding-state verifier (tools/mifo-verify, docs/VERIFICATION.md), the
@@ -20,7 +21,7 @@ asan_dir="${5:-build-asan}"
 jobs="$(nproc)"
 
 echo "=== tier-1: build + ctest (${build_dir}) ==="
-cmake -B "$build_dir" -S .
+cmake -B "$build_dir" -S . -DMIFO_WERROR=ON
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
@@ -32,6 +33,26 @@ python3 e2ebench/selftest.py
 echo "=== examples: smoke tests + artifact validation ==="
 artifact_dir="$(mktemp -d)"
 trap 'rm -rf "$artifact_dir"' EXIT
+
+# Negative controls: expect_exit CODE STREAM PATTERN... -- CMD...
+# Runs CMD, requires exit status CODE, then greps each PATTERN (a basic
+# regex) in CMD's STREAM alone, stdout or stderr, never the two merged.
+expect_exit() {
+  local code="$1" stream="$2" patterns=() rc=0 out
+  shift 2
+  while [[ "$1" != "--" ]]; do patterns+=("$1"); shift; done
+  shift
+  out="$("$@" 2> "$artifact_dir/stderr.txt")" || rc=$?
+  [[ "$stream" == stderr ]] && out="$(< "$artifact_dir/stderr.txt")"
+  if [[ $rc -ne $code ]]; then
+    echo "exit $rc, expected $code: $*"
+    exit 1
+  fi
+  for pattern in "${patterns[@]}"; do
+    grep -q -e "$pattern" <<< "$out" ||
+      { echo "no '$pattern' on $stream of: $*"; exit 1; }
+  done
+}
 
 "$build_dir"/examples/quickstart > /dev/null
 # rib_explorer saves mifo_topology.txt into its cwd; keep that in the tmpdir.
@@ -86,14 +107,9 @@ echo "=== mifo-verify: static loop-freedom proofs ==="
   --dests 4
 "$build_dir"/tools/mifo-verify -q --gen 300 --seed 11 --dests 8
 # Negative control: a planted Eq.3 violation must be caught with a concrete
-# router-level counterexample cycle (nonzero exit).
-if mutated_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 \
-    --dests 4 --mutate-valley)"; then
-  echo "mifo-verify missed the planted cycle"
-  exit 1
-fi
-grep -q "COUNTEREXAMPLE" <<< "$mutated_out"
-grep -q "verdict: CYCLE-FOUND" <<< "$mutated_out"
+# router-level counterexample cycle (exit 2).
+expect_exit 2 stdout "COUNTEREXAMPLE" "verdict: CYCLE-FOUND" -- \
+  "$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 --mutate-valley
 # Incremental mode (docs/VERIFICATION.md): the warm pass must be pure
 # cache on an unchanged deployment and the built-in differential pass must
 # report verdicts identical to the from-scratch full provers.
@@ -103,47 +119,29 @@ grep -q "cache hits" <<< "$inc_out"
 grep -q "differential: incremental verdicts identical" <<< "$inc_out"
 # Negative control: a planted forwarding blackhole (FIB entry evicted at a
 # router its neighbor still forwards to) must be caught with a concrete
-# witness walk (nonzero exit).
-if bh_out="$("$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 \
-    --mutate-blackhole)"; then
-  echo "mifo-verify missed the planted blackhole"
-  exit 1
-fi
-grep -q "blackhole\[no-route\]" <<< "$bh_out"
-grep -q "verdict: BLACKHOLE-FOUND" <<< "$bh_out"
+# witness walk (exit 2).
+expect_exit 2 stdout "blackhole\[no-route\]" "verdict: BLACKHOLE-FOUND" -- \
+  "$build_dir"/tools/mifo-verify --gen 120 --seed 7 --dests 4 \
+  --mutate-blackhole
 # Hostile topologies: a provider cycle is outside the loop-freedom
 # theorem's premise and must be refused (exit 2, never LOOP-FREE); a line
 # topo::parse rejects is an input error (exit 1) naming the line.
 printf '0 1 p2c\n1 2 p2c\n2 0 p2c\n' > "$artifact_dir/pc_cycle.txt"
 printf '0 1 p2c\n1 2 sibling\n' > "$artifact_dir/bad_kind.txt"
-rc=0
-cycle_out="$("$build_dir"/tools/mifo-verify --topo \
-  "$artifact_dir/pc_cycle.txt" --dests 2)" || rc=$?
-[[ $rc -eq 2 ]] || { echo "mifo-verify: provider cycle exit $rc"; exit 1; }
-grep -q "verdict: PREMISE-VIOLATED" <<< "$cycle_out"
-rc=0
-cycle_out="$("$build_dir"/tools/mifo-chaos --topo \
-  "$artifact_dir/pc_cycle.txt" --gen -q)" || rc=$?
-[[ $rc -eq 2 ]] || { echo "mifo-chaos: provider cycle exit $rc"; exit 1; }
-grep -q "verdict: PREMISE-VIOLATED" <<< "$cycle_out"
-rc=0
-kind_err="$("$build_dir"/tools/mifo-verify --topo \
-  "$artifact_dir/bad_kind.txt" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-verify: unknown link kind exit $rc"; exit 1; }
-grep -q "line 2: unknown link kind 'sibling'" <<< "$kind_err"
+expect_exit 2 stdout "verdict: PREMISE-VIOLATED" -- \
+  "$build_dir"/tools/mifo-verify --topo "$artifact_dir/pc_cycle.txt" --dests 2
+expect_exit 2 stdout "verdict: PREMISE-VIOLATED" -- \
+  "$build_dir"/tools/mifo-chaos --topo "$artifact_dir/pc_cycle.txt" --gen -q
+expect_exit 1 stderr "line 2: unknown link kind 'sibling'" -- \
+  "$build_dir"/tools/mifo-verify --topo "$artifact_dir/bad_kind.txt"
 # A malformed numeric flag is an input error naming the flag (exit 1), not a
 # silently truncated value (`--seed abc` once verified with seed 0).
-rc=0
-flag_err="$("$build_dir"/tools/mifo-verify --gen 40 --seed abc 2>&1 \
-  >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-verify: malformed --seed exit $rc"; exit 1; }
-grep -q -- "--seed: invalid value 'abc'" <<< "$flag_err"
+expect_exit 1 stderr "--seed: invalid value 'abc'" -- \
+  "$build_dir"/tools/mifo-verify --gen 40 --seed abc
 # A topology smaller than the generator's 12-AS tier-1 clique is an input
 # error naming the minimum, not a precondition abort (exit 134).
-rc=0
-flag_err="$("$build_dir"/tools/mifo-verify --gen 11 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-verify: --gen 11 exit $rc"; exit 1; }
-grep -q -- "--gen: 11 ASes is below the minimum of 12" <<< "$flag_err"
+expect_exit 1 stderr "--gen: 11 ASes is below the minimum of 12" -- \
+  "$build_dir"/tools/mifo-verify --gen 11
 echo "verifier OK: both topologies proved loop-free, incremental mode" \
      "agreed with the full provers, planted cycle and blackhole caught," \
      "provider cycle, unknown link kind, malformed flag and undersized" \
@@ -169,22 +167,24 @@ assert c["events_applied"] > 0
 for ev in c["events"]:
     assert {"t", "kind", "applied", "clean_immediate",
             "clean_reconverged"} <= ev.keys(), ev
-latencies = [ev["recovery_latency"] for ev in c["events"]
-             if "recovery_latency" in ev]
-assert latencies and all(l >= 0 for l in latencies), latencies
 assert {"drops", "metrics"} <= a.keys()
-# Observability sections (docs/OBSERVABILITY.md): structured fault spans,
-# the per-class recovery-latency table, the tracer's timeline, and the
-# top-congested-links snapshot.
-spans = c["spans"]
-assert spans and len(spans) == c["events_applied"], len(spans)
-for sp in spans:
-    assert {"event_index", "kind", "t_injected"} <= sp.keys(), sp
-    if "t_first_impact" in sp:
-        assert sp["t_first_impact"] >= sp["t_injected"], sp
-    if "t_verified" in sp:
-        assert sp["t_verified"] >= sp.get("t_reconverged",
-                                          sp["t_injected"]), sp
+# Observability sections (docs/OBSERVABILITY.md): every applied event
+# carries its causally ordered recovery milestones and its verify-cost and
+# route columns; the per-class recovery-latency table, the tracer's
+# timeline, and the top-congested-links snapshot.
+applied = [ev for ev in c["events"] if ev["applied"]]
+assert len(applied) == c["events_applied"], len(applied)
+for ev in applied:
+    assert {"dirty_destinations", "states_explored", "cache_hits",
+            "route_recomputed", "route_patched",
+            "route_unchanged"} <= ev.keys(), ev
+    assert ev.get("t_first_impact", ev["t"]) >= ev["t"], ev
+    assert ev.get("t_reconverged", ev["t"]) >= ev["t"], ev
+    assert ev.get("t_verified", ev["t"]) >= ev.get("t_reconverged",
+                                                  ev["t"]), ev
+latencies = [ev["t_verified"] - ev["t"] for ev in applied
+             if "t_verified" in ev]
+assert latencies, "no verified recovery"
 rbc = c["recovery_by_class"]
 assert rbc, "empty recovery_by_class"
 for kind, row in rbc.items():
@@ -199,7 +199,7 @@ for ln in a["links"]:
     assert {"router", "port", "bytes_sent"} <= ln.keys(), ln
 print(f"chaos artifact OK: {c['events_applied']} events, "
       f"{c['checks_run']} clean snapshots, "
-      f"{len(latencies)} recovery latencies, {len(spans)} spans, "
+      f"{len(latencies)} verified recoveries, "
       f"{len(tl['events'])} timeline events")
 PY
 # ...bit-reproducibly: the same (topology, seed, plan) gives the same bytes.
@@ -210,18 +210,13 @@ MIFO_ARTIFACT_DIR="$artifact_dir" \
 diff "$artifact_dir/chaos_run.first.json" "$artifact_dir/chaos_run.json"
 # Negative control: with a planted Eq.3-violating deflection ring the run
 # must turn UNSAFE (exit 2) with a concrete counterexample cycle.
-if chaos_out="$(MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --gen \
-    --ases 36 --seed 5 --duration 0.8 --flows 24 --mutate-valley)"; then
-  echo "mifo-chaos missed the planted violation"
-  exit 1
-fi
-grep -q "COUNTEREXAMPLE" <<< "$chaos_out"
-grep -q "cycle" <<< "$chaos_out"
-grep -q "verdict: UNSAFE" <<< "$chaos_out"
+expect_exit 2 stdout "COUNTEREXAMPLE" "cycle" "verdict: UNSAFE" -- \
+  env MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --gen --ases 36 \
+  --seed 5 --duration 0.8 --flows 24 --mutate-valley
 # Incremental-vs-full differential gate (docs/VERIFICATION.md): a
 # high-churn randomized run (>=100 applied events) in differential mode
 # re-proves every snapshot both ways and must see zero divergences. The
-# resulting artifact feeds the mifo-trace gates below, so the per-span
+# resulting artifact feeds the mifo-trace gates below, so the per-event
 # verify-cost columns are exercised there too.
 MIFO_ARTIFACT_DIR="$artifact_dir" \
   "$build_dir"/tools/mifo-chaos --gen --ases 36 --seed 5 --duration 3.0 \
@@ -240,19 +235,18 @@ assert c["checks_run"] == c["checks_clean"] > 0
 # destinations from cache instead of re-proving them.
 assert c["total_cache_hits"] > c["total_dirty_destinations"], \
     (c["total_cache_hits"], c["total_dirty_destinations"])
-spans = c["spans"]
-assert spans and all({"dirty_destinations", "states_explored",
-                      "cache_hits"} <= sp.keys() for sp in spans)
+applied = [ev for ev in c["events"] if ev["applied"]]
+assert applied and all({"dirty_destinations", "states_explored",
+                        "cache_hits"} <= ev.keys() for ev in applied)
 # The delta routing table mirrored the churn and the retained from-scratch
 # route oracle agreed with every published segment at every snapshot.
 assert c["route_events"] > 0, "no routing-plane events in a churn run"
 assert c["route_differential_mismatches"] == 0, \
     c["route_differential_mismatches"]
 assert c["total_route_recomputed"] > 0
-span_recomputed = sum(sp["route_recomputed"] for sp in spans)
-span_patched = sum(sp["route_patched"] for sp in spans)
-assert span_recomputed == c["total_route_recomputed"]
-assert span_patched == c["total_route_patched"]
+assert sum(ev["route_recomputed"] for ev in applied) == \
+    c["total_route_recomputed"]
+assert sum(ev["route_patched"] for ev in applied) == c["total_route_patched"]
 print(f"chaos differential OK: {c['events_applied']} events, "
       f"{c['checks_run']} snapshots verified both ways, 0 mismatches, "
       f"{c['total_cache_hits']} cache hits vs "
@@ -263,101 +257,81 @@ PY
 # (delta recompute skipped, stats still claim the work) is invisible to the
 # loop/valley/lint provers — only the from-scratch route differential can
 # catch it, and it must (exit 2, route-differential counterexample).
-if stale_out="$(MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --gen \
-    --ases 36 --seed 5 --duration 0.8 --flows 24 --mutate-stale-route)"; then
-  echo "mifo-chaos missed the planted stale route segment"
-  exit 1
-fi
-grep -q "route-differential" <<< "$stale_out"
-grep -q "verdict: UNSAFE" <<< "$stale_out"
-rc=0
-flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --duration 0.2x \
-  2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: malformed --duration exit $rc"; exit 1; }
-grep -q -- "--duration: invalid value '0.2x'" <<< "$flag_err"
+expect_exit 2 stdout "route-differential" "verdict: UNSAFE" -- \
+  env MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --gen --ases 36 \
+  --seed 5 --duration 0.8 --flows 24 --mutate-stale-route
+expect_exit 1 stderr "--duration: invalid value '0.2x'" -- \
+  "$build_dir"/tools/mifo-chaos --gen --ases 36 --duration 0.2x
 # A plan event naming an AS outside the topology is an input error (exit 1)
 # naming the event, not an out-of-bounds index into the per-AS state.
 printf 'duration 0.5\nat 0.1 ibgp-drop 99999\n' > "$artifact_dir/bad_as_plan.txt"
-rc=0
-plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
-  --plan "$artifact_dir/bad_as_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: out-of-range plan AS exit $rc"; exit 1; }
-grep -q "ibgp-drop 99999' names an AS outside the 36-AS topology" \
-  <<< "$plan_err"
+expect_exit 1 stderr \
+  "ibgp-drop 99999' names an AS outside the 36-AS topology" -- \
+  "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/bad_as_plan.txt" -q
 # An `every` directive that would expand without bound (a period far below
 # the duration) is an input error naming its line, not a bad_alloc abort.
 printf 'duration 1\nevery 0 1e-9 ibgp-drop 1\n' > "$artifact_dir/every_plan.txt"
-rc=0
-plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
-  --plan "$artifact_dir/every_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: unbounded every exit $rc"; exit 1; }
-grep -q "line 2: every: expands to more than 1000000 events" <<< "$plan_err"
+expect_exit 1 stderr "line 2: every: expands to more than 1000000 events" -- \
+  "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/every_plan.txt" -q
 # A burst the engine cannot honour (four billion flows; a per-flow size
 # whose packet count overflows the flow's 32-bit counter) is an input error
 # naming its line, not a bad_alloc or precondition abort (exit 134).
 printf 'duration 1\nat 0.1 burst 1 2 4000000000 1\n' \
   > "$artifact_dir/burst_count_plan.txt"
-rc=0
-plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
-  --plan "$artifact_dir/burst_count_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: burst COUNT exit $rc"; exit 1; }
-grep -q "line 2: burst: COUNT 4000000000 is above the cap" <<< "$plan_err"
+expect_exit 1 stderr "line 2: burst: COUNT 4000000000 is above the cap" -- \
+  "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/burst_count_plan.txt" -q
 printf 'duration 1\nat 0.1 burst 1 2 3 1e300\n' \
   > "$artifact_dir/burst_size_plan.txt"
-rc=0
-plan_err="$("$build_dir"/tools/mifo-chaos --ases 36 \
-  --plan "$artifact_dir/burst_size_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: burst SIZE_MB exit $rc"; exit 1; }
-grep -q "line 2: burst: SIZE_MB 1e+300 is not finite" <<< "$plan_err"
+expect_exit 1 stderr "line 2: burst: SIZE_MB 1e+300 is not finite" -- \
+  "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/burst_size_plan.txt" -q
 # An event past the plan's duration is an input error naming its line, not
 # a run of the emulator until that time (`at 1e6` once ran for hours).
 printf 'duration 0.5\nat 1e6 link-down 0 1\n' > "$artifact_dir/late_plan.txt"
-rc=0
-plan_err="$(timeout 20 "$build_dir"/tools/mifo-chaos --ases 36 \
-  --plan "$artifact_dir/late_plan.txt" -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: event past duration exit $rc"; exit 1; }
-grep -q "line 2: at: time 1e+06 is past the plan's duration 0.5" \
-  <<< "$plan_err"
+expect_exit 1 stderr "line 2: at: time 1e+06 is past the plan's duration 0.5" \
+  -- timeout 20 "$build_dir"/tools/mifo-chaos --ases 36 \
+  --plan "$artifact_dir/late_plan.txt" -q
+# A plan survives its own rendering: --print-plan writes every time exactly,
+# so a sub-microsecond plan's printout runs again (exit 0) instead of being
+# refused as "duration 0.000000".
+printf 'duration 0.0000004\nat 0.0000002 link-down 0 1\n' \
+  > "$artifact_dir/sub_us_plan.txt"
+MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --ases 36 --flows 4 \
+  --print-plan -q --plan "$artifact_dir/sub_us_plan.txt" |
+  grep -E '^(duration|at) ' > "$artifact_dir/sub_us_printed.txt"
+MIFO_ARTIFACT_DIR=- "$build_dir"/tools/mifo-chaos --ases 36 --flows 4 -q \
+  --plan "$artifact_dir/sub_us_printed.txt" > /dev/null
 # The generated plan and the background flows are bounded like `every` and
 # `burst`: a fault count (rate x duration) or flow count past those caps is
 # an input error naming the flag, not a bad_alloc abort (exit 134).
-rc=0
-flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --rate 1e300 -q \
-  2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: --rate 1e300 exit $rc"; exit 1; }
-grep -q -- "--rate x --duration: 1e+300 faults is above the cap of 1000000" \
-  <<< "$flag_err"
-rc=0
-flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 36 --flows 100000000 \
-  -q 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: --flows 100000000 exit $rc"; exit 1; }
-grep -q -- "--flows: 100000000 is above the cap of 100000" <<< "$flag_err"
+expect_exit 1 stderr \
+  "--rate x --duration: 1e+300 faults is above the cap of 1000000" -- \
+  "$build_dir"/tools/mifo-chaos --gen --ases 36 --rate 1e300 -q
+expect_exit 1 stderr "--flows: 100000000 is above the cap of 100000" -- \
+  "$build_dir"/tools/mifo-chaos --gen --ases 36 --flows 100000000 -q
 # A topology smaller than the generator's tier-1 clique, as for mifo-verify.
-rc=0
-flag_err="$("$build_dir"/tools/mifo-chaos --gen --ases 11 -q 2>&1 \
-  >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-chaos: --ases 11 exit $rc"; exit 1; }
-grep -q -- "--ases: 11 ASes is below the minimum of 12" <<< "$flag_err"
+expect_exit 1 stderr "--ases: 11 ASes is below the minimum of 12" -- \
+  "$build_dir"/tools/mifo-chaos --gen --ases 11 -q
 echo "chaos OK: randomized churn proved safe, reproducible, planted" \
      "violation caught, incremental differential clean, stale route caught," \
      "malformed flag, out-of-range plan AS, unbounded every, oversized" \
      "bursts, an event past the duration, fault and flow counts past the" \
-     "caps and an undersized topology refused"
+     "caps and an undersized topology refused, a printed plan rerun"
 
 echo "=== mifo-trace: timeline rendering (docs/OBSERVABILITY.md) ==="
-# --check proves the timeline's t never decreases and every span is
-# causally ordered (exit 2 otherwise), and the human rendering must be
-# byte-reproducible for the same artifact bytes.
+# --check proves the timeline's t never decreases and every applied fault's
+# milestones are causally ordered (exit 2 otherwise), and the human
+# rendering must be byte-reproducible for the same artifact bytes.
 "$build_dir"/tools/mifo-trace --check "$artifact_dir/chaos_run.json" \
   > /dev/null
 # A timeline whose t decreases is a violation (exit 2), not a pass.
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
   '{"t":1},{"t":0.5}' > "$artifact_dir/decreasing_t.json"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace --check \
-  "$artifact_dir/decreasing_t.json" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 2 ]] || { echo "mifo-trace: decreasing t exit $rc"; exit 1; }
-grep -q "ordering violated at event 1" <<< "$trace_err"
+expect_exit 2 stderr "ordering violated at event 1" -- \
+  "$build_dir"/tools/mifo-trace --check "$artifact_dir/decreasing_t.json"
 "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
   > "$artifact_dir/trace_render.first.txt"
 "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
@@ -366,15 +340,12 @@ diff "$artifact_dir/trace_render.first.txt" \
      "$artifact_dir/trace_render.second.txt"
 grep -q "recovery latency by failure class" \
   "$artifact_dir/trace_render.first.txt"
-# The differential-mode artifact above carries per-span verify-cost
-# accounting; the span table must surface it.
+# The differential-mode artifact above carries per-event verify-cost
+# columns; the fault table must surface them.
 grep -q "dirty" "$artifact_dir/trace_render.first.txt"
 grep -q "cached" "$artifact_dir/trace_render.first.txt"
-rc=0
-flag_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" \
-  --flow 3x 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: malformed --flow exit $rc"; exit 1; }
-grep -q -- "--flow: invalid value '3x'" <<< "$flag_err"
+expect_exit 1 stderr "--flow: invalid value '3x'" -- \
+  "$build_dir"/tools/mifo-trace "$artifact_dir/chaos_run.json" --flow 3x
 # Hostile artifacts are input errors (exit 1) with a message, never an abort
 # (134), a stack overflow (139) or a pass (0): nesting past the parser's cap,
 # a section of the wrong kind, --check on events that are bare numbers, a
@@ -389,32 +360,16 @@ printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
 printf '{"schema":"mifo.run_artifact.v1","timeline":{"events":[%s]}}' \
   '{"t":0,"router":-1,"flow":1,"kind":"forward"}' \
   > "$artifact_dir/negative_router.json"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/deep.json" 2>&1 \
-  >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: deep nesting exit $rc"; exit 1; }
-grep -q "malformed JSON" <<< "$trace_err"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace "$artifact_dir/bad_shape.json" \
-  2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: wrong shape exit $rc"; exit 1; }
-grep -q "timeline.events: expected an array" <<< "$trace_err"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace --check \
-  "$artifact_dir/bare_events.json" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: bare events exit $rc"; exit 1; }
-grep -q 'timeline.events\[0\]: expected an object with numeric "t"' \
-  <<< "$trace_err"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace --check \
-  "$artifact_dir/inf_time.json" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: inf time exit $rc"; exit 1; }
-grep -q "malformed JSON" <<< "$trace_err"
-rc=0
-trace_err="$("$build_dir"/tools/mifo-trace \
-  "$artifact_dir/negative_router.json" 2>&1 >/dev/null)" || rc=$?
-[[ $rc -eq 1 ]] || { echo "mifo-trace: negative router exit $rc"; exit 1; }
-grep -q "timeline.events\[0\].router: expected an unsigned" <<< "$trace_err"
+expect_exit 1 stderr "malformed JSON" -- \
+  "$build_dir"/tools/mifo-trace "$artifact_dir/deep.json"
+expect_exit 1 stderr "timeline.events: expected an array" -- \
+  "$build_dir"/tools/mifo-trace "$artifact_dir/bad_shape.json"
+expect_exit 1 stderr 'timeline.events\[0\]: expected an object with numeric "t"' \
+  -- "$build_dir"/tools/mifo-trace --check "$artifact_dir/bare_events.json"
+expect_exit 1 stderr "malformed JSON" -- \
+  "$build_dir"/tools/mifo-trace --check "$artifact_dir/inf_time.json"
+expect_exit 1 stderr "timeline.events\[0\].router: expected an unsigned" -- \
+  "$build_dir"/tools/mifo-trace "$artifact_dir/negative_router.json"
 echo "mifo-trace OK: timeline checked, decreasing t caught, rendering" \
      "byte-reproducible, malformed flag, deep nesting, wrong shape, bare" \
      "events, a non-JSON number and a negative router id refused"

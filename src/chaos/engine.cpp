@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/contracts.hpp"
+#include "common/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace mifo::chaos {
@@ -19,6 +20,19 @@ constexpr SimTime kDrainMargin = 0.5;
 
 std::uint64_t port_key(RouterId r, PortId p) {
   return (static_cast<std::uint64_t>(r.value()) << 32) | p.value();
+}
+
+/// Whether a recovery names its failure's subject: the unordered pair
+/// {a, b} for link and degrade faults, AS `a` for the others.
+bool same_subject(const Event& fail, const Event& rec) {
+  switch (fail.kind) {
+    case EventKind::LinkDown:
+    case EventKind::Degrade:
+      return (fail.a == rec.a && fail.b == rec.b) ||
+             (fail.a == rec.b && fail.b == rec.a);
+    default:
+      return fail.a == rec.a;
+  }
 }
 
 }  // namespace
@@ -36,35 +50,27 @@ const char* to_string(VerifyMode m) {
 }
 
 obs::Json Report::to_json() const {
+  const auto count = [](std::size_t n) {
+    return obs::Json::num(static_cast<std::uint64_t>(n));
+  };
   obs::Json root = obs::Json::object();
   root.set("safe", obs::Json::boolean(safe));
-  root.set("checks_run",
-           obs::Json::num(static_cast<std::uint64_t>(checks_run)));
-  root.set("checks_clean",
-           obs::Json::num(static_cast<std::uint64_t>(checks_clean)));
-  root.set("events_applied",
-           obs::Json::num(static_cast<std::uint64_t>(events_applied)));
+  root.set("checks_run", count(checks_run));
+  root.set("checks_clean", count(checks_clean));
+  root.set("events_applied", count(events_applied));
   root.set("verify_mode", obs::Json::str(chaos::to_string(verify_mode)));
-  root.set("differential_mismatches",
-           obs::Json::num(static_cast<std::uint64_t>(differential_mismatches)));
-  root.set("total_dirty_destinations",
-           obs::Json::num(
-               static_cast<std::uint64_t>(total_dirty_destinations)));
-  root.set("total_cache_hits",
-           obs::Json::num(static_cast<std::uint64_t>(total_cache_hits)));
-  root.set("route_events",
-           obs::Json::num(static_cast<std::uint64_t>(route_events)));
-  root.set("total_route_recomputed",
-           obs::Json::num(static_cast<std::uint64_t>(total_route_recomputed)));
-  root.set("total_route_patched",
-           obs::Json::num(static_cast<std::uint64_t>(total_route_patched)));
-  root.set("total_route_unchanged",
-           obs::Json::num(static_cast<std::uint64_t>(total_route_unchanged)));
+  root.set("differential_mismatches", count(differential_mismatches));
+  root.set("total_dirty_destinations", count(total_dirty_destinations));
+  root.set("total_cache_hits", count(total_cache_hits));
+  root.set("route_events", count(route_events));
+  root.set("total_route_recomputed", count(total_route_recomputed));
+  root.set("total_route_patched", count(total_route_patched));
+  root.set("total_route_unchanged", count(total_route_unchanged));
   root.set("route_differential_mismatches",
-           obs::Json::num(
-               static_cast<std::uint64_t>(route_differential_mismatches)));
+           count(route_differential_mismatches));
 
   obs::Json events = obs::Json::array();
+  std::map<std::string, RunningStats> by_class;  // ordered => stable JSON
   for (const AppliedEvent& ae : log) {
     obs::Json e = obs::Json::object();
     e.set("t", obs::Json::num(ae.event.t));
@@ -73,10 +79,26 @@ obs::Json Report::to_json() const {
     e.set("detail", obs::Json::str(ae.detail));
     e.set("clean_immediate", obs::Json::boolean(ae.clean_immediate));
     e.set("clean_reconverged", obs::Json::boolean(ae.clean_reconverged));
-    if (ae.recovery_latency >= 0.0) {
-      e.set("recovery_latency", obs::Json::num(ae.recovery_latency));
+    for (const auto& [key, t] :
+         {std::pair{"t_first_impact", ae.t_first_impact},
+          std::pair{"t_reconverged", ae.t_reconverged},
+          std::pair{"t_verified", ae.t_verified}}) {
+      if (t >= 0.0) e.set(key, obs::Json::num(t));
+    }
+    if (ae.applied) {
+      e.set("dirty_destinations", count(ae.dirty_destinations));
+      e.set("states_explored", count(ae.states_explored));
+      e.set("cache_hits", count(ae.cache_hits));
+      e.set("route_recomputed", count(ae.route_recomputed));
+      e.set("route_patched", count(ae.route_patched));
+      e.set("route_unchanged", count(ae.route_unchanged));
     }
     events.push(std::move(e));
+    // Per-failure-class recovery-latency breakdown: every failure whose
+    // paired recovery was verified clean contributes its latency.
+    if (ae.t_verified >= 0.0) {
+      by_class[chaos::to_string(ae.event.kind)].add(ae.recovery_latency());
+    }
   }
   root.set("events", std::move(events));
 
@@ -84,73 +106,20 @@ obs::Json Report::to_json() const {
   for (const Violation& v : violations) {
     obs::Json j = obs::Json::object();
     j.set("t", obs::Json::num(v.t));
-    j.set("event_index",
-          obs::Json::num(static_cast<std::uint64_t>(v.event_index)));
+    j.set("event_index", count(v.event_index));
     j.set("description", obs::Json::str(v.description));
     viols.push(std::move(j));
   }
   root.set("violations", std::move(viols));
 
-  obs::Json span_arr = obs::Json::array();
-  for (const Span& sp : spans) {
-    obs::Json j = obs::Json::object();
-    j.set("event_index",
-          obs::Json::num(static_cast<std::uint64_t>(sp.event_index)));
-    j.set("kind", obs::Json::str(chaos::to_string(sp.kind)));
-    j.set("t_injected", obs::Json::num(sp.t_injected));
-    if (sp.t_first_impact >= 0.0) {
-      j.set("t_first_impact", obs::Json::num(sp.t_first_impact));
-    }
-    if (sp.t_reconverged >= 0.0) {
-      j.set("t_reconverged", obs::Json::num(sp.t_reconverged));
-    }
-    if (sp.t_verified >= 0.0) {
-      j.set("t_verified", obs::Json::num(sp.t_verified));
-    }
-    j.set("dirty_destinations",
-          obs::Json::num(static_cast<std::uint64_t>(sp.dirty_destinations)));
-    j.set("states_explored",
-          obs::Json::num(static_cast<std::uint64_t>(sp.states_explored)));
-    j.set("cache_hits",
-          obs::Json::num(static_cast<std::uint64_t>(sp.cache_hits)));
-    j.set("route_recomputed",
-          obs::Json::num(static_cast<std::uint64_t>(sp.route_recomputed)));
-    j.set("route_patched",
-          obs::Json::num(static_cast<std::uint64_t>(sp.route_patched)));
-    j.set("route_unchanged",
-          obs::Json::num(static_cast<std::uint64_t>(sp.route_unchanged)));
-    span_arr.push(std::move(j));
-  }
-  root.set("spans", std::move(span_arr));
-
-  // Per-failure-class recovery-latency breakdown: every failure kind whose
-  // paired recovery was verified clean contributes (t_verified - t_injected).
-  struct ClassAgg {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  std::map<std::string, ClassAgg> by_class;  // ordered => stable JSON
-  for (const AppliedEvent& ae : log) {
-    if (ae.recovery_latency < 0.0) continue;
-    ClassAgg& agg = by_class[std::string(chaos::to_string(ae.event.kind))];
-    if (agg.count == 0 || ae.recovery_latency < agg.min) {
-      agg.min = ae.recovery_latency;
-    }
-    if (agg.count == 0 || ae.recovery_latency > agg.max) {
-      agg.max = ae.recovery_latency;
-    }
-    ++agg.count;
-    agg.sum += ae.recovery_latency;
-  }
   obs::Json classes = obs::Json::object();
   for (const auto& [kind, agg] : by_class) {
     obs::Json j = obs::Json::object();
-    j.set("count", obs::Json::num(agg.count));
-    j.set("mean_s", obs::Json::num(agg.sum / static_cast<double>(agg.count)));
-    j.set("min_s", obs::Json::num(agg.min));
-    j.set("max_s", obs::Json::num(agg.max));
+    j.set("count", count(agg.count()));
+    j.set("mean_s",
+          obs::Json::num(agg.sum() / static_cast<double>(agg.count())));
+    j.set("min_s", obs::Json::num(agg.min()));
+    j.set("max_s", obs::Json::num(agg.max()));
     classes.set(kind, std::move(j));
   }
   root.set("recovery_by_class", std::move(classes));
@@ -196,26 +165,6 @@ std::uint64_t Engine::drop_sum() const {
   return total;
 }
 
-Engine::FullVerdict Engine::run_full_provers() const {
-  const dp::Network& net = *em_->net;
-  FullVerdict out;
-  const auto loop_check = verify::check_loop_freedom(net);
-  out.loop_free = loop_check.loop_free;
-  out.loop_stats = loop_check.stats;
-  out.states_explored = loop_check.stats.states;
-  for (const auto& cycle : loop_check.cycles) {
-    out.cycles.push_back(cycle.to_string());
-  }
-  const auto vc = verify::check_valley_freedom(net);
-  out.states_explored += vc.stats.states;
-  for (const auto& v : vc.violations) out.valleys.push_back(v.to_string());
-  for (const auto& issue :
-       verify::lint_deployment(net, *g_, em_->daemons, owners_)) {
-    out.lints.push_back(issue.to_string());
-  }
-  return out;
-}
-
 bool Engine::snapshot(Report& report, SimTime t) {
   if (!cfg_.verify) return true;
   ++report.checks_run;
@@ -226,7 +175,7 @@ bool Engine::snapshot(Report& report, SimTime t) {
   const std::uint64_t drops_now = drop_sum();
   for (std::size_t i = 0; i < pending_impacts_.size();) {
     if (drops_now > pending_impacts_[i].drop_baseline) {
-      report.spans[pending_impacts_[i].span_index].t_first_impact = t;
+      report.log[pending_impacts_[i].log_index].t_first_impact = t;
       pending_impacts_[i] = pending_impacts_.back();
       pending_impacts_.pop_back();
     } else {
@@ -236,86 +185,63 @@ bool Engine::snapshot(Report& report, SimTime t) {
 
   const dp::Network& net = *em_->net;
   report.verify_mode = cfg_.verify_mode;
-  bool clean = true;
-  last_cost_ = verify::IncrementalStats{};
-
-  const auto report_strings = [&](const char* label,
-                                  const std::vector<std::string>& items) {
-    for (const std::string& s : items) {
-      report.violations.push_back(
-          Violation{t, last_event_index_, std::string(label) + ": " + s});
+  const bool full = cfg_.verify_mode == VerifyMode::Full;
+  const verify::Verdict verdict =
+      full ? verify::check_from_scratch(net, *g_, em_->daemons, owners_)
+           : inc_.check(net, *g_, em_->daemons, owners_, change_log_);
+  bool clean = verdict.clean();
+  report.last_stats = verdict.loop.stats;
+  last_cost_ = verdict.stats;
+  const auto report_all = [&](const char* label, const auto& findings) {
+    for (const auto& f : findings) {
+      report.violations.push_back(Violation{
+          t, last_event_index_, std::string(label) + ": " + f.to_string()});
     }
   };
-
-  if (cfg_.verify_mode == VerifyMode::Full) {
-    const FullVerdict full = run_full_provers();
-    report.last_stats = full.loop_stats;
-    clean = full.loop_free && full.valleys.empty() && full.lints.empty();
-    report_strings("cycle", full.cycles);
-    report_strings("valley", full.valleys);
-    report_strings("lint", full.lints);
-    last_cost_.destinations = full.loop_stats.destinations;
-    last_cost_.dirty_destinations = full.loop_stats.destinations;
-    last_cost_.states_explored = full.states_explored;
-  } else {
-    const verify::IncrementalResult inc =
-        inc_.check(net, *g_, em_->daemons, owners_, change_log_);
+  report_all("cycle", verdict.loop.cycles);
+  report_all("valley", verdict.valley.violations);
+  report_all("lint", verdict.lint);
+  if (!full) {
     change_log_.clear();
-    report.last_stats = inc.loop.stats;
-    clean = inc.loop.loop_free && inc.valley.valley_free && inc.lint.empty();
-    std::vector<std::string> inc_cycles;
-    std::vector<std::string> inc_valleys;
-    std::vector<std::string> inc_lints;
-    for (const auto& c : inc.loop.cycles) inc_cycles.push_back(c.to_string());
-    for (const auto& v : inc.valley.violations) {
-      inc_valleys.push_back(v.to_string());
-    }
-    for (const auto& i : inc.lint) inc_lints.push_back(i.to_string());
-    report_strings("cycle", inc_cycles);
-    report_strings("valley", inc_valleys);
-    report_strings("lint", inc_lints);
-    last_cost_ = inc.stats;
-    report.total_dirty_destinations += inc.stats.dirty_destinations;
-    report.total_cache_hits += inc.stats.cache_hits;
+    report.total_dirty_destinations += last_cost_.dirty_destinations;
+    report.total_cache_hits += last_cost_.cache_hits;
+  }
 
-    if (cfg_.verify_mode == VerifyMode::Differential) {
-      // Oracle pass: the untouched full provers on the same state. The
-      // incremental result must be verdict- and counterexample-identical,
-      // in order: both sides emit destination-ascending.
-      const FullVerdict full = run_full_provers();
-      const bool match = full.loop_free == inc.loop.loop_free &&
-                         full.cycles == inc_cycles &&
-                         full.valleys == inc_valleys &&
-                         full.lints == inc_lints;
-      if (!match) {
-        ++report.differential_mismatches;
-        report.violations.push_back(Violation{
-            t, last_event_index_,
-            "differential: incremental verdict diverged from full prover "
-            "(cycles " +
-                std::to_string(inc_cycles.size()) + "/" +
-                std::to_string(full.cycles.size()) + ", valleys " +
-                std::to_string(inc_valleys.size()) + "/" +
-                std::to_string(full.valleys.size()) + ", lints " +
-                std::to_string(inc_lints.size()) + "/" +
-                std::to_string(full.lints.size()) + ", loop_free " +
-                (inc.loop.loop_free ? "1" : "0") + "/" +
-                (full.loop_free ? "1" : "0") + ")"});
-        clean = false;
-      }
-      // Route-plane oracle: every delta-maintained CSR segment must be
-      // element-identical to a from-scratch Gao-Rexford rebuild on the
-      // current masked graph (withdrawn prefixes compare against the
-      // all-invalid store). This is what catches plant_stale_route.
-      for (const AsId d : route_ctl_.delta().differential_check()) {
-        ++report.route_differential_mismatches;
-        report.violations.push_back(Violation{
-            t, last_event_index_,
-            "route-differential: delta segment for AS" +
-                std::to_string(d.value()) +
-                " diverged from from-scratch rebuild"});
-        clean = false;
-      }
+  if (cfg_.verify_mode == VerifyMode::Differential) {
+    // Oracle pass: the untouched full provers on the same state. The
+    // incremental verdict must match it finding for finding, in order.
+    const verify::Verdict oracle =
+        verify::check_from_scratch(net, *g_, em_->daemons, owners_);
+    if (!verify::same_findings(verdict, oracle)) {
+      ++report.differential_mismatches;
+      const auto counts = [](std::size_t inc, std::size_t ref) {
+        return std::to_string(inc) + "/" + std::to_string(ref);
+      };
+      report.violations.push_back(Violation{
+          t, last_event_index_,
+          "differential: incremental verdict diverged from full prover "
+          "(cycles " +
+              counts(verdict.loop.cycles.size(), oracle.loop.cycles.size()) +
+              ", valleys " +
+              counts(verdict.valley.violations.size(),
+                   oracle.valley.violations.size()) +
+              ", lints " + counts(verdict.lint.size(), oracle.lint.size()) +
+              ", loop_free " +
+              counts(verdict.loop.loop_free, oracle.loop.loop_free) + ")"});
+      clean = false;
+    }
+    // Route-plane oracle: every delta-maintained CSR segment must be
+    // element-identical to a from-scratch Gao-Rexford rebuild on the
+    // current masked graph (withdrawn prefixes compare against the
+    // all-invalid store). This is what catches plant_stale_route.
+    for (const AsId d : route_ctl_.delta().differential_check()) {
+      ++report.route_differential_mismatches;
+      report.violations.push_back(Violation{
+          t, last_event_index_,
+          "route-differential: delta segment for AS" +
+              std::to_string(d.value()) +
+              " diverged from from-scratch rebuild"});
+      clean = false;
     }
   }
   if (shard_) {
@@ -334,17 +260,10 @@ bool Engine::snapshot(Report& report, SimTime t) {
     // state machine is provably safe again, so the outage's verification
     // debt is paid. Latency counts from the *failure*, not the repair.
     for (std::size_t i = 0; i < pending_recoveries_.size();) {
-      if (pending_recoveries_[i].recover_t <= t) {
-        const PendingRecovery& pr = pending_recoveries_[i];
-        AppliedEvent& fail_ev = report.log[pr.fail_index];
-        fail_ev.recovery_latency = t - pr.fail_t;
-        if (shard_) shard_->observe(m_recovery_, t - pr.fail_t);
-        for (Span& sp : report.spans) {
-          if (sp.event_index == pr.fail_index) {
-            sp.t_verified = t;
-            break;
-          }
-        }
+      AppliedEvent& fail = report.log[pending_recoveries_[i]];
+      if (fail.t_reconverged <= t) {
+        fail.t_verified = t;
+        if (shard_) shard_->observe(m_recovery_, fail.recovery_latency());
         pending_recoveries_[i] = pending_recoveries_.back();
         pending_recoveries_.pop_back();
       } else {
@@ -526,14 +445,14 @@ bool Engine::plant_stale_route(std::string& detail) {
   return false;
 }
 
-void Engine::note_route_delta(Report& report, Span& sp) {
+void Engine::note_route_delta(Report& report, AppliedEvent& ae) {
   const std::uint64_t epoch = route_ctl_.delta().epoch();
   if (epoch == seen_route_epoch_) return;  // no routing-plane effect
   seen_route_epoch_ = epoch;
   const bgp::DeltaStats& st = route_ctl_.last_delta_stats();
-  sp.route_recomputed = st.recomputed;
-  sp.route_patched = st.patched;
-  sp.route_unchanged = st.unchanged;
+  ae.route_recomputed = st.recomputed;
+  ae.route_patched = st.patched;
+  ae.route_unchanged = st.unchanged;
   ++report.route_events;
   report.total_route_recomputed += st.recomputed;
   report.total_route_patched += st.patched;
@@ -628,69 +547,46 @@ Report Engine::run(const Plan& plan) {
     // the first impact.
     const std::uint64_t drops_before = drop_sum();
     const auto [applied, detail] = apply(ev);
-    AppliedEvent ae;
+    ++ei;
+    last_event_index_ = report.log.size();
+    AppliedEvent& ae = report.log.emplace_back();
     ae.event = ev;
     ae.applied = applied;
     ae.detail = detail;
-    last_event_index_ = report.log.size();
-    if (applied) {
-      ++report.events_applied;
-      if (shard_) shard_->add(m_events_);
-      Span sp;
-      sp.event_index = report.log.size();
-      sp.kind = ev.kind;
-      sp.t_injected = ev.t;
-      pending_impacts_.push_back(
-          PendingImpact{report.spans.size(), drops_before});
-      report.spans.push_back(sp);
-      if (obs::Tracer* tr = net.tracer()) {
-        obs::TraceEvent te;
-        te.t = ev.t;
-        te.kind = obs::TraceKind::ChaosEvent;
-        te.router = ev.a.valid() ? ev.a.value() : 0;
-        te.value = static_cast<double>(static_cast<int>(ev.kind));
-        tr->record(te);
-      }
-      if (applied && is_recovery(ev.kind)) {
-        // Pair with the latest unresolved failure of the recovery's
-        // counterpart kind on the same subject.
-        for (std::size_t i = report.log.size(); i-- > 0;) {
-          const AppliedEvent& prior = report.log[i];
-          if (!prior.applied || prior.recovery_latency >= 0.0) continue;
-          const auto rec = recovery_of(prior.event.kind);
-          if (!rec || *rec != ev.kind || prior.event.a != ev.a) continue;
-          const bool pending_already =
-              std::any_of(pending_recoveries_.begin(),
-                          pending_recoveries_.end(),
-                          [i](const PendingRecovery& p) {
-                            return p.fail_index == i;
-                          });
-          if (pending_already) continue;
-          pending_recoveries_.push_back(
-              PendingRecovery{i, prior.event.t, ev.t});
-          for (Span& fsp : report.spans) {
-            if (fsp.event_index == i) {
-              fsp.t_reconverged = ev.t;
-              break;
-            }
-          }
-          break;
+    if (!applied) continue;
+    ++report.events_applied;
+    if (shard_) shard_->add(m_events_);
+    pending_impacts_.push_back(PendingImpact{last_event_index_, drops_before});
+    if (obs::Tracer* tr = net.tracer()) {
+      obs::TraceEvent te;
+      te.t = ev.t;
+      te.kind = obs::TraceKind::ChaosEvent;
+      te.router = ev.a.valid() ? ev.a.value() : 0;
+      te.value = static_cast<double>(static_cast<int>(ev.kind));
+      tr->record(te);
+    }
+    if (is_recovery(ev.kind)) {
+      // Pair with the latest unpaired failure of the recovery's
+      // counterpart kind on the same subject.
+      for (std::size_t i = last_event_index_; i-- > 0;) {
+        AppliedEvent& prior = report.log[i];
+        if (!prior.applied || prior.t_reconverged >= 0.0) continue;
+        if (recovery_of(prior.event.kind) != ev.kind ||
+            !same_subject(prior.event, ev)) {
+          continue;
         }
+        prior.t_reconverged = ev.t;
+        pending_recoveries_.push_back(i);
+        break;
       }
     }
-    report.log.push_back(std::move(ae));
-    ++ei;
-    if (applied) {
-      note_route_delta(report, report.spans.back());
-      report.log.back().clean_immediate = snapshot(report, ev.t);
-      // The immediate snapshot's verify cost is this event's footprint.
-      Span& sp = report.spans.back();
-      sp.dirty_destinations = last_cost_.dirty_destinations;
-      sp.states_explored = last_cost_.states_explored;
-      sp.cache_hits = last_cost_.cache_hits;
-      report.log.back().clean_reconverged = true;
-      checks.push_back(ev.t + kReconvDelay);
-    }
+    note_route_delta(report, ae);
+    ae.clean_immediate = snapshot(report, ev.t);
+    // The immediate snapshot's verify cost is this event's footprint.
+    ae.dirty_destinations = last_cost_.dirty_destinations;
+    ae.states_explored = last_cost_.states_explored;
+    ae.cache_hits = last_cost_.cache_hits;
+    checks.push_back(ev.t + kReconvDelay);
   }
 
   // Drain: run past the plan end so daemons settle and queues empty, then

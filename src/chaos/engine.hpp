@@ -24,10 +24,7 @@
 #include "obs/registry.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace mifo::chaos {
 
@@ -57,41 +54,24 @@ struct EngineConfig {
   VerifyMode verify_mode = VerifyMode::Full;
 };
 
-/// One applied (or skipped) plan event with its verification outcomes.
+/// One plan event as the run applied (or skipped) it: its verification
+/// outcomes, its recovery milestones and its verify and route costs.
 struct AppliedEvent {
   Event event;
   bool applied = false;      ///< false: no-op (e.g. withdraw of a non-owner)
   std::string detail;        ///< what concretely changed
   bool clean_immediate = true;  ///< verifier verdict right after the event
   bool clean_reconverged = true;  ///< ...and after the reconvergence delay
-  /// For recovery events: first verifier-clean snapshot time minus the
-  /// paired failure time. Negative when not applicable / never clean.
-  double recovery_latency = -1.0;
-};
-
-/// A verification failure attributed to the event that triggered it.
-struct Violation {
-  SimTime t = 0.0;               ///< snapshot time
-  std::size_t event_index = 0;   ///< last applied event before the snapshot
-  std::string description;       ///< cycle or lint rendering
-};
-
-/// Structured fault-lifecycle span: the four recovery-latency milestones of
-/// one applied plan event, all in simulated seconds. -1 marks a milestone
-/// that never happened (e.g. a fault with no packet impact, or no paired
-/// recovery event). First impact is attributed by drop-counter movement
-/// between verification snapshots, so its resolution is the snapshot
-/// cadence and concurrent faults can alias onto one another — it is
-/// evidence, not proof, unlike t_verified which is a verifier verdict.
-struct Span {
-  std::size_t event_index = 0;  ///< index into Report::log
-  EventKind kind = EventKind::LinkDown;
-  SimTime t_injected = 0.0;
+  /// Recovery milestones after `event.t`, in simulated seconds; -1 marks
+  /// one that never happened (a fault with no packet impact, or no paired
+  /// recovery event). First impact is attributed by drop-counter movement
+  /// between verification snapshots, so its resolution is the snapshot
+  /// cadence and concurrent faults can alias onto one another — it is
+  /// evidence, not proof, unlike t_verified which is a verifier verdict.
   SimTime t_first_impact = -1.0;  ///< first snapshot with new drops
   SimTime t_reconverged = -1.0;   ///< paired recovery event applied
   SimTime t_verified = -1.0;      ///< first clean verify after the repair
-  /// Verification cost of the immediate (injection-time) snapshot — the
-  /// per-fault verify footprint mifo-trace's span table renders. Under
+  /// Verification cost of the immediate (injection-time) snapshot. Under
   /// VerifyMode::Full, dirty_destinations counts every destination and
   /// cache_hits stays 0.
   std::size_t dirty_destinations = 0;
@@ -104,12 +84,24 @@ struct Span {
   std::size_t route_recomputed = 0;
   std::size_t route_patched = 0;
   std::size_t route_unchanged = 0;
+
+  /// First clean verifier snapshot after the repair minus the failure
+  /// time; negative when the failure was never verified recovered.
+  [[nodiscard]] double recovery_latency() const {
+    return t_verified >= 0.0 ? t_verified - event.t : -1.0;
+  }
+};
+
+/// A verification failure attributed to the event that triggered it.
+struct Violation {
+  SimTime t = 0.0;               ///< snapshot time
+  std::size_t event_index = 0;   ///< last applied event before the snapshot
+  std::string description;       ///< cycle or lint rendering
 };
 
 struct Report {
   std::vector<AppliedEvent> log;
   std::vector<Violation> violations;
-  std::vector<Span> spans;  ///< one per applied event, log order
   std::size_t checks_run = 0;
   std::size_t checks_clean = 0;
   std::size_t events_applied = 0;
@@ -138,8 +130,8 @@ struct Report {
   std::size_t route_differential_mismatches = 0;
 
   /// The `chaos` section of the extended mifo.run_artifact.v1 schema:
-  /// events, violations, spans and the per-failure-class recovery-latency
-  /// breakdown (recovery_by_class).
+  /// events with their milestones and costs, violations and the
+  /// per-failure-class recovery-latency breakdown (recovery_by_class).
   [[nodiscard]] obs::Json to_json() const;
 };
 
@@ -164,17 +156,11 @@ class Engine {
   [[nodiscard]] RouteController& route_controller() { return route_ctl_; }
 
  private:
-  struct PendingRecovery {
-    std::size_t fail_index;  ///< log index of the failure event
-    SimTime fail_t;
-    SimTime recover_t;
-  };
-
-  /// A span still waiting for its first packet impact: resolved at the
-  /// first snapshot whose network-wide drop total moved past the baseline
-  /// captured at injection.
+  /// An applied event still waiting for its first packet impact: resolved
+  /// at the first snapshot whose network-wide drop total moved past the
+  /// baseline captured at injection.
   struct PendingImpact {
-    std::size_t span_index;
+    std::size_t log_index;
     std::uint64_t drop_baseline;
   };
 
@@ -190,24 +176,13 @@ class Engine {
   bool plant_valley(std::string& detail);
   bool plant_stale_route(std::string& detail);
   /// Adds the latest delta-recompute counts to the running report totals
-  /// and the span's route columns.
-  void note_route_delta(Report& report, Span& sp);
+  /// and the event's route columns.
+  void note_route_delta(Report& report, AppliedEvent& ae);
 
   /// Verification snapshot at the current time; updates report/metrics.
   bool snapshot(Report& report, SimTime t);
-  /// Full-prover pass shared by Full and Differential snapshots.
-  struct FullVerdict {
-    bool loop_free = true;
-    std::vector<std::string> cycles;
-    std::vector<std::string> valleys;
-    std::vector<std::string> lints;
-    verify::VerifyStats loop_stats;
-    std::size_t states_explored = 0;  ///< loop + valley, for span costing
-  };
-  [[nodiscard]] FullVerdict run_full_provers() const;
-
-  /// Network-wide drop total (all breakdown buckets) — the span
-  /// first-impact signal.
+  /// Network-wide drop total (all breakdown buckets) — the first-impact
+  /// signal.
   [[nodiscard]] std::uint64_t drop_sum() const;
 
   testbed::Emulation* em_;
@@ -221,7 +196,9 @@ class Engine {
   std::unordered_map<std::uint64_t, int> down_depth_;
   /// Nominal rate per directed router port touched by Degrade.
   std::unordered_map<std::uint64_t, Mbps> nominal_rate_;
-  std::vector<PendingRecovery> pending_recoveries_;
+  /// Log indices of failures paired with an applied recovery, waiting for
+  /// the first clean snapshot at or after the recovery's time.
+  std::vector<std::size_t> pending_recoveries_;
   std::vector<PendingImpact> pending_impacts_;
   /// Down-depth per undirected adjacency: the delta routing table sees a
   /// session event only on the 0 <-> 1 transitions, so overlapping faults
@@ -238,8 +215,8 @@ class Engine {
   /// memoizing verifier at each snapshot and cleared after it.
   dp::ChangeLog change_log_;
   verify::IncrementalVerifier inc_;
-  /// Verify cost of the most recent snapshot (copied into the span of the
-  /// event that triggered the immediate snapshot).
+  /// Verify cost of the most recent snapshot (copied onto the event that
+  /// triggered the immediate snapshot).
   verify::IncrementalStats last_cost_;
 
   obs::Registry::Shard* shard_ = nullptr;

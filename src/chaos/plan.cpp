@@ -1,8 +1,8 @@
 #include "chaos/plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -67,40 +67,41 @@ std::optional<EventKind> recovery_of(EventKind k) {
   }
 }
 
+namespace {
+
+/// The shortest text that parses back to exactly `x`.
+std::string exact(double x) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), x).ptr};
+}
+
+}  // namespace
+
 std::string Event::to_string() const {
-  char buf[128];
+  std::string out = "at " + exact(t) + " " + chaos::to_string(kind);
+  const auto as = [](AsId id) { return " " + std::to_string(id.value()); };
   switch (kind) {
     case EventKind::LinkDown:
     case EventKind::LinkUp:
     case EventKind::Restore:
-      std::snprintf(buf, sizeof(buf), "at %.6f %s %u %u", t,
-                    chaos::to_string(kind), a.value(), b.value());
-      break;
+      return out + as(a) + as(b);
     case EventKind::Degrade:
-      std::snprintf(buf, sizeof(buf), "at %.6f degrade %u %u %.6f", t,
-                    a.value(), b.value(), value);
-      break;
+      return out + as(a) + as(b) + " " + exact(value);
+    case EventKind::Burst:
+      return out + as(a) + as(b) + " " + std::to_string(count) + " " +
+             exact(value);
     case EventKind::Withdraw:
     case EventKind::Reannounce:
     case EventKind::IbgpDrop:
     case EventKind::IbgpRestore:
     case EventKind::RouterFreeze:
     case EventKind::RouterRestart:
-      std::snprintf(buf, sizeof(buf), "at %.6f %s %u", t,
-                    chaos::to_string(kind), a.value());
-      break;
-    case EventKind::Burst:
-      std::snprintf(buf, sizeof(buf), "at %.6f burst %u %u %u %.6f", t,
-                    a.value(), b.value(), count, value);
-      break;
+      return out + as(a);
     case EventKind::PlantValley:
-      std::snprintf(buf, sizeof(buf), "at %.6f plant-valley", t);
-      break;
     case EventKind::PlantStaleRoute:
-      std::snprintf(buf, sizeof(buf), "at %.6f plant-stale-route", t);
       break;
   }
-  return buf;
+  return out;
 }
 
 double burst_flow_bytes(double size_mb) {
@@ -324,7 +325,7 @@ std::optional<Plan> parse_plan(const std::string& text, std::string& error) {
 }
 
 std::string format_plan(const Plan& plan) {
-  std::string out = "duration " + std::to_string(plan.duration) + "\n";
+  std::string out = "duration " + exact(plan.duration) + "\n";
   for (const Event& ev : plan.events) out += ev.to_string() + "\n";
   return out;
 }
@@ -357,6 +358,9 @@ std::optional<Event> validate_plan(const Plan& plan, std::size_t num_ases) {
 }
 
 Plan generate_plan(const topo::AsGraph& g, const GenParams& params) {
+  // Every generated congestion burst: flows, and MB per flow.
+  constexpr std::uint32_t kBurstFlows = 4;
+  constexpr double kBurstMb = 4.0;
   MIFO_EXPECTS(g.num_ases() >= 2);
   MIFO_EXPECTS(params.duration > 0.0);
   MIFO_EXPECTS(params.rate > 0.0);
@@ -438,17 +442,16 @@ Plan generate_plan(const topo::AsGraph& g, const GenParams& params) {
         ev.kind = EventKind::Burst;
         ev.a = AsId(static_cast<std::uint32_t>(rng.bounded(g.num_ases())));
         ev.b = AsId(static_cast<std::uint32_t>(rng.bounded(g.num_ases())));
-        ev.count = params.burst_flows;
-        ev.value = params.burst_mb;
+        ev.count = kBurstFlows;
+        ev.value = kBurstMb;
         break;
       }
     }
     plan.events.push_back(ev);
     if (const auto rec_kind = recovery_of(ev.kind)) {
-      Event rec = ev;
-      rec.t = t_rec;
-      rec.kind = *rec_kind;
-      plan.events.push_back(rec);
+      // A recovery names only its subject, as the DSL writes it.
+      plan.events.push_back(
+          Event{.t = t_rec, .kind = *rec_kind, .a = ev.a, .b = ev.b});
     }
   }
 

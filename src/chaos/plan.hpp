@@ -56,7 +56,8 @@ struct Event {
   double value = 0.0;        ///< Degrade factor or Burst flow size in MB
   std::uint32_t count = 0;   ///< Burst flow count
 
-  /// One-line rendering ("at 0.500 link-down 3 7").
+  /// One-line DSL rendering ("at 0.5 link-down 3 7"): times, factors and
+  /// sizes in the shortest form that parses back to the same double.
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -105,7 +106,7 @@ inline constexpr std::uint32_t kMaxBurstFlows = 100'000;
 [[nodiscard]] std::optional<Plan> parse_plan(const std::string& text,
                                              std::string& error);
 
-/// Renders a plan back into the DSL (round-trips through parse_plan).
+/// Renders a plan back into the DSL; parse_plan returns every field exactly.
 [[nodiscard]] std::string format_plan(const Plan& plan);
 
 /// The first event that names an AS id outside a topology of `num_ases`
@@ -122,9 +123,6 @@ struct GenParams {
   double rate = 4.0;
   /// Mean time-to-repair for paired faults (exponential).
   SimTime mttr = 0.2;
-  /// Mean congestion-burst size per flow (MB) and flows per burst.
-  double burst_mb = 4.0;
-  std::uint32_t burst_flows = 4;
   /// ASes owning a prefix (withdrawals target these); empty = any AS.
   std::vector<AsId> prefix_owners;
 };

@@ -10,7 +10,8 @@
 // destinations (DESIGN.md §5.1b): every withdraw / reannounce / session
 // event is applied to it as a delta recompute of only the affected
 // destinations, with the from-scratch rebuild retained as the differential
-// oracle. Per-event DeltaStats feed the chaos engine's recovery spans.
+// oracle. Per-event DeltaStats feed the route columns of the chaos
+// engine's per-event records.
 //
 // Re-announcement reinstalls through the builder's own install pass, fed
 // from the base graph's converged routes: FIB defaults model the

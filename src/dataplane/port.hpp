@@ -61,7 +61,7 @@ struct Port {
   /// last monitoring window (the paper's "link monitoring", III-C).
   std::uint64_t monitor_bytes_snapshot = 0;
   /// When the last flow was newly pinned away from this (congested) port;
-  /// gates RouterConfig::pin_cooldown.
+  /// gates the router's pin cooldown.
   SimTime last_pin_time = -1e18;
 
   [[nodiscard]] double queue_ratio() const {

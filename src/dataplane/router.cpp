@@ -9,6 +9,22 @@
 namespace mifo::dp {
 
 namespace {
+
+/// tx-queue ratio at which the default port counts as congested (line 11).
+constexpr double kCongestThreshold = 0.5;
+/// Minimum spacing between NEW pins on the same output port. Offloading is
+/// incremental: deflect one flow, let the queue react, then deflect more if
+/// still congested. Without this, every flow sharing a congested egress
+/// deflects within microseconds and the load see-saws between the default
+/// and the alternative.
+constexpr SimTime kPinCooldown = 0.01;
+/// Deflected flows are pinned (flow-level determinism via hashing, II-A);
+/// pins idle longer than this are garbage collected.
+constexpr SimTime kPinIdleTimeout = 1.0;
+/// Rate utilization of the default egress under which deflected flows
+/// return to the default path (hysteresis, evaluated on daemon ticks).
+constexpr double kLowWatermark = 0.5;
+
 /// Pin key: the paper pins path choices at flow granularity (five-tuple
 /// hashing, Section II-A); direction matters, so the destination joins the
 /// flow id.
@@ -147,8 +163,8 @@ void Router::handle_packet(Network& net, Packet p, PortId in_port) {
     if (it != pins_.end()) {
       it->second.last_seen = net.now();
       use_alt = it->second.use_alt;
-    } else if (out.queue_ratio() >= config_.congest_threshold &&
-               net.now() - out.last_pin_time >= config_.pin_cooldown) {
+    } else if (out.queue_ratio() >= kCongestThreshold &&
+               net.now() - out.last_pin_time >= kPinCooldown) {
       const Port& alt = port(ialt);
       const bool admissible = alt.kind == PortKind::Ibgp ||
                               !config_.enforce_tag_check ||
@@ -225,7 +241,7 @@ void Router::reevaluate_flows(
     const std::function<double(PortId)>& port_utilization) {
   const SimTime now = net.now();
   for (auto it = pins_.begin(); it != pins_.end();) {
-    const bool idle = now - it->second.last_seen > config_.pin_idle_timeout;
+    const bool idle = now - it->second.last_seen > kPinIdleTimeout;
     if (idle) {
       it = pins_.erase(it);
       continue;
@@ -244,7 +260,7 @@ void Router::reevaluate_flows(
         port_utilization
             ? port_utilization(PortId(static_cast<std::uint32_t>(i)))
             : port.queue_ratio();
-    if (util >= config_.low_watermark) {
+    if (util >= kLowWatermark) {
       all_drained = false;
       break;
     }

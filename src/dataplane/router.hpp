@@ -21,26 +21,12 @@ struct RouterConfig {
   /// MIFO disabled behave as plain BGP forwarders, but still honour the
   /// returned-packet rule so deflected traffic is not bounced back.
   bool mifo_enabled = false;
-  /// tx-queue ratio at which the default port counts as congested (line 11).
-  double congest_threshold = 0.5;
-  /// Rate utilization of the default egress under which deflected flows
-  /// return to the default path (hysteresis, evaluated on daemon ticks).
-  double low_watermark = 0.5;
   /// Algorithm 1 drops when the alternative fails the valley-free check
   /// (line 20). For congestion-triggered deflection we instead keep the flow
   /// on the (congested) default unless this faithful-drop flag is set;
   /// returned packets (line 11's sender==nexthop case) always drop when no
   /// admissible alternative exists, since the default would cycle.
   bool drop_on_congested_no_alt = false;
-  /// Deflected flows are pinned (flow-level determinism via hashing, II-A);
-  /// pins idle longer than this are garbage collected.
-  SimTime pin_idle_timeout = 1.0;
-  /// Minimum spacing between NEW pins on the same output port. Offloading
-  /// is incremental: deflect one flow, let the queue react, then deflect
-  /// more if still congested. Without this, every flow sharing a congested
-  /// egress deflects within microseconds and the load see-saws between the
-  /// default and the alternative.
-  SimTime pin_cooldown = 0.01;
   /// Ablation knob for the paper's "one more bit is enough" rule: when
   /// false, eBGP deflection skips the Eq. 3 Tag-Check entirely (Fig. 2(a)
   /// loops become reachable again). The static verifier models the same

@@ -101,11 +101,6 @@ const std::string& Json::text() const {
   return str_;
 }
 
-bool Json::truth() const {
-  MIFO_EXPECTS(kind_ == Kind::Bool);
-  return bool_;
-}
-
 namespace {
 void escape_into(std::string& out, const std::string& s) {
   out += '"';

@@ -52,7 +52,6 @@ class Json {
   [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::Str; }
   [[nodiscard]] bool is_number() const { return kind_ == Kind::Num; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::Bool; }
   /// Member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(const std::string& key) const;
   /// Array elements (asserts array kind).
@@ -62,7 +61,8 @@ class Json {
       const;
   [[nodiscard]] double number() const;        ///< asserts number kind
   [[nodiscard]] const std::string& text() const;  ///< asserts string kind
-  [[nodiscard]] bool truth() const;           ///< asserts bool kind
+  /// True for a JSON `true`, false for anything else.
+  [[nodiscard]] bool truth() const { return kind_ == Kind::Bool && bool_; }
   /// number() with a fallback for absent members: j.find("x") pattern.
   [[nodiscard]] double number_or(double fallback) const {
     return kind_ == Kind::Num ? num_ : fallback;

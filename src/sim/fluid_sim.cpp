@@ -8,10 +8,12 @@
 
 #include "common/contracts.hpp"
 #include "common/parallel_for.hpp"
+#include "miro/miro.hpp"
 
 namespace mifo::sim {
 
 namespace {
+constexpr Mbps kLinkCapacity = kGigabit;  // paper: all links 1 Gbps
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kRemEps = 1e-6;   // megabits (~0.1 byte)
 constexpr double kTimeEps = 1e-12;
@@ -26,13 +28,12 @@ std::vector<std::uint32_t> link_ids(std::span<const LinkId> links) {
 
 FluidSim::FluidSim(const topo::AsGraph& g, SimConfig cfg)
     : g_(g), cfg_(cfg) {
-  MIFO_EXPECTS(cfg.link_capacity > 0.0);
   MIFO_EXPECTS(cfg.congest_threshold > 0.0 && cfg.congest_threshold <= 1.0);
   MIFO_EXPECTS(cfg.low_watermark >= 0.0 &&
                cfg.low_watermark <= cfg.congest_threshold);
   MIFO_EXPECTS(cfg.reeval_interval > 0.0);
   deployed_.assign(g.num_ases(), false);
-  capacity_.assign(g.num_directed_links(), cfg.link_capacity);
+  capacity_.assign(g.num_directed_links(), kLinkCapacity);
   alloc_.assign(g.num_directed_links(), 0.0);
 }
 
@@ -143,7 +144,7 @@ core::WalkResult FluidSim::route_flow(AsId src, AsId dest) {
       // congested. MIRO tunnels are negotiated on the control plane; the
       // source has no end-to-end load visibility.
       const auto alts =
-          miro::alternatives(g_, routes, src, deployed_, cfg_.miro);
+          miro::alternatives(g_, routes, src, deployed_);
       for (const auto& alt : alts) {
         const LinkId first = g_.link(src, alt.next_hop);
         if (utilization(first.value()) >= cfg_.congest_threshold) continue;
@@ -192,7 +193,7 @@ void FluidSim::reset_run_state() {
   std::fill(alloc_.begin(), alloc_.end(), 0.0);
   // Chaos capacity events mutate capacity_ mid-run; start from a clean slate
   // so back-to-back runs on one sim are independent.
-  std::fill(capacity_.begin(), capacity_.end(), cfg_.link_capacity);
+  std::fill(capacity_.begin(), capacity_.end(), kLinkCapacity);
   std::stable_sort(cap_events_.begin(), cap_events_.end(),
                    [](const CapacityEvent& a, const CapacityEvent& b) {
                      return a.t < b.t;
@@ -344,7 +345,7 @@ std::vector<FlowRecord> FluidSim::run(std::vector<traffic::FlowSpec> specs) {
     // Capacity events (link down/up/degrade) due now.
     while (ci < cap_events_.size() && cap_events_[ci].t <= t + kTimeEps) {
       capacity_[cap_events_[ci].link] =
-          cfg_.link_capacity * cap_events_[ci].factor;
+          kLinkCapacity * cap_events_[ci].factor;
       changed = true;
       ++ci;
     }
@@ -578,7 +579,7 @@ StreamResult FluidSim::run_stream_impl(
     // Capacity events (chaos link down/degrade/up) due now.
     while (ci < cap_events_.size() && cap_events_[ci].t <= t + kTimeEps) {
       const std::uint32_t link = cap_events_[ci].link;
-      const double cap = cfg_.link_capacity * cap_events_[ci].factor;
+      const double cap = kLinkCapacity * cap_events_[ci].factor;
       capacity_[link] = cap;
       timed([&] { solver.set_capacity(link, cap); });
       apply_changes();

@@ -17,7 +17,6 @@
 
 #include "bgp/route_store.hpp"
 #include "core/walk.hpp"
-#include "miro/miro.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/maxmin.hpp"
@@ -43,7 +42,6 @@ enum class RoutingMode : std::uint8_t { Bgp, Miro, Mifo };
 
 struct SimConfig {
   RoutingMode mode = RoutingMode::Bgp;
-  Mbps link_capacity = kGigabit;  ///< paper: all links 1 Gbps
   /// Utilization of the default egress at which MIFO deflects.
   double congest_threshold = 0.7;
   /// Greedy-selection knobs (see core::WalkConfig; swept by ablation A3).
@@ -61,7 +59,6 @@ struct SimConfig {
   /// hardware_concurrency. Results are bit-identical at any setting (route
   /// computation is pure per destination; only cache fill order varies).
   std::size_t threads = 0;
-  miro::MiroConfig miro{};
 };
 
 struct FlowRecord {
@@ -132,11 +129,11 @@ class FluidSim {
                                         const StreamConfig& sc);
 
   /// Schedule a capacity change on one directed link: at time `t` its
-  /// capacity becomes `factor * SimConfig::link_capacity`. The factor is
+  /// capacity becomes `factor` times the paper's 1 Gbps. The factor is
   /// clamped to [1e-3, 10] — a "down" link keeps a sliver of capacity so
   /// utilization stays finite and flows pinned to it crawl rather than
   /// divide by zero. Call before run(); run() applies events in time order
-  /// and resets all capacities to link_capacity at its start.
+  /// and resets all capacities to 1 Gbps at its start.
   void schedule_capacity_event(SimTime t, LinkId link, double factor);
 
   /// Converged routes towards `dest` (cached CSR store; exposed for tests).

@@ -200,14 +200,7 @@ class IncrementalMaxMin {
     return s < flows_.size() && flows_[s].live;
   }
   [[nodiscard]] double rate(Slot s) const { return flows_[s].rate; }
-  [[nodiscard]] std::span<const std::uint32_t> links_of(Slot s) const {
-    return flows_[s].links;
-  }
   [[nodiscard]] std::size_t active_flows() const { return active_; }
-  [[nodiscard]] std::size_t num_links() const { return capacity_.size(); }
-  [[nodiscard]] double capacity(std::uint32_t link) const {
-    return capacity_[link];
-  }
   [[nodiscard]] double flow_cap() const { return flow_cap_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

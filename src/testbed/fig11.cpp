@@ -43,7 +43,8 @@ Fig12Result run_fig12(const Fig12Params& params) {
   dp::Network& net = *em.net;
 
   if (params.mifo) {
-    em.enable_mifo({ids.as3}, params.router_config, params.daemon_interval);
+    constexpr SimTime kDaemonInterval = 0.005;
+    em.enable_mifo({ids.as3}, dp::RouterConfig{}, kDaemonInterval);
   }
   net.enable_delivery_trace(params.bucket);
   if (params.link_sample_interval > 0.0) {

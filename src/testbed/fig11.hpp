@@ -42,8 +42,6 @@ struct Fig12Params {
   SimTime bucket = 0.1;
   /// Hard cap on emulated time.
   SimTime time_cap = 600.0;
-  dp::RouterConfig router_config{};
-  SimTime daemon_interval = 0.005;
   /// Per-link utilization sampling period for the run artifact's congestion
   /// traces (dp::Network::enable_link_sampling); 0 disables (the default).
   SimTime link_sample_interval = 0.0;

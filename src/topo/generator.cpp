@@ -10,6 +10,19 @@ namespace mifo::topo {
 
 namespace {
 
+/// Fraction of non-tier-1 ASes that provide transit (tier 2).
+constexpr double kTransitFraction = 0.15;
+/// Fraction of ASes that are high-peering content providers (stub ASes with
+/// many peering links, modeling Google/Facebook, Section IV-B).
+constexpr double kContentProviderFraction = 0.005;
+/// Peering links per content provider (scaled by available transit ASes).
+constexpr std::size_t kContentProviderPeers = 30;
+/// Target fraction of adjacencies that are peering (Table I: 0.314).
+constexpr double kPeeringFraction = 0.314;
+/// Multihoming distribution: the probability of k providers is
+/// kMultihomingWeights[k-1].
+constexpr std::array<double, 4> kMultihomingWeights{0.45, 0.35, 0.15, 0.05};
+
 /// Weighted pick of a provider among `candidates` with weight
 /// (degree + 1) — classic preferential attachment, yielding the heavy-tailed
 /// degree distribution of the measured AS graph.
@@ -26,10 +39,9 @@ AsId pick_preferential(const AsGraph& g, std::span<const AsId> candidates,
   return candidates.back();
 }
 
-std::size_t sample_provider_count(const std::array<double, 4>& weights,
-                                  Rng& rng) {
+std::size_t sample_provider_count(Rng& rng) {
+  const auto& weights = kMultihomingWeights;
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  MIFO_EXPECTS(total > 0.0);
   double x = rng.uniform() * total;
   for (std::size_t k = 0; k < weights.size(); ++k) {
     x -= weights[k];
@@ -44,8 +56,6 @@ AsGraph generate_topology(const GeneratorParams& params) {
   MIFO_EXPECTS(params.num_ases >= 3);
   MIFO_EXPECTS(params.num_tier1 >= 1);
   MIFO_EXPECTS(params.num_tier1 <= params.num_ases);
-  MIFO_EXPECTS(params.peering_fraction >= 0.0 &&
-               params.peering_fraction < 1.0);
 
   Rng rng(params.seed);
   AsGraph g(params.num_ases);
@@ -53,7 +63,7 @@ AsGraph generate_topology(const GeneratorParams& params) {
   const std::size_t n = params.num_ases;
   const std::size_t t1 = std::min(params.num_tier1, n);
   const auto num_transit = static_cast<std::size_t>(
-      static_cast<double>(n - t1) * params.transit_fraction);
+      static_cast<double>(n - t1) * kTransitFraction);
   const std::size_t transit_end = t1 + num_transit;
 
   // --- Tier 1: full peering mesh. -----------------------------------------
@@ -75,8 +85,7 @@ AsGraph generate_topology(const GeneratorParams& params) {
   for (std::size_t i = t1; i < transit_end; ++i) {
     const AsId as(static_cast<std::uint32_t>(i));
     g.info(as).tier = 2;
-    const std::size_t want = sample_provider_count(params.multihoming_weights,
-                                                   rng);
+    const std::size_t want = sample_provider_count(rng);
     for (std::size_t k = 0; k < want; ++k) {
       const AsId provider = pick_preferential(g, transit_pool, rng);
       if (provider != as) g.add_provider_customer(provider, as);
@@ -88,8 +97,7 @@ AsGraph generate_topology(const GeneratorParams& params) {
   for (std::size_t i = transit_end; i < n; ++i) {
     const AsId as(static_cast<std::uint32_t>(i));
     g.info(as).tier = 3;
-    const std::size_t want = sample_provider_count(params.multihoming_weights,
-                                                   rng);
+    const std::size_t want = sample_provider_count(rng);
     for (std::size_t k = 0; k < want; ++k) {
       const AsId provider = pick_preferential(g, transit_pool, rng);
       g.add_provider_customer(provider, as);
@@ -100,14 +108,14 @@ AsGraph generate_topology(const GeneratorParams& params) {
   const auto num_cp = std::max<std::size_t>(
       n >= 1000 ? 1 : 0, static_cast<std::size_t>(
                              static_cast<double>(n) *
-                             params.content_provider_fraction));
+                             kContentProviderFraction));
   for (std::size_t c = 0; c < num_cp && transit_end < n; ++c) {
     const AsId as(static_cast<std::uint32_t>(
         transit_end + rng.bounded(n - transit_end)));
     if (g.info(as).content_provider) continue;
     g.info(as).content_provider = true;
     const std::size_t want =
-        std::min(params.content_provider_peers, transit_pool.size());
+        std::min(kContentProviderPeers, transit_pool.size());
     for (std::size_t k = 0; k < want; ++k) {
       const AsId peer = pick_preferential(g, transit_pool, rng);
       if (peer != as) g.add_peering(as, peer);
@@ -117,7 +125,7 @@ AsGraph generate_topology(const GeneratorParams& params) {
   // --- Fill remaining peering links up to the target mix. -----------------
   // Peers are drawn within the transit tiers (where real peering
   // concentrates), preferentially by degree.
-  const double target = params.peering_fraction;
+  const double target = kPeeringFraction;
   std::size_t attempts = 0;
   const std::size_t max_attempts = 40 * n;
   while (attempts++ < max_attempts) {

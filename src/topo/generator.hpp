@@ -5,11 +5,10 @@
 // The generator reproduces the structural properties MIFO's results depend
 // on: a tier-1 peering clique, a transit hierarchy with preferential
 // attachment (power-law degrees), multihomed stubs, high-peering content
-// providers, an acyclic provider/customer hierarchy, and a configurable
+// providers, an acyclic provider/customer hierarchy, and Table I's
 // P/C : peering mix.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -21,18 +20,6 @@ struct GeneratorParams {
   std::size_t num_ases = 4000;
   /// Size of the tier-1 clique (fully peered).
   std::size_t num_tier1 = 12;
-  /// Fraction of non-tier-1 ASes that provide transit (tier 2).
-  double transit_fraction = 0.15;
-  /// Fraction of ASes that are high-peering content providers (stub ASes
-  /// with many peering links, modeling Google/Facebook, Section IV-B).
-  double content_provider_fraction = 0.005;
-  /// Peering links per content provider (scaled by available transit ASes).
-  std::size_t content_provider_peers = 30;
-  /// Target fraction of adjacencies that are peering (Table I: 0.314).
-  double peering_fraction = 0.314;
-  /// Multihoming distribution: probability of k providers is
-  /// multihoming_weights[k-1] (normalised internally).
-  std::array<double, 4> multihoming_weights{0.45, 0.35, 0.15, 0.05};
   std::uint64_t seed = 1;
 };
 

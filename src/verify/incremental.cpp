@@ -93,7 +93,40 @@ void IncrementalVerifier::track_universe(std::span<const dp::Router> routers,
   }
 }
 
-IncrementalResult IncrementalVerifier::check(
+Verdict check_from_scratch(
+    const dp::Network& net, const topo::AsGraph& g,
+    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+    std::span<const std::pair<dp::Addr, AsId>> owners,
+    const IncrementalConfig& cfg) {
+  Verdict v;
+  v.loop = check_loop_freedom(net);
+  v.valley = check_valley_freedom(net);
+  v.lint = lint_deployment(net, g, daemons, owners);
+  if (cfg.blackhole) v.reach = check_reachability(net);
+  v.stats.destinations = v.loop.stats.destinations;
+  v.stats.dirty_destinations = v.loop.stats.destinations;
+  for (const VerifyStats* s : {&v.loop.stats, &v.valley.stats,
+                               &v.reach.stats}) {
+    v.stats.states_explored += s->states;
+    v.stats.edges_explored += s->edges;
+  }
+  return v;
+}
+
+bool same_findings(const Verdict& a, const Verdict& b) {
+  const auto same = [](const auto& xs, const auto& ys) {
+    return std::equal(xs.begin(), xs.end(), ys.begin(), ys.end(),
+                      [](const auto& x, const auto& y) {
+                        return x.to_string() == y.to_string();
+                      });
+  };
+  return a.loop.loop_free == b.loop.loop_free &&
+         same(a.loop.cycles, b.loop.cycles) &&
+         same(a.valley.violations, b.valley.violations) &&
+         same(a.lint, b.lint) && same(a.reach.blackholes, b.reach.blackholes);
+}
+
+Verdict IncrementalVerifier::check(
     const dp::Network& net, const topo::AsGraph& g,
     std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
     std::span<const std::pair<dp::Addr, AsId>> owners,
@@ -111,7 +144,7 @@ IncrementalResult IncrementalVerifier::check(
     return !contains(dests, kv.first);
   });
 
-  IncrementalResult result;
+  Verdict result;
   result.stats.destinations = dests.size();
   result.loop.stats.destinations = dests.size();
   result.valley.stats.destinations = dests.size();

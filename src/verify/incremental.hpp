@@ -26,9 +26,10 @@
 // through the data-plane writes they cause, and each of those is logged.
 //
 // Contract (enforced by the differential property tests and the chaos
-// engine's differential mode): the merged incremental result is verdict-,
-// counterexample- and lint-identical to a from-scratch full-prover run on
-// the same state. The full provers are retained untouched as the oracle.
+// engine's differential mode): the merged incremental verdict is verdict-,
+// counterexample- and lint-identical to check_from_scratch on the same
+// state (same_findings). The full provers are retained untouched as the
+// oracle, and check_from_scratch is the one place that runs them all.
 #pragma once
 
 #include <map>
@@ -68,7 +69,7 @@ struct IncrementalConfig {
   bool blackhole = false;
 };
 
-/// Cost accounting for one check() round.
+/// Cost accounting for one verification round.
 struct IncrementalStats {
   std::size_t destinations = 0;        ///< destinations in the universe
   std::size_t dirty_destinations = 0;  ///< re-proved this round
@@ -77,18 +78,37 @@ struct IncrementalStats {
   std::size_t edges_explored = 0;      ///< edges re-explored this round
 };
 
-struct IncrementalResult {
-  /// Merged over every destination (cached + recomputed), destination-
-  /// ascending like the full prover. `loop.stats` aggregates the cached
-  /// per-destination exploration costs (what the proofs cost when last
-  /// computed); the cost of THIS round is in `stats`.
+/// One snapshot's verdict, from the incremental verifier or from scratch.
+struct Verdict {
+  /// Over every FIB destination, destination-ascending. Incrementally,
+  /// `loop.stats` aggregates the cached per-destination exploration costs
+  /// (what the proofs cost when last computed); the cost of THIS round is
+  /// in `stats`.
   LoopCheck loop;
   ValleyCheck valley;
   std::vector<LintIssue> lint;  ///< destination-ascending, daemon order
                                 ///< within one, like the full lint pass
-  ReachabilityCheck reach;
+  ReachabilityCheck reach;      ///< empty unless IncrementalConfig::blackhole
   IncrementalStats stats;
+
+  /// Loop- and valley-free, lint-clean and (when analysed) blackhole-free.
+  [[nodiscard]] bool clean() const {
+    return loop.loop_free && valley.valley_free && lint.empty() && reach.clean;
+  }
 };
+
+/// The untouched full provers over every FIB destination, under `cfg`: the
+/// oracle the incremental verifier must match. `stats` counts every
+/// destination as re-proved and no cache hit.
+[[nodiscard]] Verdict check_from_scratch(
+    const dp::Network& net, const topo::AsGraph& g,
+    std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+    std::span<const std::pair<dp::Addr, AsId>> owners,
+    const IncrementalConfig& cfg = {});
+
+/// Whether two verdicts agree: `loop_free` and the rendered cycles, valleys,
+/// lints and blackholes, in order (both paths emit destination-ascending).
+[[nodiscard]] bool same_findings(const Verdict& a, const Verdict& b);
 
 class IncrementalVerifier {
  public:
@@ -104,11 +124,10 @@ class IncrementalVerifier {
   /// the network records all of them). The caller clears `log` afterwards
   /// (or keeps accumulating — re-proving a clean destination is wasteful
   /// but harmless).
-  IncrementalResult check(const dp::Network& net, const topo::AsGraph& g,
-                          std::span<const std::unique_ptr<core::MifoDaemon>>
-                              daemons,
-                          std::span<const std::pair<dp::Addr, AsId>> owners,
-                          const dp::ChangeLog& log);
+  Verdict check(const dp::Network& net, const topo::AsGraph& g,
+                std::span<const std::unique_ptr<core::MifoDaemon>> daemons,
+                std::span<const std::pair<dp::Addr, AsId>> owners,
+                const dp::ChangeLog& log);
 
   /// Drops every cached proof (the next check() re-sweeps the FIBs and
   /// re-proves everything).

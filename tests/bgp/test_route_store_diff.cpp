@@ -216,7 +216,9 @@ TEST_P(RouteStoreDiff, ViewsMatchOracleForEveryAsNeighborDest) {
         const auto got = store.rib_from(as, nb.as);
         ASSERT_EQ(got.has_value(), want.has_value())
             << "as " << i << " nb " << nb.as.value();
-        if (want) ASSERT_EQ(*got, *want);
+        if (want) {
+          ASSERT_EQ(*got, *want);
+        }
       }
     }
   }

@@ -88,9 +88,9 @@ TEST(ChaosDifferential, HealthyChurnHasZeroMismatches) {
   EXPECT_EQ(report.route_events, 4u);
   EXPECT_EQ(report.route_differential_mismatches, 0u);
   EXPECT_GT(report.total_route_recomputed, 0u);
-  std::size_t span_recomputed = 0;
-  for (const auto& sp : report.spans) span_recomputed += sp.route_recomputed;
-  EXPECT_EQ(span_recomputed, report.total_route_recomputed);
+  std::size_t event_recomputed = 0;
+  for (const auto& ae : report.log) event_recomputed += ae.route_recomputed;
+  EXPECT_EQ(event_recomputed, report.total_route_recomputed);
 }
 
 TEST(ChaosDifferential, IncrementalModeAgreesWithFullOnTheSamePlan) {
@@ -112,20 +112,20 @@ TEST(ChaosDifferential, IncrementalModeAgreesWithFullOnTheSamePlan) {
   EXPECT_EQ(full.violations.size(), inc.violations.size());
   // Full mode re-proves everything at every snapshot (its cumulative
   // incremental accounting stays zero); incremental must not — that is
-  // the whole point of the dirty-set machinery. The per-span cost rows
+  // the whole point of the dirty-set machinery. The per-event cost columns
   // are filled in both modes, so they give the fair comparison.
   EXPECT_EQ(full.total_cache_hits, 0u);
   EXPECT_EQ(full.total_dirty_destinations, 0u);
   EXPECT_GT(inc.total_cache_hits, 0u);
   std::size_t full_reproved = 0;
   std::size_t inc_reproved = 0;
-  for (const auto& sp : full.spans) full_reproved += sp.dirty_destinations;
-  for (const auto& sp : inc.spans) inc_reproved += sp.dirty_destinations;
+  for (const auto& ae : full.log) full_reproved += ae.dirty_destinations;
+  for (const auto& ae : inc.log) inc_reproved += ae.dirty_destinations;
   EXPECT_LT(inc_reproved, full_reproved);
 
-  // Per-span cost accounting reached the report.
+  // Per-event cost accounting reached the report.
   bool any_cached = false;
-  for (const auto& sp : inc.spans) any_cached |= sp.cache_hits > 0;
+  for (const auto& ae : inc.log) any_cached |= ae.cache_hits > 0;
   EXPECT_TRUE(any_cached);
 }
 
@@ -161,15 +161,17 @@ TEST(ChaosDifferential, SessionTogglesDirtyNothingAtInjection) {
   EXPECT_EQ(report.route_differential_mismatches, 0u);
   ASSERT_EQ(report.events_applied, 5u);
   std::size_t toggles = 0;
-  for (const Span& sp : report.spans) {
-    if (sp.kind != EventKind::LinkDown && sp.kind != EventKind::LinkUp) {
+  for (std::size_t i = 0; i < report.log.size(); ++i) {
+    const AppliedEvent& ae = report.log[i];
+    if (ae.event.kind != EventKind::LinkDown &&
+        ae.event.kind != EventKind::LinkUp) {
       continue;
     }
     ++toggles;
-    ASSERT_GT(sp.route_recomputed + sp.route_patched, 0u)
-        << "event " << sp.event_index << " left the delta table unmoved";
-    EXPECT_EQ(sp.dirty_destinations, 0u) << "event " << sp.event_index;
-    EXPECT_EQ(sp.states_explored, 0u) << "event " << sp.event_index;
+    ASSERT_GT(ae.route_recomputed + ae.route_patched, 0u)
+        << "event " << i << " left the delta table unmoved";
+    EXPECT_EQ(ae.dirty_destinations, 0u) << "event " << i;
+    EXPECT_EQ(ae.states_explored, 0u) << "event " << i;
   }
   EXPECT_EQ(toggles, 4u);
 }

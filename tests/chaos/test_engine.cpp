@@ -74,10 +74,43 @@ TEST(ChaosEngine, LinkFlapStaysSafeAndFlowsComplete) {
   EXPECT_EQ(report.checks_run, report.checks_clean);
   // The fail->recover pair resolved to a concrete recovery latency.
   ASSERT_EQ(report.log.size(), 2u);
-  EXPECT_GE(report.log[0].recovery_latency, 0.0);
+  EXPECT_GE(report.log[0].recovery_latency(), 0.0);
 
   f.em.net->run_to_completion(60.0);
   for (const auto& fl : f.em.net->flows()) EXPECT_TRUE(fl.done);
+}
+
+// A recovery pairs with the failure on its own subject: a link named
+// either way round, and never a concurrent fault on another link of the
+// same AS.
+TEST(ChaosEngine, RecoveryPairsWithTheFailureOnItsOwnLink) {
+  const auto run = [](const std::string& text) {
+    Fixture f = Fixture::make(5);  // tier-1 clique: AS 0 peers with 1 and 2
+    Engine engine(f.em, f.g);
+    return engine.run(parse_or_die(text));
+  };
+  const Report reversed = run(
+      "duration 0.6\n"
+      "at 0.1 link-down 0 1\n"
+      "at 0.3 link-up 1 0\n");
+  ASSERT_EQ(reversed.log.size(), 2u);
+  ASSERT_TRUE(reversed.log[0].applied && reversed.log[1].applied);
+  EXPECT_TRUE(reversed.safe);
+  EXPECT_EQ(reversed.log[0].t_reconverged, 0.3);
+  EXPECT_NEAR(reversed.log[0].recovery_latency(), 0.2, 1e-9);
+
+  const Report interleaved = run(
+      "duration 0.8\n"
+      "at 0.1 link-down 0 1\n"
+      "at 0.2 link-down 0 2\n"
+      "at 0.3 link-up 0 1\n"
+      "at 0.5 link-up 0 2\n");
+  ASSERT_EQ(interleaved.log.size(), 4u);
+  EXPECT_TRUE(interleaved.safe);
+  EXPECT_EQ(interleaved.log[0].t_reconverged, 0.3);
+  EXPECT_EQ(interleaved.log[1].t_reconverged, 0.5);
+  EXPECT_NEAR(interleaved.log[0].recovery_latency(), 0.2, 1e-9);
+  EXPECT_NEAR(interleaved.log[1].recovery_latency(), 0.3, 1e-9);
 }
 
 TEST(ChaosEngine, WithdrawReannounceRoundTripKeepsDelivery) {

@@ -32,7 +32,6 @@ class ForwardingEngineTest : public ::testing::Test {
     ibgp_ = net_.connect_ibgp(rx_, peer_ibgp_).first;
 
     router().config().mifo_enabled = true;
-    router().config().congest_threshold = 0.5;
     router().fib().set_route(kDst, out_def_);
   }
 
@@ -225,11 +224,10 @@ TEST_F(ForwardingEngineTest, ReevaluateKeepsPinsWhileEgressBusy) {
 
 TEST_F(ForwardingEngineTest, IdlePinsExpire) {
   router().fib().set_alt(kDst, out_alt_);
-  router().config().pin_idle_timeout = 0.5;
   congest_default();
   router().handle_packet(net_, data_packet(7), in_cust_);
   ASSERT_EQ(router().pinned_alt_flows(), 1u);
-  net_.run_until(1.0);
+  net_.run_until(1.5);  // past the router's 1 s pin idle timeout
   router().reevaluate_flows(net_, [](PortId) { return 0.95; });
   EXPECT_EQ(router().pinned_alt_flows(), 0u);
 }

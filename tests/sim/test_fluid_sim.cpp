@@ -356,7 +356,8 @@ TEST(FluidSim, RouteCacheBytesGaugeTracksWarmedStores) {
   tp.dest_pool = 16;
   tp.seed = 5;
   sim.set_deployment(traffic::random_deployment(g.num_ases(), 0.5, 3));
-  sim.run(traffic::uniform_traffic(g, tp));
+  const auto records = sim.run(traffic::uniform_traffic(g, tp));
+  EXPECT_EQ(records.size(), tp.num_flows);
   EXPECT_GE(
       reg.snapshot().value_or("sim.route_cache_bytes", -1.0, "arm=test"),
       static_cast<double>(expect));

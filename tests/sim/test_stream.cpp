@@ -243,7 +243,9 @@ TEST(RunStream, MaxTimeTruncatesOpenLoopRun) {
   std::size_t incomplete = 0;
   for (const auto& r : res.records) {
     if (!r.completed && !r.unreachable) ++incomplete;
-    if (r.completed) EXPECT_LE(r.finish, 1.0 + 1e-9);
+    if (r.completed) {
+      EXPECT_LE(r.finish, 1.0 + 1e-9);
+    }
   }
   EXPECT_GT(incomplete, 0u);
   for (const auto& s : res.load) EXPECT_LE(s.t, 1.0 + 1e-9);

@@ -20,10 +20,7 @@
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/generator.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/valley.hpp"
 
 namespace mifo {
 namespace {
@@ -66,29 +63,23 @@ std::vector<std::string> rendered(const auto& findings) {
   return out;
 }
 
-struct FullRun {
-  verify::LoopCheck loop;
-  verify::ValleyCheck valley;
-  std::vector<verify::LintIssue> lints;
-};
-
-FullRun full_run(const Deployment& d) {
-  const dp::Network& net = *d.em.net;
-  return {verify::check_loop_freedom(net), verify::check_valley_freedom(net),
-          verify::lint_deployment(net, d.g, d.em.daemons, d.owners)};
+verify::Verdict full_run(const Deployment& d) {
+  return verify::check_from_scratch(*d.em.net, d.g, d.em.daemons, d.owners);
 }
 
 // Element-identical, not just verdict-identical: every finding names one
 // destination and both sides emit destination-ascending (the lints in
 // daemon order within a destination), so everything compares as sequences.
-void expect_identical(const verify::IncrementalResult& inc, const FullRun& full,
+// Field by field for the diagnostics; same_findings must agree.
+void expect_identical(const verify::Verdict& inc, const verify::Verdict& full,
                       const std::string& context) {
   EXPECT_EQ(inc.loop.loop_free, full.loop.loop_free) << context;
   EXPECT_EQ(rendered(inc.loop.cycles), rendered(full.loop.cycles)) << context;
   EXPECT_EQ(inc.valley.valley_free, full.valley.valley_free) << context;
   EXPECT_EQ(rendered(inc.valley.violations), rendered(full.valley.violations))
       << context;
-  EXPECT_EQ(rendered(inc.lint), rendered(full.lints)) << context;
+  EXPECT_EQ(rendered(inc.lint), rendered(full.lint)) << context;
+  EXPECT_TRUE(verify::same_findings(inc, full)) << context;
 }
 
 /// An address no host owns: installing it creates a new destination.
@@ -153,6 +144,14 @@ TEST(Incremental, ColdPassProvesEverythingAndMatchesFull) {
   EXPECT_GT(cold.stats.states_explored, 0u);
   EXPECT_EQ(inc.cached_destinations(), d.owners.size());
   expect_identical(cold, full_run(d), "cold pass");
+
+  // The comparison sees one extra finding, or a flipped loop verdict.
+  verify::Verdict other = cold;
+  other.reach.blackholes.push_back(verify::Blackhole{});
+  EXPECT_FALSE(verify::same_findings(cold, other));
+  other = cold;
+  other.loop.loop_free = !other.loop.loop_free;
+  EXPECT_FALSE(verify::same_findings(cold, other));
 
   // A warm pass with no changes at all is pure cache: zero exploration,
   // same merged result.

@@ -1,9 +1,10 @@
-// mifo-trace — timeline and recovery-span reader (docs/OBSERVABILITY.md).
+// mifo-trace — timeline and fault-milestone reader (docs/OBSERVABILITY.md).
 //
 // Renders the observability sections of a mifo.run_artifact.v1 file (or an
 // artifact on stdin via "-"): hop-by-hop flow paths reconstructed from the
-// tracer's timeline, per-failure recovery spans with the per-class latency
-// breakdown, and the top-N congested inter-AS links.
+// `timeline` section, a fault table built from the applied rows of
+// `chaos.events` with the `chaos.recovery_by_class` latency breakdown, and
+// the top-N congested inter-AS links from `links`.
 //
 //   mifo-trace chaos_run.json                 # everything
 //   mifo-trace chaos_run.json --flow 3        # one flow's annotated walk
@@ -11,10 +12,10 @@
 //   mifo-trace chaos_run.json --check         # gate mode: validate ordering
 //
 // Gate mode (--check) asserts the timeline's sim time never decreases (the
-// tracer's ring holds events in dispatch order) and that every span's
-// milestones are causally ordered. Exit 0 = valid, 1 = usage/input error
-// (malformed JSON, a wrongly shaped section, an event without numeric "t",
-// an id field that is not an unsigned integer), 2 = violated.
+// tracer's ring holds events in dispatch order) and that every applied
+// fault's milestones are causally ordered. Exit 0 = valid, 1 = usage/input
+// error (malformed JSON, a wrongly shaped section, an event without numeric
+// "t", an id field that is not an unsigned integer), 2 = violated.
 // All output is a pure function of the artifact bytes, so two renderings
 // of byte-identical artifacts are themselves byte-identical.
 
@@ -26,6 +27,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flags.hpp"
@@ -55,7 +57,7 @@ void usage(const char* argv0) {
       "  --flow N     render only flow N's hop-by-hop walk\n"
       "  --flows N    cap the number of flows rendered (default 8)\n"
       "  --links N    top-N congested links (default 5)\n"
-      "  --check      validate timeline ordering + span causality; quiet\n",
+      "  --check      validate timeline ordering + fault causality; quiet\n",
       argv0);
 }
 
@@ -165,7 +167,8 @@ bool check_shape(const obs::Json& root) {
       {tl, "timeline", false},
       {tl != nullptr ? tl->find("events") : nullptr, "timeline.events", true},
       {chaos, "chaos", false},
-      {chaos != nullptr ? chaos->find("spans") : nullptr, "chaos.spans", true},
+      {chaos != nullptr ? chaos->find("events") : nullptr, "chaos.events",
+       true},
       {chaos != nullptr ? chaos->find("recovery_by_class") : nullptr,
        "chaos.recovery_by_class", false},
       {root.find("links"), "links", true},
@@ -180,6 +183,20 @@ bool check_shape(const obs::Json& root) {
     return false;
   }
   return true;
+}
+
+/// The applied rows of `chaos.events` (the faults), with their indices.
+std::vector<std::pair<std::size_t, const obs::Json*>> applied_faults(
+    const obs::Json& chaos) {
+  std::vector<std::pair<std::size_t, const obs::Json*>> out;
+  const obs::Json* events = chaos.find("events");
+  if (events == nullptr) return out;
+  for (std::size_t i = 0; i < events->items().size(); ++i) {
+    const obs::Json& e = events->items()[i];
+    const obs::Json* applied = e.find("applied");
+    if (applied != nullptr && applied->truth()) out.emplace_back(i, &e);
+  }
+  return out;
 }
 
 int check_artifact(const obs::Json& root) {
@@ -211,25 +228,22 @@ int check_artifact(const obs::Json& root) {
     prev_t = t;
     ++idx;
   }
-  // Span causality: injected <= first_impact, reconverged <= verified.
+  // Fault causality: injected <= first_impact, reconverged <= verified.
   if (const obs::Json* chaos = root.find("chaos")) {
-    if (const obs::Json* spans = chaos->find("spans")) {
-      std::size_t si = 0;
-      for (const obs::Json& sp : spans->items()) {
-        const double inj = num_of(sp, "t_injected", 0.0);
-        const double imp = num_of(sp, "t_first_impact", inj);
-        const double rec = num_of(sp, "t_reconverged", inj);
-        const double ver = num_of(sp, "t_verified", rec);
-        if (imp < inj || rec < inj || ver < rec) {
-          std::fprintf(stderr, "mifo-trace: span %zu not causally ordered\n",
-                       si);
-          return 2;
-        }
-        ++si;
+    for (const auto& [i, e] : applied_faults(*chaos)) {
+      const double inj = num_of(*e, "t", 0.0);
+      const double imp = num_of(*e, "t_first_impact", inj);
+      const double rec = num_of(*e, "t_reconverged", inj);
+      const double ver = num_of(*e, "t_verified", rec);
+      if (imp < inj || rec < inj || ver < rec) {
+        std::fprintf(stderr,
+                     "mifo-trace: chaos.events[%zu] not causally ordered\n",
+                     i);
+        return 2;
       }
     }
   }
-  std::printf("mifo-trace: OK (%zu timeline events, ordering and span "
+  std::printf("mifo-trace: OK (%zu timeline events, ordering and fault "
               "causality hold)\n",
               idx);
   return 0;
@@ -289,9 +303,9 @@ bool render_flows(const obs::Json& tl, const Options& opt) {
   return true;
 }
 
-void render_spans(const obs::Json& chaos) {
-  const obs::Json* spans = chaos.find("spans");
-  if (spans == nullptr || spans->items().empty()) {
+void render_faults(const obs::Json& chaos) {
+  const auto faults = applied_faults(chaos);
+  if (faults.empty()) {
     std::printf("spans: none (no applied fault events)\n");
     return;
   }
@@ -299,11 +313,11 @@ void render_spans(const obs::Json& chaos) {
   std::printf("%-4s %-14s %10s %12s %12s %10s %9s %7s %9s %7s\n", "idx",
               "kind", "injected", "first_impact", "reconverged", "verified",
               "latency", "dirty", "vstates", "cached");
-  for (const obs::Json& sp : spans->items()) {
-    const double inj = num_of(sp, "t_injected", 0.0);
-    const double imp = num_of(sp, "t_first_impact", -1.0);
-    const double rec = num_of(sp, "t_reconverged", -1.0);
-    const double ver = num_of(sp, "t_verified", -1.0);
+  for (const auto& [i, e] : faults) {
+    const double inj = num_of(*e, "t", 0.0);
+    const double imp = num_of(*e, "t_first_impact", -1.0);
+    const double rec = num_of(*e, "t_reconverged", -1.0);
+    const double ver = num_of(*e, "t_verified", -1.0);
     char imp_s[24] = "-";
     char rec_s[24] = "-";
     char ver_s[24] = "-";
@@ -312,12 +326,11 @@ void render_spans(const obs::Json& chaos) {
     if (rec >= 0.0) std::snprintf(rec_s, sizeof(rec_s), "%.4f", rec);
     if (ver >= 0.0) std::snprintf(ver_s, sizeof(ver_s), "%.4f", ver);
     if (ver >= 0.0) std::snprintf(lat_s, sizeof(lat_s), "%.4f", ver - inj);
-    std::printf("%-4.0f %-14s %10.4f %12s %12s %10s %9s %7.0f %9.0f %7.0f\n",
-                num_of(sp, "event_index", 0.0), text_of(sp, "kind").c_str(),
-                inj, imp_s, rec_s, ver_s, lat_s,
-                num_of(sp, "dirty_destinations", 0.0),
-                num_of(sp, "states_explored", 0.0),
-                num_of(sp, "cache_hits", 0.0));
+    std::printf("%-4zu %-14s %10.4f %12s %12s %10s %9s %7.0f %9.0f %7.0f\n",
+                i, text_of(*e, "kind").c_str(), inj, imp_s, rec_s, ver_s,
+                lat_s, num_of(*e, "dirty_destinations", 0.0),
+                num_of(*e, "states_explored", 0.0),
+                num_of(*e, "cache_hits", 0.0));
   }
   if (const obs::Json* classes = chaos.find("recovery_by_class")) {
     if (!classes->members().empty()) {
@@ -410,7 +423,7 @@ int main(int argc, char** argv) {
     std::printf("timeline: absent (run without tracing)\n");
   }
   if (const obs::Json* chaos = root.find("chaos")) {
-    render_spans(*chaos);
+    render_faults(*chaos);
   }
   if (const obs::Json* links = root.find("links")) {
     render_links(*links, opt.links);

@@ -36,11 +36,7 @@
 #include "topo/analysis.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialization.hpp"
-#include "verify/deflection_graph.hpp"
 #include "verify/incremental.hpp"
-#include "verify/lint.hpp"
-#include "verify/reachability.hpp"
-#include "verify/valley.hpp"
 
 using namespace mifo;
 
@@ -273,104 +269,71 @@ int main(int argc, char** argv) {
   }
 
   // Verification proper. Under --incremental the warm dirty-set pass
-  // produces the verdicts and the untouched full provers act as the oracle;
-  // otherwise the full provers run directly.
-  verify::LoopCheck loop_check;
-  verify::ValleyCheck valley_check;
-  verify::ReachabilityCheck reach;
-  std::vector<verify::LintIssue> deployment_issues;
+  // produces the verdict and the from-scratch run is its oracle; otherwise
+  // the from-scratch run is the verdict.
+  verify::Verdict verdict;
   bool differential_ok = true;
-
-  const auto rendered = [](const auto& items) {
-    std::vector<std::string> out;
-    out.reserve(items.size());
-    for (const auto& item : items) out.push_back(item.to_string());
-    return out;
-  };
-
   if (opt.incremental) {
-    auto warm = inc.check(net, g, em.daemons, owners, change_log);
+    verdict = inc.check(net, g, em.daemons, owners, change_log);
     change_log.clear();
     if (!opt.quiet) {
       std::printf("incremental: warm pass re-proved %zu/%zu destinations "
                   "(%zu cache hits, %zu states explored)\n",
-                  warm.stats.dirty_destinations, warm.stats.destinations,
-                  warm.stats.cache_hits, warm.stats.states_explored);
+                  verdict.stats.dirty_destinations, verdict.stats.destinations,
+                  verdict.stats.cache_hits, verdict.stats.states_explored);
     }
-    // Differential oracle: the merged incremental result must be verdict-
-    // and counterexample-identical to a from-scratch full run, in order
-    // (both sides emit destination-ascending).
-    const auto full_loop = verify::check_loop_freedom(net);
-    const auto full_valley = verify::check_valley_freedom(net);
-    const auto full_lint = verify::lint_deployment(net, g, em.daemons, owners);
-    differential_ok =
-        full_loop.loop_free == warm.loop.loop_free &&
-        rendered(full_loop.cycles) == rendered(warm.loop.cycles) &&
-        rendered(full_valley.violations) == rendered(warm.valley.violations) &&
-        rendered(full_lint) == rendered(warm.lint);
-    if (opt.blackhole) {
-      const auto full_reach = verify::check_reachability(net);
-      differential_ok =
-          differential_ok &&
-          rendered(full_reach.blackholes) == rendered(warm.reach.blackholes);
-    }
+    differential_ok = verify::same_findings(
+        verdict,
+        verify::check_from_scratch(net, g, em.daemons, owners, inc.config()));
     std::printf("differential: incremental verdicts %s the full provers\n",
                 differential_ok ? "identical to" : "DIVERGED from");
-    loop_check = std::move(warm.loop);
-    valley_check = std::move(warm.valley);
-    reach = std::move(warm.reach);
-    deployment_issues = std::move(warm.lint);
   } else {
-    loop_check = verify::check_loop_freedom(net);
-    valley_check = verify::check_valley_freedom(net);
-    if (opt.blackhole) reach = verify::check_reachability(net);
-    deployment_issues = verify::lint_deployment(net, g, em.daemons, owners);
+    verdict = verify::check_from_scratch(net, g, em.daemons, owners,
+                                         inc.config());
   }
   auto issues = verify::lint_topology(g);
-  issues.insert(issues.end(), deployment_issues.begin(),
-                deployment_issues.end());
+  issues.insert(issues.end(), verdict.lint.begin(), verdict.lint.end());
 
   if (!opt.quiet) {
     std::printf("deployment: %zu routers, %zu prefixes, %zu alt routes "
                 "installed\n",
-                net.num_routers(), loop_check.stats.destinations, alt_routes);
+                net.num_routers(), verdict.loop.stats.destinations, alt_routes);
     std::printf("deflection graph: %zu states, %zu edges explored\n",
-                loop_check.stats.states, loop_check.stats.edges);
+                verdict.loop.stats.states, verdict.loop.stats.edges);
     for (const auto& issue : issues) {
       std::printf("lint: %s\n", issue.to_string().c_str());
     }
   }
 
-  for (const auto& cycle : loop_check.cycles) {
+  for (const auto& cycle : verdict.loop.cycles) {
     std::printf("COUNTEREXAMPLE %s\n", cycle.to_string().c_str());
   }
-  for (const auto& v : valley_check.violations) {
+  for (const auto& v : verdict.valley.violations) {
     std::printf("COUNTEREXAMPLE valley %s\n", v.to_string().c_str());
   }
-  for (const auto& b : reach.blackholes) {
+  for (const auto& b : verdict.reach.blackholes) {
     std::printf("COUNTEREXAMPLE %s\n", b.to_string().c_str());
   }
-  const bool clean = loop_check.loop_free && valley_check.valley_free &&
-                     reach.clean && issues.empty() && differential_ok;
+  const bool clean = verdict.clean() && issues.empty() && differential_ok;
   if (clean) {
     std::printf("verdict: LOOP-FREE (%zu destinations, lint clean)\n",
-                loop_check.stats.destinations);
+                verdict.loop.stats.destinations);
     return 0;
   }
-  const char* verdict = "LINT-DIRTY";
-  if (!loop_check.loop_free) {
-    verdict = "CYCLE-FOUND";
-  } else if (!valley_check.valley_free) {
-    verdict = "VALLEY-FOUND";
-  } else if (!reach.clean) {
-    verdict = "BLACKHOLE-FOUND";
+  const char* label = "LINT-DIRTY";
+  if (!verdict.loop.loop_free) {
+    label = "CYCLE-FOUND";
+  } else if (!verdict.valley.valley_free) {
+    label = "VALLEY-FOUND";
+  } else if (!verdict.reach.clean) {
+    label = "BLACKHOLE-FOUND";
   } else if (!differential_ok) {
-    verdict = "DIFFERENTIAL-MISMATCH";
+    label = "DIFFERENTIAL-MISMATCH";
   }
   std::printf("verdict: %s (%zu cycles, %zu valleys, %zu blackholes, "
               "%zu lint issues)\n",
-              verdict, loop_check.cycles.size(),
-              valley_check.violations.size(), reach.blackholes.size(),
-              issues.size());
+              label, verdict.loop.cycles.size(),
+              verdict.valley.violations.size(),
+              verdict.reach.blackholes.size(), issues.size());
   return 2;
 }
