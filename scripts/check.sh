@@ -7,7 +7,8 @@
 # clang-tidy pass (scripts/lint.sh — skipped when LLVM is absent), then the
 # concurrency-sensitive tests once under ThreadSanitizer, the whole suite
 # once under UBSan (MIFO_SANITIZE; see the top-level CMakeLists), the
-# verify/chaos/topo/core/obs/sim suites under ASan+UBSan, and the gcov
+# verify/chaos/topo/core/obs/sim/dataplane/integration suites under
+# ASan+UBSan, and the gcov
 # coverage leg (scripts/coverage.sh; MIFO_SKIP_COVERAGE=1 to skip).
 #
 #   scripts/check.sh [build_dir] [tsan_build_dir] [ubsan_build_dir] [cov_dir]
@@ -220,7 +221,23 @@ expect_exit 2 stdout "COUNTEREXAMPLE" "cycle" "verdict: UNSAFE" -- \
 # verify-cost columns are exercised there too.
 MIFO_ARTIFACT_DIR="$artifact_dir" \
   "$build_dir"/tools/mifo-chaos --gen --ases 36 --seed 5 --duration 3.0 \
-  --rate 30 --flows 24 --verify-mode differential -q
+  --rate 30 --flows 24 --verify-mode differential \
+  > "$artifact_dir/chaos_3s.txt"
+# Its event table keeps one status column, however long an event's exact
+# rendering runs (degrade events run to 55 characters).
+python3 - "$artifact_dir/chaos_3s.txt" <<'PY'
+import re, sys
+offsets = set()
+lines = 0
+for line in open(sys.argv[1]):
+    if line.startswith("  at "):
+        lines += 1
+        offsets.add(re.search(r" (applied|skipped)", line).start(1))
+assert lines > 0, "no event lines"
+assert len(offsets) == 1, f"status column starts at offsets {sorted(offsets)}"
+print(f"chaos event table OK: {lines} event lines, status column at "
+      f"offset {offsets.pop()}")
+PY
 python3 - "$artifact_dir/chaos_run.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -600,15 +617,18 @@ cmake -B "$ubsan_dir" -S . -DMIFO_SANITIZE=undefined
 cmake --build "$ubsan_dir" -j "$jobs"
 ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 
-echo "=== ASan+UBSan: verify/chaos/topo/core/obs/sim suites (${asan_dir}) ==="
+echo "=== ASan+UBSan: verify/chaos/topo/core/obs/sim/dataplane/integration" \
+     "suites (${asan_dir}) ==="
 # Memory errors (use-after-free, overflow, leaks) in the verifier, the chaos
 # engine, the topology parser and the JSON parser, which take untrusted
-# input, and in the MIFO daemon and the max-min solver, which index dense
-# tables by computed offsets.
+# input, and in the MIFO daemon, the max-min solver and the packet plane's
+# event queue, which index dense tables, a slab and intrusive lists by
+# computed offsets.
+asan_tests=(test_verify test_chaos test_topo test_core test_obs test_sim
+            test_dataplane test_integration)
 cmake -B "$asan_dir" -S . -DMIFO_SANITIZE=address,undefined
-cmake --build "$asan_dir" -j "$jobs" \
-  --target test_verify test_chaos test_topo test_core test_obs test_sim
-for t in test_verify test_chaos test_topo test_core test_obs test_sim; do
+cmake --build "$asan_dir" -j "$jobs" --target "${asan_tests[@]}"
+for t in "${asan_tests[@]}"; do
   "$asan_dir"/tests/"$t"
 done
 

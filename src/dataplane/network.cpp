@@ -167,11 +167,9 @@ FlowId Network::register_flow(const FlowParams& params) {
 FlowId Network::start_flow(const FlowParams& params) {
   const FlowId id = register_flow(params);
 
-  Event ev;
-  ev.t = std::max(params.start, now_);
-  ev.kind = EvKind::FlowStart;
-  ev.a = static_cast<std::uint32_t>(flows_.size() - 1);
-  push_event(ev);
+  push_event(std::max(params.start, now_),
+             {.kind = EvKind::FlowStart,
+              .a = static_cast<std::uint32_t>(flows_.size() - 1)});
   return id;
 }
 
@@ -189,11 +187,9 @@ void Network::add_periodic(SimTime interval,
                            std::function<void(Network&, SimTime)> fn) {
   MIFO_EXPECTS(interval > 0.0);
   periodics_.push_back(PeriodicTask{interval, std::move(fn)});
-  Event ev;
-  ev.t = now_ + interval;
-  ev.kind = EvKind::Periodic;
-  ev.a = static_cast<std::uint32_t>(periodics_.size() - 1);
-  push_event(ev);
+  push_event(now_ + interval,
+             {.kind = EvKind::Periodic,
+              .a = static_cast<std::uint32_t>(periodics_.size() - 1)});
 }
 
 void Network::enable_delivery_trace(SimTime bucket_width) {
@@ -203,33 +199,30 @@ void Network::enable_delivery_trace(SimTime bucket_width) {
 }
 
 void Network::run_until(SimTime t_end) {
-  while (!events_.empty() && events_.top().t <= t_end) {
-    const Event ev = events_.top();
-    events_.pop();
-    now_ = ev.t;
-    dispatch(ev);
-  }
+  run_events(t_end);
   now_ = std::max(now_, t_end);
 }
 
-void Network::run_to_completion(SimTime t_cap) {
-  while (!events_.empty() && events_.top().t <= t_cap) {
-    const Event ev = events_.top();
-    events_.pop();
-    now_ = ev.t;
+void Network::run_to_completion(SimTime t_cap) { run_events(t_cap); }
+
+void Network::run_events(SimTime bound) {
+  Event ev;
+  while (events_.pop_at_most(bound, now_, ev)) {
+    ++events_dispatched_;
     dispatch(ev);
   }
 }
 
-void Network::push_event(Event ev) {
-  ev.order = event_seq_++;
-  events_.push(std::move(ev));
+void Network::push_event(SimTime t, Event ev) {
+  MIFO_EXPECTS(t >= now_);
+  events_.push(t, std::move(ev));
 }
 
-void Network::dispatch(const Event& ev) {
+void Network::dispatch(Event& ev) {
   switch (ev.kind) {
     case EvKind::ArriveRouter:
-      router(RouterId(ev.a)).handle_packet(*this, ev.pkt, PortId(ev.b));
+      router(RouterId(ev.a))
+          .handle_packet(*this, std::move(ev.pkt), PortId(ev.b));
       break;
     case EvKind::ArriveHost:
       deliver_to_host(HostId(ev.a), ev.pkt);
@@ -266,11 +259,7 @@ void Network::dispatch(const Event& ev) {
     case EvKind::Periodic: {
       PeriodicTask& task = periodics_[ev.a];
       task.fn(*this, now_);
-      Event next;
-      next.t = now_ + task.interval;
-      next.kind = EvKind::Periodic;
-      next.a = ev.a;
-      push_event(next);
+      push_event(now_ + task.interval, {.kind = EvKind::Periodic, .a = ev.a});
       break;
     }
   }
@@ -317,56 +306,43 @@ void Network::begin_tx(NodeRef node, Port& port, std::uint32_t port_index) {
 
   const SimTime tx = transfer_seconds(p.wire_bytes(), port.rate);
 
-  Event done;
-  done.t = now_ + tx;
-  done.kind = node.is_router() ? EvKind::TxDoneRouter : EvKind::TxDoneHost;
-  done.a = node.id;
-  done.b = port_index;
-  push_event(done);
+  push_event(now_ + tx, {.kind = node.is_router() ? EvKind::TxDoneRouter
+                                                 : EvKind::TxDoneHost,
+                         .a = node.id,
+                         .b = port_index});
 
   const SimTime arrive_t = now_ + tx + port.delay;
+  const bool to_router = port.peer.is_router();
+  const std::uint32_t in_port = to_router ? port.peer_port.value() : 0;
 
   // Shard mode: an arrival owned by another shard leaves this event queue
   // entirely and crosses over the shard pair's handoff buffer instead.
   // tx > 0 guarantees arrive_t strictly exceeds the conservative window
   // horizon, so the receiving shard can never see it in its past.
   if (router_shard_ != nullptr) {
-    const std::uint32_t owner = port.peer.is_router()
-                                    ? (*router_shard_)[port.peer.id]
-                                    : (*host_shard_)[port.peer.id];
+    const std::uint32_t owner = to_router ? (*router_shard_)[port.peer.id]
+                                          : (*host_shard_)[port.peer.id];
     if (owner != self_shard_) {
-      RemoteEvent rev;
-      rev.t = arrive_t;
-      rev.to_router = port.peer.is_router();
-      rev.from_router = node.is_router();
-      rev.node = port.peer.id;
-      rev.port = port.peer.is_router() ? port.peer_port.value() : 0;
-      rev.from_node = node.id;
-      rev.from_port = port_index;
-      rev.pkt = std::move(p);
-      remote_sink_(std::move(rev));
+      remote_sink_({.t = arrive_t,
+                    .to_router = to_router,
+                    .from_router = node.is_router(),
+                    .node = port.peer.id,
+                    .port = in_port,
+                    .from_node = node.id,
+                    .from_port = port_index,
+                    .pkt = std::move(p)});
       return;
     }
   }
 
-  Event arrive;
-  arrive.t = arrive_t;
-  if (port.peer.is_router()) {
-    arrive.kind = EvKind::ArriveRouter;
-    arrive.a = port.peer.id;
-    arrive.b = port.peer_port.value();
-  } else {
-    arrive.kind = EvKind::ArriveHost;
-    arrive.a = port.peer.id;
-  }
-  arrive.pkt = std::move(p);
-  push_event(arrive);
+  push_event(arrive_t,
+             {.kind = to_router ? EvKind::ArriveRouter : EvKind::ArriveHost,
+              .a = port.peer.id,
+              .b = in_port,
+              .pkt = std::move(p)});
 }
 
-SimTime Network::next_event_time() const {
-  return events_.empty() ? std::numeric_limits<SimTime>::infinity()
-                         : events_.top().t;
-}
+SimTime Network::next_event_time() const { return events_.min_time(); }
 
 void Network::enable_shard_mode(std::uint32_t self,
                                 const std::vector<std::uint32_t>* router_shard,
@@ -381,19 +357,11 @@ void Network::enable_shard_mode(std::uint32_t self,
 }
 
 void Network::inject_remote(RemoteEvent&& rev) {
-  MIFO_EXPECTS(rev.t >= now_);
-  Event ev;
-  ev.t = rev.t;
-  if (rev.to_router) {
-    ev.kind = EvKind::ArriveRouter;
-    ev.a = rev.node;
-    ev.b = rev.port;
-  } else {
-    ev.kind = EvKind::ArriveHost;
-    ev.a = rev.node;
-  }
-  ev.pkt = std::move(rev.pkt);
-  push_event(std::move(ev));
+  push_event(rev.t, {.kind = rev.to_router ? EvKind::ArriveRouter
+                                           : EvKind::ArriveHost,
+                     .a = rev.node,
+                     .b = rev.port,
+                     .pkt = std::move(rev.pkt)});
 }
 
 void Network::enqueue_on(NodeRef node, Port& port, std::uint32_t port_index,
@@ -426,11 +394,9 @@ void Network::transmit_host(HostId h, Packet p) {
 void Network::arm_flow_timer(FlowState& f) {
   if (f.timer_pending || f.done) return;
   f.timer_pending = true;
-  Event ev;
-  ev.t = now_ + f.rto;
-  ev.kind = EvKind::FlowTimer;
-  ev.a = static_cast<std::uint32_t>(f.id.value());
-  push_event(ev);
+  push_event(now_ + f.rto,
+             {.kind = EvKind::FlowTimer,
+              .a = static_cast<std::uint32_t>(f.id.value())});
 }
 
 void Network::note_delivery(const FlowState& f, std::uint32_t pkts) {
@@ -549,6 +515,7 @@ void Network::publish_metrics(obs::Registry& reg,
   set("dp.flow_switches", c.flow_switches);
   set("dp.injected", injected_pkts_);
   set("dp.delivered", delivered_pkts_);
+  set("dp.events", events_dispatched_);
   for (const auto& [reason, count] : drop_breakdown()) {
     shard.set(reg.counter("dp.drops", labels.empty()
                                           ? "reason=" + reason

@@ -4,13 +4,13 @@
 #pragma once
 
 #include <functional>
-#include <queue>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "dataplane/event_queue.hpp"
 #include "dataplane/packet.hpp"
 #include "dataplane/port.hpp"
 #include "dataplane/router.hpp"
@@ -228,19 +228,10 @@ class Network {
   };
 
   struct Event {
-    SimTime t = 0.0;
-    std::uint64_t order = 0;
     EvKind kind = EvKind::Periodic;
     std::uint32_t a = 0;  ///< node id / flow index / periodic index
     std::uint32_t b = 0;  ///< port id
-    Packet pkt;
-  };
-
-  struct EventLater {
-    bool operator()(const Event& x, const Event& y) const {
-      if (x.t != y.t) return x.t > y.t;
-      return x.order > y.order;
-    }
+    Packet pkt{};
   };
 
   struct PeriodicTask {
@@ -248,8 +239,11 @@ class Network {
     std::function<void(Network&, SimTime)> fn;
   };
 
-  void push_event(Event ev);
-  void dispatch(const Event& ev);
+  /// Expects t >= now(): no event is scheduled in its past.
+  void push_event(SimTime t, Event ev);
+  /// The one pop-dispatch loop behind run_until and run_to_completion.
+  void run_events(SimTime bound);
+  void dispatch(Event& ev);
   /// Cable-pull semantics: discard a downed port's tx backlog as drops_down.
   static void flush_down_queue(Port& port);
   void begin_tx(NodeRef node, Port& port, std::uint32_t port_index);
@@ -261,10 +255,10 @@ class Network {
   std::vector<Host> hosts_;
   std::vector<FlowState> flows_;
   std::vector<PeriodicTask> periodics_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  EventQueue<Event> events_;
   std::function<void(Network&, FlowState&)> flow_complete_cb_;
   SimTime now_ = 0.0;
-  std::uint64_t event_seq_ = 0;
+  std::uint64_t events_dispatched_ = 0;
 
   SimTime bucket_width_ = 0.0;
   std::vector<Bytes> delivery_bytes_;

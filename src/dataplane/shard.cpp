@@ -221,9 +221,10 @@ void ShardedNetwork::drain_into(std::uint32_t s) {
   }
   if (batch.empty()) return;
   // Batch order depends on which producer sent what; restore the
-  // content-derived total order so injection (which assigns event_seq_, the
-  // same-timestamp tie-break) is deterministic. (t, from_node, from_port) is
-  // unique: a port's transmissions are serialized and tx time is non-zero.
+  // content-derived total order so injection order, which breaks
+  // same-timestamp ties in the event queue, is deterministic.
+  // (t, from_node, from_port) is unique: a port's transmissions are
+  // serialized and tx time is non-zero.
   std::sort(batch.begin(), batch.end(),
             [](const RemoteEvent& x, const RemoteEvent& y) {
               if (x.t != y.t) return x.t < y.t;

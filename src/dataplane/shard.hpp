@@ -22,7 +22,7 @@
 // arrives at least tx_time + W after its emission, i.e. strictly beyond the
 // horizon, so draining the buffers at the next barrier can never deliver an
 // event into a shard's past — event ordering within a shard stays exactly
-// the serial engine's (t, event_seq) order, and a run is deterministic for
+// the serial engine's (t, push order) order, and a run is deterministic for
 // a given shard count. Drained handoff batches are injected in the
 // content-derived order (t, from_node, from_port), which is unique because
 // per-port transmissions are serialized.

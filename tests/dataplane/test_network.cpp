@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "obs/registry.hpp"
+
 namespace mifo::dp {
 namespace {
 
@@ -42,6 +46,29 @@ TEST(NetworkDeathTest, EbgpWithinSameAsAborts) {
   const RouterId a = net.add_router(AsId(1));
   const RouterId b = net.add_router(AsId(1));
   EXPECT_DEATH(net.connect_ebgp(a, b, topo::Rel::Peer), "Precondition");
+}
+
+TEST(NetworkDeathTest, EventBeforeNowAborts) {
+  // No event may be scheduled in its past. A link with a negative delay
+  // would schedule the arrival before now(), and so would a cross-shard
+  // arrival injected after the clock passed it.
+  Network net;
+  const RouterId r0 = net.add_router(AsId(0));
+  const HostId h1 = net.add_host();
+  net.connect_host(r0, h1, kGigabit, -1.0);
+  Packet p;
+  p.size_bytes = 1000;
+  EXPECT_DEATH(net.transmit_host(h1, p), "Precondition");
+
+  net.run_until(1.0);
+  RemoteEvent past;
+  past.t = 0.5;
+  past.node = r0.value();
+  EXPECT_DEATH(net.inject_remote(std::move(past)), "Precondition");
+  RemoteEvent nan;
+  nan.t = std::numeric_limits<SimTime>::quiet_NaN();
+  nan.node = r0.value();
+  EXPECT_DEATH(net.inject_remote(std::move(nan)), "Precondition");
 }
 
 TEST(Network, PacketTraversesChainToHost) {
@@ -154,10 +181,10 @@ TEST(Network, TtlExpiryDropsLoopingPacket) {
 }
 
 TEST(Network, RunUntilTieBreakIsStableFifo) {
-  // Events with identical timestamps must dispatch in creation order
-  // (event_seq_ FIFO). The sharded plane's epoch barrier (shard.hpp) relies
-  // on this invariant to keep per-shard dispatch deterministic, so a change
-  // to EventLater's tie-break is a cross-engine breakage, not a tweak.
+  // Events with identical timestamps must dispatch in push order. The
+  // sharded plane's epoch barrier (shard.hpp) relies on this invariant to
+  // keep per-shard dispatch deterministic, so a change to the event queue's
+  // tie rule is a cross-engine breakage, not a tweak.
   Network net;
   std::vector<int> fired;
   for (int i = 0; i < 8; ++i) {
@@ -178,6 +205,58 @@ TEST(Network, RunUntilTieBreakIsStableFifo) {
     ASSERT_EQ(fired.size(), 8u) << "round " << round;
     for (int i = 0; i < 8; ++i) EXPECT_EQ(fired[i], i) << "round " << round;
   }
+}
+
+TEST(Network, SameInstantEventsOfMixedKindsDispatchInPushOrder) {
+  // Three events due at t = 0.5, pushed periodic, flow start, periodic:
+  // the first periodic runs before the flow has started, the second after.
+  Network net;
+  const RouterId r0 = net.add_router(AsId(0));
+  const HostId h1 = net.add_host();
+  const HostId h2 = net.add_host();
+  net.connect_host(r0, h1);
+  net.connect_host(r0, h2);
+  std::vector<bool> started;
+  const auto record = [&started](Network& n, SimTime) {
+    started.push_back(n.flows()[0].started);
+  };
+  net.add_periodic(0.5, record);
+  FlowParams fp;
+  fp.src = h1;
+  fp.dst = h2;
+  fp.size = 1000;
+  fp.start = 0.5;
+  net.start_flow(fp);
+  net.add_periodic(0.5, record);
+  net.run_until(0.5);
+  EXPECT_EQ(started, (std::vector<bool>{false, true}));
+}
+
+TEST(Network, EventsCountTwoPerHop) {
+  // h1 -- r0 -- r1 -- h2: one packet crosses three links, and each link
+  // costs its sender a transmission-done event and its receiver an arrival.
+  Network net;
+  const RouterId r0 = net.add_router(AsId(0));
+  const RouterId r1 = net.add_router(AsId(1));
+  const HostId h1 = net.add_host();
+  const HostId h2 = net.add_host();
+  net.connect_host(r0, h1);
+  const PortId p_h2 = net.connect_host(r1, h2);
+  const auto [p01, p10] = net.connect_ebgp(r0, r1, topo::Rel::Peer);
+  net.router(r0).fib().set_route(net.host_addr(h2), p01);
+  net.router(r1).fib().set_route(net.host_addr(h2), p_h2);
+
+  Packet p;
+  p.src = net.host_addr(h1);
+  p.dst = net.host_addr(h2);
+  p.size_bytes = 1000;
+  net.transmit_host(h1, p);
+  net.run_to_completion(1.0);
+  EXPECT_EQ(net.stale_flow_pkts(), 1u);  // arrived; no flow state behind it
+
+  obs::Registry reg;
+  net.publish_metrics(reg, "");
+  EXPECT_EQ(reg.snapshot().value_or("dp.events", -1.0), 6.0);
 }
 
 TEST(Network, RegisterFlowDoesNotSchedule) {

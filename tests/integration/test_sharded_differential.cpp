@@ -66,6 +66,15 @@ TEST(ShardedDifferential, ScaledEmulationMatchesSerialOracle) {
   }
 }
 
+/// The `dp.events` counter an engine publishes: events dispatched, summed
+/// over the sharded plane's replicas.
+template <typename NetT>
+double dispatched_events(const NetT& net) {
+  obs::Registry reg;
+  net.publish_metrics(reg, "");
+  return reg.snapshot().value_or("dp.events", -1.0);
+}
+
 /// Owner-replica FIB entries (default and alt port) of every router for
 /// every host prefix.
 void expect_same_fibs(const Emulation& se, const ShardedEmulation& pe) {
@@ -173,6 +182,9 @@ TEST(ShardedDifferential, BuilderWiresBothEnginesIdentically) {
     }
     EXPECT_GT(elected, 0u);
     expect_same_fibs(se, pe);
+    // One periodic task per AS on both engines: the same tick events.
+    EXPECT_GT(dispatched_events(*se.net), 0.0);
+    EXPECT_EQ(dispatched_events(*pe.net), dispatched_events(*se.net));
   }
 }
 
@@ -208,6 +220,8 @@ TEST(ShardedDifferential, SingleFlowRouterCountersMatchSerial) {
 
   Emulation se = builder.finalize();
   ASSERT_TRUE(se.net->flow(run_one(*se.net, se.hosts)).done);
+  const double serial_events = dispatched_events(*se.net);
+  ASSERT_GT(serial_events, 0.0);
   std::size_t on_path = 0;
   for (const dp::Router& r : se.net->routers()) {
     on_path += r.counters().forwarded > 0 ? 1 : 0;
@@ -218,6 +232,7 @@ TEST(ShardedDifferential, SingleFlowRouterCountersMatchSerial) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedEmulation pe = builder.finalize(shards);
     ASSERT_TRUE(pe.net->sender_flow(run_one(*pe.net, pe.hosts)).done);
+    EXPECT_EQ(dispatched_events(*pe.net), serial_events);
     ASSERT_EQ(pe.net->num_routers(), se.net->num_routers());
     for (std::size_t r = 0; r < se.net->num_routers(); ++r) {
       const RouterId id(static_cast<std::uint32_t>(r));

@@ -380,8 +380,14 @@ int main(int argc, char** argv) {
                 n, net.num_routers(), em.hosts.size(), net.flows().size());
     std::printf("plan: %zu events (%zu applied), duration %.3f s\n",
                 plan.events.size(), report.events_applied, plan.duration);
+    // One column width per run, so the status column lines up even when
+    // an event's exact rendering outgrows the default 42.
+    int width = 42;
     for (const auto& ae : report.log) {
-      std::printf("  %-42s %s%s%s  %s\n", ae.event.to_string().c_str(),
+      width = std::max(width, static_cast<int>(ae.event.to_string().size()));
+    }
+    for (const auto& ae : report.log) {
+      std::printf("  %-*s %s%s%s  %s\n", width, ae.event.to_string().c_str(),
                   ae.applied ? "applied" : "skipped",
                   ae.applied && !ae.clean_immediate ? " UNSAFE" : "",
                   ae.applied && !ae.clean_reconverged ? " UNSAFE-RECONV" : "",
