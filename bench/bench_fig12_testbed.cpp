@@ -114,6 +114,7 @@ void print_fig12() {
     ctr.set("ttl_drops", obs::Json::num(r.counters.ttl_drops));
     a.set("counters", std::move(ctr));
     a.set("links", obs::to_json(r.link_samples));
+    a.set("metrics", obs::to_json(r.metrics));
     ja.push(std::move(a));
   }
   root.set("arms", std::move(ja));

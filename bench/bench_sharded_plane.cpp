@@ -152,6 +152,7 @@ void print_sharded_plane() {
     j.set("outcome_digest", obs::Json::str(digest));
     j.set("digest_matches_serial",
           obs::Json::boolean(a.r.outcome_digest == serial.outcome_digest));
+    j.set("metrics", obs::to_json(a.r.metrics));
     ja.push(std::move(j));
   }
   root.set("arms", std::move(ja));

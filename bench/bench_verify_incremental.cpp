@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "chaos/route_control.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/emulation.hpp"
 #include "testbed/sharded_emulation.hpp"
@@ -128,7 +127,6 @@ void print_verify_incremental() {
 
   Deployment d = build_deployment(num_ases, dests, seed, /*expand=*/true);
   dp::Network& net = *d.em.net;
-  chaos::RouteController ctl(d.em, d.g);
 
   dp::ChangeLog log;
   verify::IncrementalVerifier inc;
@@ -178,7 +176,7 @@ void print_verify_incremental() {
 
   // Arm 3: withdraw one origin. Exactly that prefix's proofs invalidate.
   {
-    const bool ok = ctl.withdraw(d.owner_ases[dests / 2]);
+    const bool ok = testbed::withdraw_prefix(d.em, d.owner_ases[dests / 2]);
     arms.push_back(
         measure_arm(ok ? "withdraw" : "withdraw_noop", d, log, inc));
   }

@@ -35,6 +35,14 @@ bool same_subject(const Event& fail, const Event& rec) {
   }
 }
 
+/// The prefix owners the delta table tracks: the host ASes, in host order
+/// (the table sorts them and drops duplicates).
+std::vector<AsId> host_ases(const testbed::Emulation& em) {
+  std::vector<AsId> ases;
+  for (const auto& att : em.hosts) ases.push_back(att.as);
+  return ases;
+}
+
 }  // namespace
 
 const char* to_string(VerifyMode m) {
@@ -131,7 +139,7 @@ Engine::Engine(testbed::Emulation& em, const topo::AsGraph& g,
     : em_(&em),
       g_(&g),
       cfg_(cfg),
-      route_ctl_(em, g),
+      delta_(g, host_ases(em)),
       rng_(hash_combine(cfg.seed, 0xc4a06)) {
   owners_.reserve(em.hosts.size());
   for (const auto& att : em.hosts) owners_.emplace_back(att.addr, att.as);
@@ -234,7 +242,7 @@ bool Engine::snapshot(Report& report, SimTime t) {
     // element-identical to a from-scratch Gao-Rexford rebuild on the
     // current masked graph (withdrawn prefixes compare against the
     // all-invalid store). This is what catches plant_stale_route.
-    for (const AsId d : route_ctl_.delta().differential_check()) {
+    for (const AsId d : delta_.differential_check()) {
       ++report.route_differential_mismatches;
       report.violations.push_back(Violation{
           t, last_event_index_,
@@ -283,16 +291,19 @@ void Engine::nest_port_fault(RouterId r, PortId p, bool down) {
   }
 }
 
-void Engine::set_link_state(AsId a, AsId b, bool down, std::string& detail) {
+Engine::Outcome Engine::set_link_state(AsId a, AsId b, bool down) {
   const auto* eg_ab = em_->wirings[a.value()].egress_to(b);
   const auto* eg_ba = em_->wirings[b.value()].egress_to(a);
-  if (eg_ab == nullptr || eg_ba == nullptr) {
-    detail = "no such adjacency";
-    return;
-  }
+  if (eg_ab == nullptr || eg_ba == nullptr) return {false, "no such adjacency"};
   for (const auto* eg : {eg_ab, eg_ba}) {
     nest_port_fault(eg->router, eg->port, down);
   }
+  Outcome out{true,
+              std::string(down ? "down" : "up") + " r" +
+                  std::to_string(eg_ab->router.value()) + ":p" +
+                  std::to_string(eg_ab->port.value()) + " <-> r" +
+                  std::to_string(eg_ba->router.value()) + ":p" +
+                  std::to_string(eg_ba->port.value())};
   // The delta routing table models the BGP session, which is down while
   // *any* fault holds the adjacency down — so it sees only the undirected
   // 0 <-> 1 depth transitions, composing with overlapping faults the same
@@ -303,26 +314,20 @@ void Engine::set_link_state(AsId a, AsId b, bool down, std::string& detail) {
       (static_cast<std::uint64_t>(lo.value()) << 32) | hi.value();
   int& adepth = adj_down_depth_[akey];
   if (down) {
-    if (adepth++ == 0) route_ctl_.session_down(a, b);
+    if (adepth++ == 0) {
+      out.route = delta_.apply(bgp::RouteEvent::session_down(a, b));
+    }
   } else if (adepth > 0 && --adepth == 0) {
-    route_ctl_.session_up(a, b);
+    out.route = delta_.apply(bgp::RouteEvent::session_up(a, b));
   }
-  detail = std::string(down ? "down" : "up") + " r" +
-           std::to_string(eg_ab->router.value()) + ":p" +
-           std::to_string(eg_ab->port.value()) + " <-> r" +
-           std::to_string(eg_ba->router.value()) + ":p" +
-           std::to_string(eg_ba->port.value());
+  return out;
 }
 
-void Engine::scale_link_rate(AsId a, AsId b, double factor,
-                             std::string& detail) {
+Engine::Outcome Engine::scale_link_rate(AsId a, AsId b, double factor) {
   dp::Network& net = *em_->net;
   const auto* eg_ab = em_->wirings[a.value()].egress_to(b);
   const auto* eg_ba = em_->wirings[b.value()].egress_to(a);
-  if (eg_ab == nullptr || eg_ba == nullptr) {
-    detail = "no such adjacency";
-    return;
-  }
+  if (eg_ab == nullptr || eg_ba == nullptr) return {false, "no such adjacency"};
   factor = std::clamp(factor, 0.01, 1.0);
   for (const auto* eg : {eg_ab, eg_ba}) {
     dp::Port& port = net.router(eg->router).port(eg->port);
@@ -330,10 +335,10 @@ void Engine::scale_link_rate(AsId a, AsId b, double factor,
     const auto it = nominal_rate_.try_emplace(key, port.rate).first;
     port.rate = it->second * factor;
   }
-  detail = "rate x" + std::to_string(factor);
+  return {true, "rate x" + std::to_string(factor)};
 }
 
-void Engine::freeze_as(AsId as, bool freeze, std::string& detail) {
+Engine::Outcome Engine::freeze_as(AsId as, bool freeze) {
   dp::Network& net = *em_->net;
   const core::AsWiring& wiring = em_->wirings[as.value()];
   // Every port of every router in the AS goes down (and the remote end of
@@ -358,11 +363,12 @@ void Engine::freeze_as(AsId as, bool freeze, std::string& detail) {
   // Restart loses the daemon-programmed state: alt ports come back only
   // once the (unfrozen) daemon re-elects them on its next tick.
   if (!freeze) daemon.restart(net);
-  detail = std::to_string(wiring.routers.size()) + " routers, " +
-           std::to_string(ports) + " ports " + (freeze ? "down" : "up");
+  return {true, std::to_string(wiring.routers.size()) + " routers, " +
+                    std::to_string(ports) + " ports " +
+                    (freeze ? "down" : "up")};
 }
 
-void Engine::start_burst(const Event& ev, std::string& detail) {
+Engine::Outcome Engine::start_burst(const Event& ev) {
   dp::Network& net = *em_->net;
   // Candidate hosts inside the requested ASes; fall back to any host so a
   // generated plan's burst never silently fizzles on a host-less AS.
@@ -399,27 +405,38 @@ void Engine::start_burst(const Event& ev, std::string& detail) {
     net.start_flow(fp);
     ++started;
   }
-  detail = std::to_string(started) + " flows of " +
-           std::to_string(ev.value) + " MB";
+  return {true, std::to_string(started) + " flows of " +
+                    std::to_string(ev.value) + " MB"};
 }
 
-bool Engine::plant_valley(std::string& detail) {
+Engine::Outcome Engine::withdraw(AsId owner) {
+  const bgp::DeltaStats route = delta_.apply(bgp::RouteEvent::withdraw(owner));
+  if (!route.applied) return {false, "AS owns no prefix / already withdrawn"};
+  testbed::withdraw_prefix(*em_, owner);
+  return {true, "origin withdrawn, RIBs reconverged", route};
+}
+
+Engine::Outcome Engine::reannounce(AsId owner) {
+  const bgp::DeltaStats route =
+      delta_.apply(bgp::RouteEvent::reannounce(owner));
+  if (!route.applied) return {false, "AS not withdrawn"};
+  testbed::reinstall_prefix(*em_, *g_, owner);
+  return {true, "origin re-announced, FIBs reinstalled", route};
+}
+
+Engine::Outcome Engine::plant_valley() {
   // Same planted violation as `mifo-verify --mutate-valley`.
   const testbed::ValleyRing planted = testbed::plant_valley_ring(*em_, *g_);
-  if (!planted.error.empty()) {
-    detail = planted.error;
-    return false;
-  }
+  if (!planted.error.empty()) return {false, planted.error};
   planted_violation_ = true;
   const std::vector<AsId>& ring = planted.ring;
-  detail = "ring AS" + std::to_string(ring[0].value()) + "-AS" +
-           std::to_string(ring[1].value()) + "-AS" +
-           std::to_string(ring[2].value()) +
-           " dst=" + std::to_string(planted.dst);
-  return true;
+  return {true, "ring AS" + std::to_string(ring[0].value()) + "-AS" +
+                    std::to_string(ring[1].value()) + "-AS" +
+                    std::to_string(ring[2].value()) +
+                    " dst=" + std::to_string(planted.dst)};
 }
 
-bool Engine::plant_stale_route(std::string& detail) {
+Engine::Outcome Engine::plant_stale_route() {
   // Negative control for the route differential oracle — the routing-plane
   // sibling of plant_valley: withdraw a live origin but make the delta
   // table skip that destination's republish, leaving a stale CSR segment.
@@ -427,63 +444,35 @@ bool Engine::plant_stale_route(std::string& detail) {
   // provers stay clean; only the Differential snapshot's from-scratch
   // Gao-Rexford rebuild can expose the divergence.
   if (cfg_.verify_mode != VerifyMode::Differential) {
-    detail = "requires differential verify mode";
-    return false;
+    return {false, "requires differential verify mode"};
   }
   for (const auto& [addr, as] : owners_) {
-    bgp::DeltaRoutingTable& delta = route_ctl_.delta();
-    if (delta.withdrawn(as) || !delta.tracks(as)) continue;
-    delta.plant_stale(as);
-    const bool ok = route_ctl_.withdraw(as);
-    MIFO_ASSERT(ok);
+    if (delta_.withdrawn(as) || !delta_.tracks(as)) continue;
+    delta_.plant_stale(as);
+    Outcome out = withdraw(as);
+    MIFO_ASSERT(out.applied);
     planted_violation_ = true;
-    detail = "stale segment planted for AS" + std::to_string(as.value()) +
-             " (origin withdrawn, republish skipped)";
-    return true;
+    out.detail = "stale segment planted for AS" + std::to_string(as.value()) +
+                 " (origin withdrawn, republish skipped)";
+    return out;
   }
-  detail = "no live tracked origin to withdraw";
-  return false;
+  return {false, "no live tracked origin to withdraw"};
 }
 
-void Engine::note_route_delta(Report& report, AppliedEvent& ae) {
-  const std::uint64_t epoch = route_ctl_.delta().epoch();
-  if (epoch == seen_route_epoch_) return;  // no routing-plane effect
-  seen_route_epoch_ = epoch;
-  const bgp::DeltaStats& st = route_ctl_.last_delta_stats();
-  ae.route_recomputed = st.recomputed;
-  ae.route_patched = st.patched;
-  ae.route_unchanged = st.unchanged;
-  ++report.route_events;
-  report.total_route_recomputed += st.recomputed;
-  report.total_route_patched += st.patched;
-  report.total_route_unchanged += st.unchanged;
-}
-
-std::pair<bool, std::string> Engine::apply(const Event& ev) {
-  std::string detail;
+Engine::Outcome Engine::apply(const Event& ev) {
   switch (ev.kind) {
     case EventKind::LinkDown:
-      set_link_state(ev.a, ev.b, true, detail);
-      return {detail != "no such adjacency", detail};
+      return set_link_state(ev.a, ev.b, true);
     case EventKind::LinkUp:
-      set_link_state(ev.a, ev.b, false, detail);
-      return {detail != "no such adjacency", detail};
+      return set_link_state(ev.a, ev.b, false);
     case EventKind::Degrade:
-      scale_link_rate(ev.a, ev.b, ev.value, detail);
-      return {detail != "no such adjacency", detail};
+      return scale_link_rate(ev.a, ev.b, ev.value);
     case EventKind::Restore:
-      scale_link_rate(ev.a, ev.b, 1.0, detail);
-      return {detail != "no such adjacency", detail};
-    case EventKind::Withdraw: {
-      const bool ok = route_ctl_.withdraw(ev.a);
-      return {ok, ok ? "origin withdrawn, RIBs reconverged"
-                     : "AS owns no prefix / already withdrawn"};
-    }
-    case EventKind::Reannounce: {
-      const bool ok = route_ctl_.reannounce(ev.a);
-      return {ok, ok ? "origin re-announced, FIBs reinstalled"
-                     : "AS not withdrawn"};
-    }
+      return scale_link_rate(ev.a, ev.b, 1.0);
+    case EventKind::Withdraw:
+      return withdraw(ev.a);
+    case EventKind::Reannounce:
+      return reannounce(ev.a);
     case EventKind::IbgpDrop:
       em_->daemons[ev.a.value()]->set_stale(true);
       return {true, "spare adverts frozen at last values"};
@@ -491,22 +480,15 @@ std::pair<bool, std::string> Engine::apply(const Event& ev) {
       em_->daemons[ev.a.value()]->set_stale(false);
       return {true, "fresh spare adverts resume"};
     case EventKind::RouterFreeze:
-      freeze_as(ev.a, true, detail);
-      return {true, detail};
+      return freeze_as(ev.a, true);
     case EventKind::RouterRestart:
-      freeze_as(ev.a, false, detail);
-      return {true, detail};
+      return freeze_as(ev.a, false);
     case EventKind::Burst:
-      start_burst(ev, detail);
-      return {true, detail};
-    case EventKind::PlantValley: {
-      const bool ok = plant_valley(detail);
-      return {ok, detail};
-    }
-    case EventKind::PlantStaleRoute: {
-      const bool ok = plant_stale_route(detail);
-      return {ok, detail};
-    }
+      return start_burst(ev);
+    case EventKind::PlantValley:
+      return plant_valley();
+    case EventKind::PlantStaleRoute:
+      return plant_stale_route();
   }
   return {false, "unknown event"};
 }
@@ -546,14 +528,14 @@ Report Engine::run(const Plan& plan) {
     // synchronously (a pulled cable flushes its queue), and that flush IS
     // the first impact.
     const std::uint64_t drops_before = drop_sum();
-    const auto [applied, detail] = apply(ev);
+    Outcome out = apply(ev);
     ++ei;
     last_event_index_ = report.log.size();
     AppliedEvent& ae = report.log.emplace_back();
     ae.event = ev;
-    ae.applied = applied;
-    ae.detail = detail;
-    if (!applied) continue;
+    ae.applied = out.applied;
+    ae.detail = std::move(out.detail);
+    if (!out.applied) continue;
     ++report.events_applied;
     if (shard_) shard_->add(m_events_);
     pending_impacts_.push_back(PendingImpact{last_event_index_, drops_before});
@@ -580,7 +562,15 @@ Report Engine::run(const Plan& plan) {
         break;
       }
     }
-    note_route_delta(report, ae);
+    if (out.route.applied) {
+      ae.route_recomputed = out.route.recomputed;
+      ae.route_patched = out.route.patched;
+      ae.route_unchanged = out.route.unchanged;
+      ++report.route_events;
+      report.total_route_recomputed += out.route.recomputed;
+      report.total_route_patched += out.route.patched;
+      report.total_route_unchanged += out.route.unchanged;
+    }
     ae.clean_immediate = snapshot(report, ev.t);
     // The immediate snapshot's verify cost is this event's footprint.
     ae.dirty_destinations = last_cost_.dirty_destinations;

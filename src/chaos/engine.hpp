@@ -3,10 +3,11 @@
 //
 // The engine owns the run loop: it advances the dp::Network event queue to
 // each scheduled fault, applies it (cable pulls via Network::set_port_up,
-// BGP churn via RouteController, daemon staleness/freezes, bursts), then
-// snapshots the installed forwarding state and re-runs the verify::
-// deflection-graph prover and lints — once immediately after the event and
-// once after a reconvergence delay that covers at least one daemon tick. A
+// BGP churn on its delta routing table and the testbed's prefix passes,
+// daemon staleness/freezes, bursts), then snapshots the installed
+// forwarding state and re-runs the verify:: deflection-graph prover and
+// lints — once immediately after the event and once after a reconvergence
+// delay that covers at least one daemon tick. A
 // clean chaos run is therefore a safety-under-churn proof over every
 // quiescent point; a dirty one yields the concrete counterexample cycle
 // together with the event that triggered it.
@@ -17,8 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/delta.hpp"
 #include "chaos/plan.hpp"
-#include "chaos/route_control.hpp"
 #include "common/rng.hpp"
 #include "obs/artifact.hpp"
 #include "obs/registry.hpp"
@@ -153,8 +154,6 @@ class Engine {
   /// validate_plan for the engine's topology.
   [[nodiscard]] Report run(const Plan& plan);
 
-  [[nodiscard]] RouteController& route_controller() { return route_ctl_; }
-
  private:
   /// An applied event still waiting for its first packet impact: resolved
   /// at the first snapshot whose network-wide drop total moved past the
@@ -164,20 +163,30 @@ class Engine {
     std::uint64_t drop_baseline;
   };
 
-  /// Applies one event; returns {applied, detail}.
-  std::pair<bool, std::string> apply(const Event& ev);
+  /// What one fault handler did: whether the event applied, what
+  /// concretely changed, and the routing event it applied to the delta
+  /// table (`route.applied` is false when it applied none).
+  struct Outcome {
+    bool applied;
+    std::string detail;
+    bgp::DeltaStats route{};
+  };
+
+  Outcome apply(const Event& ev);
   /// Nests one fault on a directed router port: the first of overlapping
   /// faults takes it down, the last recovery brings it back up.
   void nest_port_fault(RouterId r, PortId p, bool down);
-  void set_link_state(AsId a, AsId b, bool down, std::string& detail);
-  void scale_link_rate(AsId a, AsId b, double factor, std::string& detail);
-  void freeze_as(AsId as, bool freeze, std::string& detail);
-  void start_burst(const Event& ev, std::string& detail);
-  bool plant_valley(std::string& detail);
-  bool plant_stale_route(std::string& detail);
-  /// Adds the latest delta-recompute counts to the running report totals
-  /// and the event's route columns.
-  void note_route_delta(Report& report, AppliedEvent& ae);
+  Outcome set_link_state(AsId a, AsId b, bool down);
+  Outcome scale_link_rate(AsId a, AsId b, double factor);
+  Outcome freeze_as(AsId as, bool freeze);
+  Outcome start_burst(const Event& ev);
+  /// A prefix event: applied to the delta table first, and to the FIBs and
+  /// daemons (testbed::withdraw_prefix / reinstall_prefix) only when the
+  /// table applied it.
+  Outcome withdraw(AsId owner);
+  Outcome reannounce(AsId owner);
+  Outcome plant_valley();
+  Outcome plant_stale_route();
 
   /// Verification snapshot at the current time; updates report/metrics.
   bool snapshot(Report& report, SimTime t);
@@ -188,7 +197,10 @@ class Engine {
   testbed::Emulation* em_;
   const topo::AsGraph* g_;
   EngineConfig cfg_;
-  RouteController route_ctl_;
+  /// The routing plane: converged routes towards every prefix owner
+  /// (DESIGN.md §5.1b). No FIB, router config or daemon RIB reads it; the
+  /// differential verify mode checks it against a from-scratch rebuild.
+  bgp::DeltaRoutingTable delta_;
   Rng rng_;
   std::vector<std::pair<dp::Addr, AsId>> owners_;
 
@@ -204,9 +216,6 @@ class Engine {
   /// session event only on the 0 <-> 1 transitions, so overlapping faults
   /// on one link compose the same way they do for ports.
   std::unordered_map<std::uint64_t, int> adj_down_depth_;
-  /// High-water mark of the delta table's epoch — how note_route_delta
-  /// tells whether the event just applied had any routing-plane effect.
-  std::uint64_t seen_route_epoch_ = 0;
   std::size_t last_event_index_ = 0;
   bool planted_violation_ = false;
 

@@ -89,14 +89,14 @@ class MifoDaemon {
     return prefixes_;
   }
 
-  // --- churn hooks (chaos engine / route controller) -------------------------
+  // --- churn hooks (chaos engine / testbed prefix passes) --------------------
   /// Replace (or add) the RIB knowledge for one prefix, e.g. after a BGP
   /// re-announcement changed the default or the alternative set. Any alt
   /// programmed from the old knowledge is cleared; the next tick re-elects.
   void update_prefix(dp::Network& net, PrefixRoutes pr);
 
   /// Drop all knowledge of a withdrawn prefix and clear the alt ports it had
-  /// programmed (the FIB default eviction is the route controller's job).
+  /// programmed (testbed::withdraw_prefix evicts the FIB defaults).
   void remove_prefix(dp::Network& net, dp::Addr prefix);
 
   /// The AS's routers restarted and lost their alt state: clears every alt

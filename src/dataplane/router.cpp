@@ -254,13 +254,9 @@ void Router::reevaluate_flows(
   // daemon's AS-level view of its egress links.
   bool all_drained = true;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
-    const Port& port = ports_[i];
-    if (port.kind != PortKind::Ebgp) continue;
-    const double util =
-        port_utilization
-            ? port_utilization(PortId(static_cast<std::uint32_t>(i)))
-            : port.queue_ratio();
-    if (util >= kLowWatermark) {
+    if (ports_[i].kind != PortKind::Ebgp) continue;
+    if (port_utilization(PortId(static_cast<std::uint32_t>(i))) >=
+        kLowWatermark) {
       all_drained = false;
       break;
     }

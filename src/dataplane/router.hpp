@@ -82,11 +82,9 @@ class Router {
   /// watermark (measured by the daemon's LinkMonitor — queue occupancy
   /// drains even on a saturated link, so it cannot drive the return
   /// decision); expires idle pins. `port_utilization(port) -> [0,1]` comes
-  /// from the daemon; when absent, queue ratio is used as a fallback (unit
-  /// tests).
-  void reevaluate_flows(
-      const Network& net,
-      const std::function<double(PortId)>& port_utilization = {});
+  /// from the daemon.
+  void reevaluate_flows(const Network& net,
+                        const std::function<double(PortId)>& port_utilization);
 
   /// Number of flows currently pinned to the alternative path.
   [[nodiscard]] std::size_t pinned_alt_flows() const;

@@ -68,7 +68,6 @@ RouterId ShardedNetwork::add_router(AsId as) {
   RouterId id;
   for (auto& net : nets_) id = net->add_router(as);
   router_shard_.push_back(shard_of_as(as));
-  router_as_.push_back(as);
   return id;
 }
 
@@ -77,7 +76,6 @@ HostId ShardedNetwork::add_host() {
   HostId id;
   for (auto& net : nets_) id = net->add_host();
   host_shard_.push_back(kUnowned);  // owned once attached to a router
-  host_router_.push_back(RouterId(kUnowned));
   return id;
 }
 
@@ -105,7 +103,6 @@ PortId ShardedNetwork::connect_host(RouterId r, HostId h, Mbps rate,
   PortId id;
   for (auto& net : nets_) id = net->connect_host(r, h, rate, delay);
   host_shard_[h.value()] = router_shard_[r.value()];
-  host_router_[h.value()] = r;
   return id;
 }
 

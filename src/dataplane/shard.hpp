@@ -206,8 +206,6 @@ class ShardedNetwork {
   /// Node id -> owning shard. Address-stable (Network keeps pointers).
   std::vector<std::uint32_t> router_shard_;
   std::vector<std::uint32_t> host_shard_;
-  std::vector<AsId> router_as_;
-  std::vector<RouterId> host_router_;
   /// from * num_shards + to; created with the plane.
   std::vector<RingSlot> rings_;
   /// Per shard: its earliest pending event, for the barrier completion.

@@ -2,6 +2,7 @@
 
 #include <type_traits>
 
+#include "bgp/ibgp.hpp"
 #include "common/contracts.hpp"
 #include "dataplane/change_log.hpp"
 #include "testbed/wiring.hpp"
@@ -105,6 +106,37 @@ ValleyRing plant_valley_ring(Emulation& em, const topo::AsGraph& g) {
   return out;
 }
 
+bool withdraw_prefix(Emulation& em, AsId owner) {
+  dp::Network& net = *em.net;
+  bool owns = false;
+  for (const auto& att : em.hosts) {
+    if (att.as != owner) continue;
+    owns = true;
+    for (const auto& wiring : em.wirings) {
+      if (wiring.as == owner) continue;
+      em.daemons[wiring.as.value()]->remove_prefix(net, att.addr);
+      for (const RouterId r : wiring.routers) {
+        net.router(r).fib().remove(att.addr);
+      }
+    }
+  }
+  return owns;
+}
+
+void reinstall_prefix(Emulation& em, const topo::AsGraph& g, AsId owner) {
+  // The owner kept its local delivery and daemon entry through the
+  // withdrawal, so the pass rewrites identical values there.
+  dp::Network& net = *em.net;
+  const bgp::RouteStore routes(g, owner);
+  for (const auto& att : em.hosts) {
+    if (att.as != owner) continue;
+    install_prefix(net, g, em.wirings, att, routes,
+                   [&](AsId as, core::PrefixRoutes pr) {
+                     em.daemons[as.value()]->update_prefix(net, std::move(pr));
+                   });
+  }
+}
+
 EmulationBuilder::EmulationBuilder(const topo::AsGraph& g,
                                    std::vector<bool> expand,
                                    BuildParams params)
@@ -128,9 +160,8 @@ BasicEmulation<NetT> EmulationBuilder::build(std::unique_ptr<NetT> net) const {
 
   BasicEmulation<NetT> em;
   em.net = std::move(net);
-  em.plan = std::make_unique<bgp::IbgpPlan>(g_, expand_);
   NetT& n = *em.net;
-  const bgp::IbgpPlan& plan = *em.plan;
+  const bgp::IbgpPlan plan(g_, expand_);
 
   // Routers (ids in the network match the plan's router ids).
   for (std::size_t i = 0; i < plan.num_routers(); ++i) {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "bgp/ibgp.hpp"
 #include "core/daemon.hpp"
 #include "dataplane/network.hpp"
 #include "dataplane/shard.hpp"
@@ -42,7 +41,6 @@ struct HostAttachment {
 template <typename NetT>
 struct BasicEmulation {
   std::unique_ptr<NetT> net;
-  std::unique_ptr<bgp::IbgpPlan> plan;
   std::vector<HostAttachment> hosts;
   std::vector<core::AsWiring> wirings;                  // indexed by AS id
   std::vector<std::unique_ptr<core::MifoDaemon>> daemons;  // indexed by AS id
@@ -72,6 +70,10 @@ struct ValleyRing {
   std::string error;  ///< why nothing was planted; empty on success
 };
 
+// The writers of alt ports besides the daemons (DESIGN.md §5.4b). A daemon
+// writes an alt port only when its election changes, so each of these makes
+// the daemons whose ports it touches forget what they wrote.
+
 /// The planted Tag-Check violation (Fig. 2(a)) behind `mifo-verify
 /// --mutate-valley` and the chaos plant-valley event: on the first peering
 /// triangle of `g`, points each ring AS's alt port clockwise along the ring
@@ -82,6 +84,20 @@ struct ValleyRing {
 /// over the planted alt port.
 [[nodiscard]] ValleyRing plant_valley_ring(Emulation& em,
                                            const topo::AsGraph& g);
+
+/// A BGP withdrawal of every prefix `owner` originates: for each of its
+/// hosts and each other AS, the daemon drops the prefix, then every router
+/// of that AS drops its FIB entry, default route and the alt port riding on
+/// it together — a withdrawn prefix must not keep attracting deflections.
+/// The owner's routers keep local delivery. Returns false when `owner`
+/// originates no prefix.
+bool withdraw_prefix(Emulation& em, AsId owner);
+
+/// Re-announces `owner`'s prefixes through the builder's install pass
+/// (wiring.hpp), fed from `g`'s converged routes: FIB defaults model the
+/// all-sessions-up state, exactly as the builder installed them, and every
+/// daemon with a route gets the prefix back through update_prefix.
+void reinstall_prefix(Emulation& em, const topo::AsGraph& g, AsId owner);
 
 class EmulationBuilder {
  public:

@@ -112,6 +112,9 @@ Fig12Result run_fig12(const Fig12Params& params) {
   std::erase_if(res.link_samples, [cutoff](const obs::LinkSample& s) {
     return s.t > cutoff;
   });
+  obs::Registry reg;
+  net.publish_metrics(reg, "");
+  res.metrics = reg.snapshot();
   return res;
 }
 

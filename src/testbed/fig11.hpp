@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/registry.hpp"
 #include "obs/timeseries.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/as_graph.hpp"
@@ -56,6 +57,9 @@ struct Fig12Result {
   dp::RouterCounters counters;        ///< summed router counters
   /// Per-link congestion trace (empty unless link_sample_interval > 0).
   obs::LinkSeries link_samples;
+  /// The network's metrics (publish_metrics, unlabelled), taken once after
+  /// the run.
+  obs::Snapshot metrics;
 };
 
 /// Runs the Fig. 12 experiment (both source pairs send their flows

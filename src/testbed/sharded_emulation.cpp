@@ -166,6 +166,9 @@ ScaledResult run_built(BasicEmulation<NetT> em, const topo::AsGraph& g,
     outcomes.push_back(f);
   }
   res.outcome_digest = digest_outcome(res, outcomes);
+  obs::Registry reg;
+  net.publish_metrics(reg, "");
+  res.metrics = reg.snapshot();
   return res;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dataplane/shard.hpp"
+#include "obs/registry.hpp"
 #include "testbed/emulation.hpp"
 #include "topo/as_graph.hpp"
 
@@ -83,6 +84,9 @@ struct ScaledResult {
   /// buckets and every flow's (done, end_time, receiver progress) — equal
   /// digests mean the engines produced identical outcomes.
   std::uint64_t outcome_digest = 0;
+  /// The network's metrics (publish_metrics, unlabelled), taken once after
+  /// the run: dp.events over dp.port_pkts_sent is events per transmission.
+  obs::Snapshot metrics;
 };
 
 /// The scaled scenario's expansion rule: transit ASes with degree in

@@ -1,5 +1,5 @@
 // The per-prefix install pass: EmulationBuilder programs every host prefix
-// through it at build time, and chaos::RouteController re-runs it when a
+// through it at build time, and testbed::reinstall_prefix re-runs it when a
 // withdrawn prefix is re-announced.
 //
 // `NetT` is dp::Network or dp::ShardedNetwork; both expose the same

@@ -115,23 +115,6 @@ bool is_connected(const AsGraph& g) {
   return visited == n;
 }
 
-std::vector<RelAsymmetry> relationship_asymmetries(const AsGraph& g) {
-  std::vector<RelAsymmetry> out;
-  for (std::size_t i = 0; i < g.num_ases(); ++i) {
-    const AsId a(static_cast<std::uint32_t>(i));
-    for (const auto& nb : g.neighbors(a)) {
-      if (!(a < nb.as)) continue;  // inspect each adjacency once
-      const auto back = g.rel(nb.as, a);
-      if (!back) {
-        out.push_back(RelAsymmetry{a, nb.as, nb.rel, std::nullopt});
-      } else if (*back != reverse(nb.rel)) {
-        out.push_back(RelAsymmetry{a, nb.as, nb.rel, back});
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<std::size_t> degrees(const AsGraph& g) {
   std::vector<std::size_t> d(g.num_ases());
   for (std::size_t i = 0; i < g.num_ases(); ++i) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,21 +42,5 @@ struct TopologyAttributes {
 /// Degree of every AS, useful for power-law checks and content-provider
 /// ranking (paper ranks by #providers + #peers).
 [[nodiscard]] std::vector<std::size_t> degrees(const AsGraph& g);
-
-/// One inconsistent adjacency: the two directions disagree about the
-/// business relationship (a says b is its customer, but b does not see a as
-/// its provider), or one direction is missing entirely.
-struct RelAsymmetry {
-  AsId a;
-  AsId b;
-  Rel a_sees_b = Rel::Peer;           ///< what b is to a
-  std::optional<Rel> b_sees_a;        ///< what a is to b; nullopt = missing
-};
-
-/// Every asymmetric adjacency in the graph (empty on graphs built through
-/// the AsGraph API, which wires both directions atomically — this is the
-/// defensive invariant the static verifier lints before trusting rel()).
-[[nodiscard]] std::vector<RelAsymmetry> relationship_asymmetries(
-    const AsGraph& g);
 
 }  // namespace mifo::topo

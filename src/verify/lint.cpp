@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "bgp/route_store.hpp"
-#include "topo/analysis.hpp"
 #include "verify/deflection_graph.hpp"
 
 namespace mifo::verify {
@@ -18,8 +17,6 @@ const char* to_string(LintKind k) {
       return "alt-missing-from-rib";
     case LintKind::ExportViolation:
       return "export-violation";
-    case LintKind::AsymmetricRelationship:
-      return "asymmetric-relationship";
   }
   return "?";
 }
@@ -32,22 +29,6 @@ std::string LintIssue::to_string() const {
   if (dst != dp::kInvalidAddr) os << " dst=" << dst;
   os << ": " << detail;
   return os.str();
-}
-
-std::vector<LintIssue> lint_topology(const topo::AsGraph& g) {
-  std::vector<LintIssue> issues;
-  for (const auto& asym : topo::relationship_asymmetries(g)) {
-    LintIssue issue;
-    issue.kind = LintKind::AsymmetricRelationship;
-    issue.as = asym.a;
-    std::ostringstream os;
-    os << "AS" << asym.a.value() << " sees AS" << asym.b.value() << " as "
-       << topo::to_string(asym.a_sees_b) << " but the reverse direction is "
-       << (asym.b_sees_a ? topo::to_string(*asym.b_sees_a) : "missing");
-    issue.detail = os.str();
-    issues.push_back(std::move(issue));
-  }
-  return issues;
 }
 
 namespace {

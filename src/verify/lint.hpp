@@ -3,9 +3,8 @@
 // The deflection-graph check proves loop-freedom; these lints catch the
 // installed-state corruption that *erodes* MIFO's usefulness without
 // necessarily looping: alternatives the RIB never advertised, alternatives
-// that duplicate the default, daemon RIB knowledge that violates the
-// Gao–Rexford export rule, and topologies whose two link directions
-// disagree about the business relationship.
+// that duplicate the default, and daemon RIB knowledge that violates the
+// Gao–Rexford export rule.
 #pragma once
 
 #include <memory>
@@ -30,8 +29,6 @@ enum class LintKind : std::uint8_t {
   /// A daemon RIB alternative the Gao–Rexford export rule says the
   /// neighbor would never have advertised.
   ExportViolation,
-  /// The two directions of an adjacency disagree about the relationship.
-  AsymmetricRelationship,
 };
 
 [[nodiscard]] const char* to_string(LintKind k);
@@ -44,9 +41,6 @@ struct LintIssue {
   std::string detail;
   [[nodiscard]] std::string to_string() const;
 };
-
-/// Pure-topology lints (relationship asymmetry).
-[[nodiscard]] std::vector<LintIssue> lint_topology(const topo::AsGraph& g);
 
 /// Deployment lints over live router FIBs and daemon RIB state.
 /// `prefix_owners` maps each destination prefix to the AS originating it

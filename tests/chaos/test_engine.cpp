@@ -136,7 +136,61 @@ TEST(ChaosEngine, WithdrawReannounceRoundTripKeepsDelivery) {
   // Reachability is fully restored after the round trip.
   f.em.net->run_to_completion(60.0);
   EXPECT_TRUE(f.em.net->flows()[0].done);
-  EXPECT_FALSE(engine.route_controller().delta().withdrawn(owner));
+  // Both events moved the routing plane, each recomputing the owner alone.
+  EXPECT_EQ(report.route_events, 2u);
+  for (const AppliedEvent& ae : report.log) {
+    EXPECT_EQ(ae.route_recomputed, 1u) << ae.event.to_string();
+  }
+}
+
+// Each event's route columns are the footprint of the routing event it
+// applied to the delta table: a prefix event recomputes its origin alone,
+// a refused prefix event and a link fault nested inside another on the
+// same link apply none, and the table matches a from-scratch rebuild at
+// every snapshot of a differential run.
+TEST(ChaosEngine, DifferentialPlanRecordsEachRoutingEvent) {
+  Fixture f = Fixture::make(17);
+  const AsId owner = f.em.hosts[0].as;
+  const std::string x = std::to_string(owner.value());
+  const std::string y = std::to_string(f.em.hosts[1].as.value());
+  const std::string link =
+      x + " " + std::to_string(f.g.neighbors(owner).front().as.value());
+  const Plan plan = parse_or_die(
+      "duration 0.9\n"
+      "at 0.1 withdraw " + x + "\n" +     // 0: recomputes x
+      "at 0.15 withdraw " + x + "\n" +    // 1: already withdrawn
+      "at 0.2 reannounce " + y + "\n" +   // 2: never withdrawn
+      "at 0.25 reannounce " + x + "\n" +  // 3: recomputes x
+      "at 0.3 link-down " + link + "\n" + // 4: session down
+      "at 0.4 link-down " + link + "\n" + // 5: nested: ports only
+      "at 0.5 link-up " + link + "\n" +   // 6: still held down
+      "at 0.6 link-up " + link + "\n");   // 7: session up
+  EngineConfig cfg;
+  cfg.verify_mode = VerifyMode::Differential;
+  Engine engine(f.em, f.g, cfg);
+  const Report report = engine.run(plan);
+  ASSERT_EQ(report.log.size(), 8u);
+
+  constexpr std::size_t kOwners = 2;
+  const auto footprint = [](const AppliedEvent& ae) {
+    return ae.route_recomputed + ae.route_patched + ae.route_unchanged;
+  };
+  const bool applied[] = {true, false, false, true, true, true, true, true};
+  const bool routed[] = {true, false, false, true, true, false, false, true};
+  std::size_t recomputed = 0;
+  for (std::size_t i = 0; i < report.log.size(); ++i) {
+    const AppliedEvent& ae = report.log[i];
+    EXPECT_EQ(ae.applied, applied[i]) << ae.event.to_string();
+    EXPECT_EQ(footprint(ae), routed[i] ? kOwners : 0) << ae.event.to_string();
+    recomputed += ae.route_recomputed;
+  }
+  EXPECT_EQ(report.log[0].route_recomputed, 1u);
+  EXPECT_EQ(report.log[3].route_recomputed, 1u);
+  EXPECT_EQ(report.route_events, 4u);
+  EXPECT_EQ(report.total_route_recomputed, recomputed);
+  EXPECT_EQ(report.route_differential_mismatches, 0u);
+  EXPECT_EQ(report.differential_mismatches, 0u);
+  EXPECT_TRUE(report.safe);
 }
 
 TEST(ChaosEngine, FreezeRestartAndIbgpStalenessApply) {

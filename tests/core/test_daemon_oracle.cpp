@@ -217,7 +217,7 @@ TEST_P(DaemonOracle, ClassElectionMatchesReferenceEveryTick) {
         const dp::Addr gone = known[rng.bounded(known.size())].prefix;
         t.daemon->remove_prefix(t.net_d, gone);
         t.ref->remove_prefix(t.net_r, gone);
-        if (rng.bernoulli(0.5)) {  // the route controller evicts the FIBs
+        if (rng.bernoulli(0.5)) {  // testbed::withdraw_prefix evicts FIBs
           t.both([&](dp::Network& n) {
             for (const RouterId r : t.wiring.routers) {
               n.router(r).fib().remove(gone);

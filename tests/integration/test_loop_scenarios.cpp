@@ -38,7 +38,7 @@ TEST(LoopScenarios, Fig2aTagCheckCutsDataPlaneLoop) {
   for (int i = 0; i < 3; ++i) {
     const AsId as = ring[i];
     const AsId next = ring[(i + 1) % 3];
-    const RouterId r = em.plan->routers_of(as).front();
+    const RouterId r = em.wirings[as.value()].routers.front();
     net.router(r).config().mifo_enabled = true;
     net.router(r).config().drop_on_congested_no_alt = true;
     const auto* eg = em.wirings[as.value()].egress_to(next);
@@ -48,7 +48,7 @@ TEST(LoopScenarios, Fig2aTagCheckCutsDataPlaneLoop) {
 
   // Congest every default egress towards AS 0.
   for (const AsId as : ring) {
-    const RouterId r = em.plan->routers_of(as).front();
+    const RouterId r = em.wirings[as.value()].routers.front();
     const auto* eg = em.wirings[as.value()].egress_to(AsId(0));
     ASSERT_NE(eg, nullptr);
     for (int i = 0; i < 70; ++i) {
@@ -66,7 +66,7 @@ TEST(LoopScenarios, Fig2aTagCheckCutsDataPlaneLoop) {
   // host-origin (tag=1): AS1 deflects to AS2; at AS2 the tag is now 0 and
   // AS2's alternative (peer AS3) fails the check -> dropped there. Either
   // way: no loop, TTL never exhausted.
-  const RouterId r1 = em.plan->routers_of(AsId(1)).front();
+  const RouterId r1 = em.wirings[1].routers.front();
   Packet p;
   p.src = em.attachment(src_host).addr;
   p.dst = dst;
@@ -107,9 +107,9 @@ TEST(LoopScenarios, Fig2bEncapsulationPreventsIbgpCycle) {
 
   // Y has the lower id -> default egress is the border router facing Y
   // (call it R1); the border facing Z is R2.
-  const RouterId r1 = em.plan->border_towards(x, y);
-  const RouterId r2 = em.plan->border_towards(x, z);
-  for (const RouterId r : em.plan->routers_of(x)) {
+  const RouterId r1 = em.wirings[x.value()].egress_to(y)->router;
+  const RouterId r2 = em.wirings[x.value()].egress_to(z)->router;
+  for (const RouterId r : em.wirings[x.value()].routers) {
     net.router(r).config().mifo_enabled = true;
   }
   const dp::Addr dst_addr = em.attachment(dst).addr;

@@ -63,6 +63,13 @@ TEST(ShardedDifferential, ScaledEmulationMatchesSerialOracle) {
     // The digest folds in every flow's (done, end_time, receiver progress):
     // equal digests == identical per-flow outcomes, not just equal totals.
     EXPECT_EQ(r.outcome_digest, oracle.outcome_digest);
+    // The published metrics count the same events and transmissions.
+    for (const char* name : {"dp.events", "dp.port_pkts_sent"}) {
+      EXPECT_GT(oracle.metrics.value_or(name, 0.0), 0.0) << name;
+      EXPECT_EQ(r.metrics.value_or(name, -1.0),
+                oracle.metrics.value_or(name, -2.0))
+          << name;
+    }
   }
 }
 

@@ -68,17 +68,17 @@ RingScenario make_ring(bool enforce_tag_check) {
   for (int i = 0; i < 3; ++i) {
     const AsId as = ring[i];
     const AsId next = ring[(i + 1) % 3];
-    const RouterId r = sc.em.plan->routers_of(as).front();
+    const RouterId r = sc.em.wirings[as.value()].routers.front();
     net.router(r).config().mifo_enabled = true;
     net.router(r).config().enforce_tag_check = enforce_tag_check;
     const auto* eg = sc.em.wirings[as.value()].egress_to(next);
     EXPECT_NE(eg, nullptr);
     net.router(r).fib().set_alt(sc.dst, eg->port);
   }
-  sc.r1 = sc.em.plan->routers_of(AsId(1)).front();
+  sc.r1 = sc.em.wirings[1].routers.front();
   for (const std::uint32_t as : {1u, 2u, 3u}) {
     sc.ring_routers.insert(
-        sc.em.plan->routers_of(AsId(as)).front().value());
+        sc.em.wirings[as].routers.front().value());
   }
   return sc;
 }
@@ -86,7 +86,7 @@ RingScenario make_ring(bool enforce_tag_check) {
 void congest_ring_defaults(RingScenario& sc) {
   dp::Network& net = *sc.em.net;
   for (const std::uint32_t as : {1u, 2u, 3u}) {
-    const RouterId r = sc.em.plan->routers_of(AsId(as)).front();
+    const RouterId r = sc.em.wirings[as].routers.front();
     const auto* eg = sc.em.wirings[as].egress_to(AsId(0));
     ASSERT_NE(eg, nullptr);
     for (int i = 0; i < 70; ++i) {
@@ -142,9 +142,9 @@ TEST(VerifyDifferential, Fig2bVerdictMatchesDynamics) {
   const HostId dst = builder.attach_host(d);
   auto em = builder.finalize();
   dp::Network& net = *em.net;
-  const RouterId r1 = em.plan->border_towards(x, y);
-  const RouterId r2 = em.plan->border_towards(x, z);
-  for (const RouterId r : em.plan->routers_of(x)) {
+  const RouterId r1 = em.wirings[x.value()].egress_to(y)->router;
+  const RouterId r2 = em.wirings[x.value()].egress_to(z)->router;
+  for (const RouterId r : em.wirings[x.value()].routers) {
     net.router(r).config().mifo_enabled = true;
   }
   const dp::Addr dst_addr = em.attachment(dst).addr;
@@ -220,8 +220,8 @@ TEST(VerifyDifferential, RibUnbackedAltCycleIsReproducedByEmulator) {
   dp::Network& net = *em.net;
   const dp::Addr dst = em.attachment(dst_host).addr;
 
-  const RouterId r1 = em.plan->routers_of(AsId(1)).front();
-  const RouterId r2 = em.plan->routers_of(AsId(2)).front();
+  const RouterId r1 = em.wirings[1].routers.front();
+  const RouterId r2 = em.wirings[2].routers.front();
   net.router(r1).config().mifo_enabled = true;  // Tag-Check stays ON
   const auto* eg = em.wirings[1].egress_to(AsId(2));
   ASSERT_NE(eg, nullptr);

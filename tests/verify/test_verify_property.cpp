@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "testbed/emulation.hpp"
-#include "topo/analysis.hpp"
 #include "topo/generator.hpp"
 #include "verify/deflection_graph.hpp"
 #include "verify/lint.hpp"
@@ -33,7 +32,6 @@ Deployment deploy(std::uint64_t seed, std::size_t num_ases,
   gp.seed = seed;
   Deployment d;
   d.g = topo::generate_topology(gp);
-  EXPECT_TRUE(topo::relationship_asymmetries(d.g).empty());
 
   std::vector<bool> expand(num_ases, false);
   if (expand_tier1) {

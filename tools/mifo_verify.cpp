@@ -291,8 +291,6 @@ int main(int argc, char** argv) {
     verdict = verify::check_from_scratch(net, g, em.daemons, owners,
                                          inc.config());
   }
-  auto issues = verify::lint_topology(g);
-  issues.insert(issues.end(), verdict.lint.begin(), verdict.lint.end());
 
   if (!opt.quiet) {
     std::printf("deployment: %zu routers, %zu prefixes, %zu alt routes "
@@ -300,7 +298,7 @@ int main(int argc, char** argv) {
                 net.num_routers(), verdict.loop.stats.destinations, alt_routes);
     std::printf("deflection graph: %zu states, %zu edges explored\n",
                 verdict.loop.stats.states, verdict.loop.stats.edges);
-    for (const auto& issue : issues) {
+    for (const auto& issue : verdict.lint) {
       std::printf("lint: %s\n", issue.to_string().c_str());
     }
   }
@@ -314,7 +312,7 @@ int main(int argc, char** argv) {
   for (const auto& b : verdict.reach.blackholes) {
     std::printf("COUNTEREXAMPLE %s\n", b.to_string().c_str());
   }
-  const bool clean = verdict.clean() && issues.empty() && differential_ok;
+  const bool clean = verdict.clean() && differential_ok;
   if (clean) {
     std::printf("verdict: LOOP-FREE (%zu destinations, lint clean)\n",
                 verdict.loop.stats.destinations);
@@ -334,6 +332,6 @@ int main(int argc, char** argv) {
               "%zu lint issues)\n",
               label, verdict.loop.cycles.size(),
               verdict.valley.violations.size(),
-              verdict.reach.blackholes.size(), issues.size());
+              verdict.reach.blackholes.size(), verdict.lint.size());
   return 2;
 }
